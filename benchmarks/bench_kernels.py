@@ -48,15 +48,18 @@ def build_cases(rows, rules, features, seed):
     lo = up * rng.uniform(0.0, 1.0, (rows, rules))
     cents = np.sort(rng.uniform(1.0, 2.0, rules))
 
+    # the clustering kernels are cluster-major: data enter transposed with
+    # their squared norms, distances and memberships come out (c, rows)
+    xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
     centers = rng.normal(size=(8, features))
-    d2 = kernels.sq_distances_np(X, centers)
+    d2 = kernels.sq_distances_np(centers, xt, xx)
     n_query = max(rows // 100, 1)
     queries = rng.normal(size=(n_query, features))
-    qd2 = kernels.sq_distances_np(queries, X)
+    qd2 = kernels.sq_distances_np(queries, xt, xx)
 
     return [
-        ("sq_distances", f"{rows}x{features} vs 8", (X, centers)),
-        ("fcm_memberships", f"{rows}x8 m=2", (d2, 2.0)),
+        ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
+        ("fcm_memberships", f"8x{rows} m=2", (d2, 2.0)),
         ("log_firing", f"{rows}x{rules}x{features}", (X, means, sig_up)),
         ("km_batch", f"{rows}x{rules}", (lo, up, cents)),
         ("t1_epoch", f"{rows}x{rules}x{features}", (X, y, means, sig_up, cons)),

@@ -69,20 +69,31 @@ def _check_cm(n: int, c: int, m: float):
 
 
 def _init_membership(n: int, c: int, seed) -> np.ndarray:
-    # uniform random, normalized per sample (column-stochastic in (c, N) terms)
+    """Uniform random memberships, (c, N), each column normalized to 1."""
+    # drawn and normalized sample-major, so a seed keeps its start partition
     w = np.random.default_rng(seed).random((n, c))
-    return w / w.sum(axis=1, keepdims=True)
+    return np.ascontiguousarray((w / w.sum(axis=1, keepdims=True)).T)
 
 
-def _prototypes(X, u, m, v_old=None):
-    w = u ** m
-    wsum = w.sum(axis=0)
-    v = np.empty((u.shape[1], X.shape[1]))
+def _data_terms(X):
+    """The data-only inputs of `kernels.sq_distances`: Xᵀ and ‖x‖²."""
+    return np.ascontiguousarray(X.T), (X * X).sum(axis=1)
+
+
+def _prototypes(X, w, v_old=None):
+    """Weighted means of the rows of X under the weights w = u^m, (c, N).
+
+    A cluster without weight keeps its previous prototype (the data mean on
+    the first iteration).
+    """
+    wsum = w.sum(axis=1)
     dead = wsum <= 0.0
+    if not dead.any():
+        return (w @ X) / wsum[:, None]
     live = ~dead
-    v[live] = (w[:, live].T @ X) / wsum[live, None]
-    if dead.any():
-        v[dead] = X.mean(axis=0) if v_old is None else v_old[dead]
+    v = np.empty((w.shape[0], X.shape[1]))
+    v[live] = (w[live] @ X) / wsum[live, None]
+    v[dead] = X.mean(axis=0) if v_old is None else v_old[dead]
     return v
 
 
@@ -97,17 +108,20 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
     n, _ = X.shape
     _check_cm(n, c, m)
 
+    xt, xx = _data_terms(X)
     u = _init_membership(n, c, seed)
+    w = u ** m
     v = None
     obj_trace, colsum_trace = [], []
     converged = False
-    d2 = None
     for _ in range(max_iter):
-        v = _prototypes(X, u, m, v)
-        d2 = kernels.sq_distances(X, v)
+        v = _prototypes(X, w, v)
+        d2 = kernels.sq_distances(v, xt, xx)
         u_new = kernels.fcm_memberships(d2, m)
-        obj_trace.append(float(((u_new ** m) * d2).sum()))
-        colsum_trace.append(float(np.abs(u_new.sum(axis=1) - 1.0).max()))
+        # u^m serves this iteration's objective and the next prototypes
+        w = u_new ** m
+        obj_trace.append(float((w * d2).sum()))
+        colsum_trace.append(float(np.abs(u_new.sum(axis=0) - 1.0).max()))
         delta = float(np.abs(u_new - u).max())
         u = u_new
         if delta < tol:
@@ -115,7 +129,7 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
             break
 
     return FuzzyPartition(
-        U=np.ascontiguousarray(u.T), V=v, m=float(m),
+        U=u, V=v, m=float(m),
         objective=obj_trace[-1], n_iter=len(obj_trace), converged=converged,
         objective_trace=np.array(obj_trace),
         colsum_error_trace=np.array(colsum_trace),
@@ -131,7 +145,8 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
     `u0` optionally warm-starts the membership matrix (given as (c, N),
     e.g. a previous FCM partition's U); otherwise the seeded random
     initialization is used.  Raises DataError when a covariance stays
-    singular, which with regularization 0 happens on any flat cluster.
+    singular, which with regularization 0 happens on any flat cluster, and
+    before the first iteration when a column of X is constant.
     """
     X = _as_data(X)
     n, d = X.shape
@@ -145,22 +160,31 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
         u0 = np.asarray(u0, dtype=float)
         if u0.shape != (c, n):
             raise ValueError(f"u0 must have shape ({c}, {n}), got {u0.shape}")
-        u = np.ascontiguousarray(u0.T)
+        u = np.ascontiguousarray(u0)
 
+    flat = np.flatnonzero(X.max(axis=0) == X.min(axis=0))
+    if flat.size:
+        # a constant column has zero variance in every cluster and in the
+        # global blend; left to the iteration, rounding in the prototypes can
+        # hide that for many iterations
+        raise DataError(
+            f"column {int(flat[0])} is constant, so every cluster has a "
+            f"singular covariance matrix at any regularization"
+        )
     global_diag = np.diag(X.var(axis=0))
     covs = np.empty((c, d, d))
+    w = u ** m
     v = None
     obj_trace, colsum_trace = [], []
     converged = False
     for _ in range(max_iter):
-        v = _prototypes(X, u, m, v)
-        w = u ** m
-        wsum = w.sum(axis=0)
-        d2 = np.empty((n, c))
+        v = _prototypes(X, w, v)
+        wsum = w.sum(axis=1)
+        d2 = np.empty((c, n))
         for i in range(c):
             diff = X - v[i]
             denom = wsum[i] if wsum[i] > 0 else 1.0
-            F = (w[:, i, None] * diff).T @ diff / denom
+            F = (w[i, :, None] * diff).T @ diff / denom
             F = (1.0 - regularization) * F + regularization * global_diag
             F = 0.5 * (F + F.T)
             sign, logdet = np.linalg.slogdet(F)
@@ -171,11 +195,12 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
                 )
             A = np.exp(logdet / d) * np.linalg.inv(F)
             covs[i] = F
-            d2[:, i] = np.einsum("nd,de,ne->n", diff, A, diff)
+            d2[i] = np.einsum("nd,de,ne->n", diff, A, diff)
         np.clip(d2, 0.0, None, out=d2)
         u_new = kernels.fcm_memberships(d2, m)
-        obj_trace.append(float(((u_new ** m) * d2).sum()))
-        colsum_trace.append(float(np.abs(u_new.sum(axis=1) - 1.0).max()))
+        w = u_new ** m
+        obj_trace.append(float((w * d2).sum()))
+        colsum_trace.append(float(np.abs(u_new.sum(axis=0) - 1.0).max()))
         delta = float(np.abs(u_new - u).max())
         u = u_new
         if delta < tol:
@@ -183,7 +208,7 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
             break
 
     return FuzzyPartition(
-        U=np.ascontiguousarray(u.T), V=v, m=float(m),
+        U=u, V=v, m=float(m),
         objective=obj_trace[-1], n_iter=len(obj_trace), converged=converged,
         objective_trace=np.array(obj_trace),
         colsum_error_trace=np.array(colsum_trace),
@@ -208,8 +233,8 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
             f"partition prototypes have {p.V.shape[1]} coordinates but data has {d}"
         )
     w = p.U ** p.m  # (c, n)
-    d2 = kernels.sq_distances(X, p.V)  # (n, c)
-    compact = float((w * d2.T).sum())
+    d2 = kernels.sq_distances(p.V, *_data_terms(X))  # (c, n)
+    compact = float((w * d2).sum())
     vbar = p.V.mean(axis=0)
     sep2 = ((p.V - vbar) ** 2).sum(axis=1)
     separate = float((w.sum(axis=1) * sep2).sum())

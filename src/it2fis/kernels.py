@@ -8,6 +8,10 @@ environment (or run without numba installed) to force the numpy path;
 
 Array conventions: data matrices are (n_samples, n_features); rule parameter
 matrices are (n_rules, n_features); firing matrices are (n_samples, n_rules).
+The two clustering kernels are cluster-major, like ``FuzzyPartition.U``:
+distance and membership matrices are (n_clusters, n_samples), and
+``sq_distances`` takes the data transposed, (n_features, n_samples), with its
+squared row norms precomputed.
 """
 
 from __future__ import annotations
@@ -46,86 +50,93 @@ except ImportError:  # pragma: no cover - exercised via env flag
 
 
 # ---------------------------------------------------------------------------
-# squared Euclidean distances (FCM inner loop)
+# squared Euclidean distances (FCM inner loop), cluster-major
 # ---------------------------------------------------------------------------
 
 
-def sq_distances_np(x, v):
-    """Pairwise squared Euclidean distances, shape (n, c)."""
-    d2 = (x * x).sum(axis=1)[:, None] + (v * v).sum(axis=1)[None, :]
-    d2 -= 2.0 * (x @ v.T)
+def sq_distances_np(v, xt, xx):
+    """Squared Euclidean distances from c points to n points, shape (c, n).
+
+    v is (c, d); xt holds the n points as columns, (d, n) and C-contiguous;
+    xx is their squared norms, shape (n,).  xt and xx depend on the data
+    only, so FCM computes them once per run, not once per iteration.
+    """
+    g = v @ xt
+    g *= 2.0
+    d2 = (v * v).sum(axis=1)[:, None] + xx
+    d2 -= g
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _sq_distances_loops(x, v):
-    n, d = x.shape
+def _sq_distances_loops(v, xt, xx):
+    # sums the coordinate differences directly, so it never reads xx
     c = v.shape[0]
-    out = np.empty((n, c))
+    d, n = xt.shape
+    out = np.empty((c, n))
     for j in prange(n):
         for i in range(c):
             acc = 0.0
             for f in range(d):
-                t = x[j, f] - v[i, f]
+                t = xt[f, j] - v[i, f]
                 acc += t * t
-            out[j, i] = acc
+            out[i, j] = acc
     return out
 
 
 # ---------------------------------------------------------------------------
-# FCM membership update from squared distances
+# FCM membership update from squared distances, cluster-major
 # ---------------------------------------------------------------------------
 
 
 def fcm_memberships_np(d2, m):
-    """Membership update u_ji ∝ d2_ji^(-1/(m-1)), rows sum to 1.
+    """Membership update u_ij ∝ d2_ij^(-1/(m-1)) on (c, n); columns sum to 1.
 
-    Rows containing a zero (or overflowing) distance split their mass evenly
-    over the offending prototypes.
+    Columns containing a zero (or overflowing) distance split their mass
+    evenly over the offending prototypes.
     """
     p = 1.0 / (m - 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = d2 ** (-p)
+        u = inv / inv.sum(axis=0)
     bad = ~np.isfinite(inv)
-    rows_bad = bad.any(axis=1)
-    with np.errstate(invalid="ignore"):
-        u = inv / inv.sum(axis=1, keepdims=True)
-    if rows_bad.any():
-        share = bad[rows_bad].astype(np.float64)
-        u[rows_bad] = share / share.sum(axis=1, keepdims=True)
+    cols_bad = bad.any(axis=0)
+    if cols_bad.any():
+        share = bad[:, cols_bad]
+        u[:, cols_bad] = share / share.sum(axis=0)
     return u
 
 
 def _fcm_memberships_loops(d2, m):
-    n, c = d2.shape
+    c, n = d2.shape
     p = 1.0 / (m - 1.0)
-    u = np.empty((n, c))
+    u = np.empty((c, n))
     for j in prange(n):
         nzero = 0
         for i in range(c):
-            if d2[j, i] <= 0.0:
+            if d2[i, j] <= 0.0:
                 nzero += 1
         if nzero > 0:
             w = 1.0 / nzero
             for i in range(c):
-                u[j, i] = w if d2[j, i] <= 0.0 else 0.0
+                u[i, j] = w if d2[i, j] <= 0.0 else 0.0
             continue
         tot = 0.0
         for i in range(c):
-            val = d2[j, i] ** (-p)
-            u[j, i] = val
+            val = d2[i, j] ** (-p)
+            u[i, j] = val
             tot += val
         if not np.isfinite(tot):
             nbad = 0
             for i in range(c):
-                if not np.isfinite(u[j, i]):
+                if not np.isfinite(u[i, j]):
                     nbad += 1
             w = 1.0 / nbad
             for i in range(c):
-                u[j, i] = w if not np.isfinite(u[j, i]) else 0.0
+                u[i, j] = w if not np.isfinite(u[i, j]) else 0.0
         else:
             for i in range(c):
-                u[j, i] /= tot
+                u[i, j] /= tot
     return u
 
 

@@ -234,10 +234,10 @@ def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
                 cons -= lr * g1c
                 np.maximum(sig, SIGMA_FLOOR, out=sig)
                 err += e1
-        mean_err = err / n
-        errs.append(float(mean_err))
-        if mean_err < best[0]:
-            best = (mean_err, epoch, snap_now)
+            err /= n  # a sum of per-sample errors; the full-batch one is a mean
+        errs.append(float(err))
+        if err < best[0]:
+            best = (err, epoch, snap_now)
             since_best = 0
         else:
             since_best += 1
@@ -312,10 +312,10 @@ def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
                 cons -= lr * g1c
                 project()
                 err += e1
-        mean_err = err / n
-        errs.append(float(mean_err))
-        if mean_err < best[0]:
-            best = (mean_err, epoch, snap_now)
+            err /= n  # a sum of per-sample errors; the full-batch one is a mean
+        errs.append(float(err))
+        if err < best[0]:
+            best = (err, epoch, snap_now)
             since_best = 0
         else:
             since_best += 1

@@ -320,4 +320,10 @@ def feature_matrix(table: RawTable) -> np.ndarray:
                     f"column {table.column_names[k]!r}, data row {j + 1}: "
                     f"cannot parse {v!r} as a number"
                 ) from None
+    bad = ~np.isfinite(X)
+    if bad.any():
+        j, k = np.argwhere(bad)[0]
+        raise DataError(
+            f"column {table.column_names[k]!r}, data row {j + 1}: non-finite value"
+        )
     return X

@@ -52,7 +52,7 @@ def warm_kernels():
     r = np.random.default_rng(0)
     x = r.random((6, 3))
     v = np.ascontiguousarray(x[:2])
-    d2 = kernels.sq_distances(x, v)
+    d2 = kernels.sq_distances(v, np.ascontiguousarray(x.T), (x * x).sum(axis=1))
     kernels.fcm_memberships(d2, 2.0)
     means = np.zeros((2, 3))
     sig = np.ones((2, 3))
@@ -62,5 +62,5 @@ def warm_kernels():
     y = np.ones(6)
     kernels.t1_epoch(x, y, means, sig, cons)
     kernels.it2_epoch(x, y, means, 0.8 * sig, sig, cons, np.argsort(cons))
-    kernels.topk_select(d2, 2)
+    kernels.topk_select(d2.T, 2)
     return kernels.backend()

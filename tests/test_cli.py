@@ -154,6 +154,20 @@ def test_predict_feature_count_mismatch(workdir, tmp_path, capsys):
     assert f"feature-count mismatch: expected {n}, got {n - 1}" in err
 
 
+def test_predict_rejects_non_finite_cells(workdir, tmp_path, capsys):
+    rows = list(csv.reader(open(workdir["features"], encoding="utf-8")))
+    rows[3][1] = "nan"
+    bad = tmp_path / "nan.csv"
+    with open(bad, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows)
+    out = tmp_path / "pred.csv"
+    rc = main(["predict", str(workdir["model"]), str(bad), "-o", str(out)])
+    assert rc == 2
+    assert (f"data error: [parse_features] column {rows[0][1]!r}, data row 3: "
+            "non-finite value") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_split_report(workdir, tmp_path, capsys):
     prefix = tmp_path / "report"
     rc = main(["--seed", "3", "--config", str(workdir["cfg"]), "evaluate",

@@ -20,7 +20,7 @@ from conftest import blobs
 
 def naive_fcm_run(X, c, m, seed, iters):
     """Textbook alternating optimization, no vectorization tricks."""
-    u = _init_membership(X.shape[0], c, seed)
+    u = _init_membership(X.shape[0], c, seed).T  # (n, c)
     v = None
     for _ in range(iters):
         w = u ** m
@@ -96,19 +96,19 @@ def test_fcm_converges_and_stops_early(rng):
     assert part.converged
     assert part.n_iter < 300
     # fixed point: one more alternating step barely moves the memberships
-    d2 = kernels.sq_distances(X, part.V)
+    d2 = kernels.sq_distances(part.V, X.T.copy(), (X * X).sum(axis=1))
     u2 = kernels.fcm_memberships(d2, 2.0)
-    assert np.abs(u2.T - part.U).max() < 1e-6
+    assert np.abs(u2 - part.U).max() < 1e-6
 
 
 def test_fcm_membership_kernel_splits_zero_distances():
-    d2 = np.array([[0.0, 2.0, 3.0],
-                   [0.0, 0.0, 1.0],
-                   [1.0, 4.0, 4.0]])
+    d2 = np.array([[0.0, 0.0, 1.0],  # (c, n): one column per sample
+                   [2.0, 0.0, 4.0],
+                   [3.0, 1.0, 4.0]])
     u = kernels.fcm_memberships(d2, 2.0)
-    np.testing.assert_allclose(u[0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(u[1], [0.5, 0.5, 0.0])
-    np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(u[:, 0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(u[:, 1], [0.5, 0.5, 0.0])
+    np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_fcm_determinism(rng):
@@ -132,6 +132,42 @@ def test_fcm_validation(rng):
     bad[3, 1] = np.nan
     with pytest.raises(DataError):
         fcm(bad, 2)
+
+
+def test_fcm_duplicated_groups_end_on_exact_memberships():
+    # once each prototype sits exactly on its group, the distances are exact
+    # zeros and the zero-distance split makes every membership exactly 0 or 1
+    X = np.array([[1.0, 2.0]] * 5 + [[4.0, -1.0]] * 4)
+    part = fcm(X, 2, seed=3, tol=0.0, max_iter=30)
+    hard = part.U.argmax(axis=0)
+    assert len(set(hard[:5])) == 1 and len(set(hard[5:])) == 1
+    assert hard[0] != hard[5]
+    assert np.array_equal(part.U, (hard == np.arange(2)[:, None]).astype(float))
+    assert np.array_equal(part.V[hard[0]], X[0])
+    assert np.array_equal(part.V[hard[5]], X[5])
+    assert part.objective == 0.0
+
+
+def test_loop_kernels_match_numpy_kernels():
+    # the `_*_loops` twins are the numba bodies; called directly they run as
+    # plain Python, so check them against the numpy kernels here
+    r = np.random.default_rng(11)
+    X = r.normal(size=(7, 3))
+    v = np.vstack([r.normal(size=(2, 3)), X[4]])  # prototype 2 sits on x_4
+    xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
+    d2 = kernels.sq_distances_np(v, xt, xx)
+    assert d2.shape == (3, 7)
+    np.testing.assert_allclose(kernels._sq_distances_loops(v, xt, xx), d2,
+                               rtol=1e-12, atol=1e-12)
+    d2[2, 4] = 0.0  # cancellation leaves ~1e-16 where the loops give 0
+    d2[:, 6] = [0.0, 0.0, 1.5]  # two prototypes share sample 6
+    for m in (2.0, 1.5, 3.0):
+        u_np = kernels.fcm_memberships_np(d2, m)
+        np.testing.assert_allclose(kernels._fcm_memberships_loops(d2, m),
+                                   u_np, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(u_np[:, 4], [0.0, 0.0, 1.0])
+        assert np.array_equal(u_np[:, 6], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(u_np.sum(axis=0), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +225,19 @@ def test_gk_singular_covariance_raises(rng):
         gk(X, 2, regularization=0.0)
 
 
+def test_gk_constant_column_fails_before_iterating(rng, monkeypatch):
+    # regularization blends in the global variance, which is zero too, so a
+    # constant column dooms GK at any regularization; it must not iterate
+    X = np.column_stack([rng.random(40), np.full(40, 0.1), rng.random(40)])
+    warm = fcm(X, 2, seed=0)
+    calls = []
+    monkeypatch.setattr(kernels, "fcm_memberships",
+                        lambda *a: calls.append(1))
+    with pytest.raises(DataError, match="column 1 is constant"):
+        gk(X, 2, seed=0, u0=warm.U)
+    assert not calls
+
+
 def test_gk_determinism(rng):
     X = blobs(rng, [[0.0, 0.0], [4.0, 0.0]], n_per=40)
     a = gk(X, 2, seed=5)
@@ -242,6 +291,21 @@ def test_fukuyama_index_validation(rng):
         fukuyama_index(rng.random((9, 2)), part)
     with pytest.raises(ValueError):
         fukuyama_index(rng.random((10, 3)), part)
+
+
+def test_select_cluster_count_is_pinned():
+    # a rewrite of the FCM iteration may move U by rounding, but must keep
+    # the selected count, the best seeds and every run's iteration count
+    rng = np.random.default_rng(2024)
+    X = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(3, 1, (30, 3)),
+                   rng.uniform(-2, 5, (20, 3))])
+    scan = select_cluster_count(X, c_max=5, seeds=(0, 1, 2))
+    assert scan.selected == 5
+    assert scan.best_seeds == (0, 1, 2, 0)
+    n_iter = {c: tuple(fcm(X, c, seed=s).n_iter for s in (0, 1, 2))
+              for c in scan.candidates}
+    assert n_iter == {2: (15, 14, 15), 3: (50, 38, 51), 4: (167, 180, 123),
+                      5: (105, 106, 100)}
 
 
 def test_select_cluster_count_validation(rng):

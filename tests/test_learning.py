@@ -10,6 +10,7 @@ from it2fis.learning import (SIGMA_FLOOR, TuneConfig, encode_labels,
                              extract_rules, targets_for, tune_it2, tune_t1,
                              widen_to_it2)
 from it2fis.learning import _digest
+from it2fis.inference import predict_batch
 from it2fis.preprocess import Dataset
 from it2fis.rules import KIND_IT2, KIND_T1, it2_rule_base, t1_rule_base
 
@@ -196,6 +197,25 @@ def test_tune_t1_returns_best_epoch_snapshot(rng):
     dig = _digest(tuned.means, tuned.sigma_upper, tuned.cons_mean)
     assert dig == trace.param_digests[trace.best_epoch]
     assert np.array_equal(tuned.sigma_lower, tuned.sigma_upper)  # stays type-1
+
+
+def test_tune_trace_records_the_mean_error(rng):
+    # epoch 0 of the trace measures the untouched base, so it must equal
+    # 0.5 * mean((f - y)^2) of that base's own predictions, in both modes
+    data = regression_dataset(rng)
+    rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
+                      label_low="a", label_high="b")
+    f = predict_batch(rb, data.features).crisp
+    want = 0.5 * np.mean((f - targets_for(rb, data.labels)) ** 2)
+    _, trace = tune_t1(rb, data, TuneConfig(learning_rate=0.05, epochs=3))
+    assert trace.epoch_error[0] == pytest.approx(want, rel=1e-12)
+    it2 = widen_to_it2(rb, spread=0.0)
+    _, trace = tune_it2(it2, data, TuneConfig(learning_rate=0.05, epochs=3))
+    assert trace.epoch_error[0] == pytest.approx(want, rel=1e-12)
+    # per-sample epochs average the errors met along the shuffled pass
+    cfg = TuneConfig(learning_rate=1e-12, epochs=2, batch="per-sample")
+    _, trace = tune_t1(rb, data, cfg)
+    assert trace.epoch_error[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_tune_it2_reduces_error_and_keeps_invariants(rng):

@@ -233,6 +233,14 @@ def test_feature_matrix_parses_or_raises(tmp_path):
         feature_matrix(load_csv(bad))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_feature_matrix_rejects_non_finite_cells(tmp_path, cell):
+    path = write(tmp_path, "f.csv", f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(DataError,
+                       match="column 'b', data row 2: non-finite value"):
+        feature_matrix(load_csv(path))
+
+
 def test_dataset_validation(rng):
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), ("1", "2"), ("a", "b"))
