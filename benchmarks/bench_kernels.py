@@ -2,7 +2,10 @@
 
 Runs each hot kernel on representative shapes (ICU-model sized rule bases,
 tens of thousands of rows), checks that the two implementations agree, and
-prints best-of-N wall times with the speedup.  Run with the default
+prints best-of-N wall times with the speedup.  ``topk_select`` runs on
+integer-rounded distances, so ties are common, and its result is first
+checked against a stable ``argsort``; ``--rows 85000`` gives the 850 x 85,000
+shape of a full-size KNN baseline.  Run with the default
 environment so the numba backend is importable; under IT2FIS_NO_NUMBA=1 the
 script degrades to timing the numpy path alone.
 
@@ -55,7 +58,8 @@ def build_cases(rows, rules, features, seed):
     d2 = kernels.sq_distances_np(centers, xt, xx)
     n_query = max(rows // 100, 1)
     queries = rng.normal(size=(n_query, features))
-    qd2 = kernels.sq_distances_np(queries, xt, xx)
+    # rounded to integers so that distances tie, also at the k-th place
+    qd2 = np.round(kernels.sq_distances_np(queries, xt, xx))
 
     return [
         ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
@@ -90,6 +94,11 @@ def main(argv=None):
 
     for name, shape, call_args in cases:
         fn_np = getattr(kernels, name + "_np")
+        if name == "topk_select":  # exact contract: a stable argsort prefix
+            d2, k = call_args
+            if not np.array_equal(fn_np(d2, k),
+                                  np.argsort(d2, axis=1, kind="stable")[:, :k]):
+                raise SystemExit("topk_select: differs from a stable argsort")
         t_np = best_of(fn_np, call_args, args.repeats)
         line = f"{name:<16} {shape:<20} {t_np * 1e3:9.2f}ms"
         if have_numba:

@@ -23,6 +23,11 @@ from . import kernels
 from .errors import DataError
 from .preprocess import Dataset
 
+# Cell budget of one KNN distance block: 2**22 doubles, 32 MiB.  The block and
+# the selection's temporaries (a partitioned copy, a mask) then stay within a
+# small multiple of it, however many test rows there are.
+KNN_BLOCK_CELLS = 2 ** 22
+
 
 @dataclass(frozen=True)
 class Split:
@@ -270,12 +275,18 @@ def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
     return [classes[i] for i in best]
 
 
-def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=2048) -> list:
+def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     """k-nearest-neighbor vote over Euclidean distance.
 
     Non-binary columns are min-max scaled to [0, 1] with training statistics.
-    Equal distances prefer the lower training-row index; an even-vote tie
-    falls to the single nearest neighbor's label.
+    Equal distances prefer the lower training-row index.  The class with the
+    most votes wins; when the top count is shared, the single nearest
+    neighbor's label decides, even if its class is not among the tied ones
+    (possible with three or more classes).
+
+    Test rows are scored in chunks whose (rows x training rows) distance block
+    holds at most ``KNN_BLOCK_CELLS`` doubles; ``chunk``, when given, further
+    caps the rows per chunk.  Chunking does not change the result.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -299,19 +310,24 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=2048) -> list:
     classes = sorted(set(train.labels))
     code = {c: i for i, c in enumerate(classes)}
     ytr = np.array([code[l] for l in train.labels], dtype=np.int64)
+    class_ids = np.arange(len(classes))
 
+    rows = max(1, KNN_BLOCK_CELLS // Xtr.shape[0])
+    if chunk is not None:
+        rows = min(rows, chunk)
     tr_norm = (Xtr * Xtr).sum(axis=1)
-    out = []
-    for start in range(0, Xte.shape[0], chunk):
-        T = Xte[start:start + chunk]
-        d2 = (T * T).sum(axis=1)[:, None] - 2.0 * (T @ Xtr.T) + tr_norm[None, :]
+    winner = np.empty(Xte.shape[0], dtype=np.int64)
+    for start in range(0, Xte.shape[0], rows):
+        T = Xte[start:start + rows]
+        # d2 = |t|^2 - 2 t.x + |x|^2, built in place in the product's buffer
+        d2 = T @ Xtr.T
+        d2 *= -2.0
+        d2 += (T * T).sum(axis=1)[:, None]
+        d2 += tr_norm
         np.clip(d2, 0.0, None, out=d2)
-        nn = kernels.topk_select(np.ascontiguousarray(d2), k)
-        votes = ytr[nn]  # (rows, k)
-        for r in range(votes.shape[0]):
-            counts = np.bincount(votes[r], minlength=len(classes))
-            top = counts.max()
-            winners = np.flatnonzero(counts == top)
-            ci = winners[0] if winners.size == 1 else votes[r, 0]
-            out.append(classes[int(ci)])
-    return out
+        votes = ytr[kernels.topk_select(d2, k)]  # (rows, k), nearest first
+        counts = (votes[:, :, None] == class_ids).sum(axis=1)
+        unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1
+        winner[start:start + rows] = np.where(unique, counts.argmax(axis=1),
+                                              votes[:, 0])
+    return [classes[i] for i in winner]

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, NoCoverageError
+from .preprocess import reject_non_finite
 from .rules import KIND_IT2, RuleBase
 
 _AGG_RESOLUTION = 201  # grid for the Mamdani aggregate output curve
@@ -81,6 +82,9 @@ def _check_input(rb: RuleBase, x) -> np.ndarray:
         raise DataError(
             f"input vector has {x.size} features; rule base expects {rb.n_features}"
         )
+    # nan/inf cannot be scored; "flagged" is kept for finite inputs whose
+    # firing overflows or underflows
+    reject_non_finite(x[None, :], rb.variable_names)
     return x
 
 
@@ -259,7 +263,8 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
     inference config selects aggregation="mamdani".  Label is the high class
     exactly when crisp >= threshold.  When no rule fires (vanishing firing
     after underflow) the prediction falls back to the majority training class
-    (the low label) with flagged=True and a NaN crisp score.
+    (the low label) with flagged=True and a NaN crisp score.  A nan or inf
+    feature raises DataError instead.
     """
     x = _check_input(rb, x)
     thr = _resolve_threshold(rb, threshold)
@@ -287,12 +292,16 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
 
 
 def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
-    """Vectorized predict over a feature matrix; one output row per input."""
+    """Vectorized predict over a feature matrix; one output row per input.
+
+    Raises DataError on a non-finite cell, naming its feature and row.
+    """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.shape[1] != rb.n_features:
         raise DataError(
             f"input rows have {X.shape[1]} features; rule base expects {rb.n_features}"
         )
+    reject_non_finite(X, rb.variable_names)
     thr = _resolve_threshold(rb, threshold)
     n = X.shape[0]
     if n == 0:

@@ -508,13 +508,26 @@ def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
 # k-nearest-neighbour selection from a distance chunk
 # ---------------------------------------------------------------------------
 #
-# Returns the indices of the k smallest entries per row; ties on distance go
-# to the lower column index.
+# Returns the indices of the k smallest entries per row (1 <= k <= m), nearest
+# first; ties on distance go to the lower column index.  The result equals
+# np.argsort(d2, axis=1, kind="stable")[:, :k] exactly, order within a row
+# included: callers settle even votes on the first column.  The numpy version
+# selects instead of sorting: each row's k-th smallest value bounds a small
+# candidate set (every entry not above it, so ties straddling the k-th place
+# are all kept), and one stable sort of the candidates by (row, distance)
+# restores the exact tie order, since np.nonzero lists each row's columns in
+# ascending order.  NaN is "not above" anything, so a row with fewer than k
+# non-NaN entries still yields k candidates, sorted last as argsort sorts them.
 
 
 def topk_select_np(d2, k):
-    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return idx.astype(np.int64)
+    n = d2.shape[0]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(~(d2 > kth[:, None]))
+    order = np.lexsort((d2[rows, cols], rows))
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n)[:-1], out=start[1:])
+    return cols[order[start[:, None] + np.arange(k)]].astype(np.int64)
 
 
 def _topk_select_loops(d2, k):

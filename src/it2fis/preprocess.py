@@ -304,6 +304,7 @@ def load_dataset(path, label_column=None) -> Dataset:
                     f"cannot parse {v!r} as a number"
                 ) from None
         labels.append(row[li])
+    reject_non_finite(feats, fnames)
     return Dataset(feats, tuple(labels), fnames, label_column)
 
 
@@ -320,10 +321,12 @@ def feature_matrix(table: RawTable) -> np.ndarray:
                     f"column {table.column_names[k]!r}, data row {j + 1}: "
                     f"cannot parse {v!r} as a number"
                 ) from None
-    bad = ~np.isfinite(X)
-    if bad.any():
-        j, k = np.argwhere(bad)[0]
-        raise DataError(
-            f"column {table.column_names[k]!r}, data row {j + 1}: non-finite value"
-        )
+    reject_non_finite(X, table.column_names)
     return X
+
+
+def reject_non_finite(X: np.ndarray, names) -> None:
+    """Raise DataError naming the first nan/inf cell's column and data row."""
+    if not np.isfinite(X).all():
+        j, k = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(f"column {names[k]!r}, data row {j + 1}: non-finite value")

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from it2fis import kernels
 from it2fis.errors import DataError
 from it2fis.evaluation import (baseline_knn, baseline_nb, calibrate_threshold,
                                compute_metrics, split, take)
@@ -379,3 +380,71 @@ def test_baseline_knn_validation(rng):
     bad = Dataset(test.features[:, :2], test.labels, test.feature_names[:2])
     with pytest.raises(DataError, match="feature counts differ"):
         baseline_knn(train, bad)
+
+
+# ---------------------------------------------------------------------------
+# top-k selection kernel (KNN)
+# ---------------------------------------------------------------------------
+
+
+def tie_heavy_distances(rng, m, nan=True):
+    """Distance rows whose k-th smallest value is tied for most k."""
+    integer = rng.integers(0, 6, size=(12, m)).astype(float)
+    all_equal = np.full((3, m), 2.5)
+    # signed zeros compare equal and must keep their column order
+    zero_heavy = rng.choice([0.0, -0.0, 0.0, rng.random()], size=(5, m))
+    straddle = []  # a block of equal values between smaller and larger ones
+    for _ in range(6):
+        below = rng.integers(0, m // 3)
+        tied = rng.integers(2, m // 2)
+        row = np.r_[rng.random(below) * 0.5, np.full(tied, 0.75),
+                    1.0 + rng.random(m - below - tied)]
+        straddle.append(rng.permutation(row))
+    d2 = np.vstack([integer, all_equal, zero_heavy, np.array(straddle)])
+    if nan:
+        # NaN sorts last; a row with fewer than k non-NaN entries must not
+        # take candidates from its neighbours
+        nan_rows = np.where(rng.random((4, m)) < 0.6, np.nan,
+                            rng.integers(0, 3, size=(4, m)))
+        nan_rows[0] = np.nan
+        d2 = np.vstack([d2, nan_rows])
+    return d2[rng.permutation(d2.shape[0])]
+
+
+def test_topk_select_matches_stable_argsort_on_ties(rng):
+    for m in (1, 2, 9, 31):
+        d2 = tie_heavy_distances(rng, max(m, 6))[:, :m]
+        for k in range(1, m + 1):
+            got = kernels.topk_select_np(d2, k)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
+def test_topk_select_loop_twin_matches_stable_argsort():
+    # `_topk_select_loops` is the numba body; called directly it runs as
+    # plain Python, so keep the inputs tiny; it is not NaN-aware
+    rng = np.random.default_rng(7)
+    d2 = tie_heavy_distances(rng, 8, nan=False)
+    for k in range(1, 9):
+        np.testing.assert_array_equal(
+            kernels._topk_select_loops(d2, k),
+            np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
+def test_baseline_knn_three_classes_on_tied_distances(rng):
+    # integer levels 0..4 with both ends present: min-max scaling divides by
+    # 4, so every distance is exact in both the library and the oracle, and
+    # many neighbours tie; random labels give even and three-way votes
+    def codes(n):
+        X = rng.integers(0, 5, size=(n, 3)).astype(float)
+        X[0], X[1] = 0.0, 4.0
+        return X
+
+    names = ("f0", "f1", "f2")
+    train = Dataset(codes(60), tuple(rng.choice(["a", "b", "c"], 60)), names)
+    test = Dataset(codes(40), ("?",) * 40, names)
+    for k in (4, 5):
+        want = naive_knn(train, test, k)
+        for chunk in (None, 3):
+            assert baseline_knn(train, test, k=k, chunk=chunk) == want

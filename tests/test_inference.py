@@ -1,6 +1,8 @@
 """Inference engine: KM type reduction against a vertex-enumeration oracle,
 defuzzification, prediction paths, and the no-coverage fallback."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,23 @@ def test_predict_batch_flags_only_uncovered_rows(rng):
     assert np.isnan(bp.crisp[2])
     assert bp.labels[2] == rb.label_low
     assert np.isfinite(bp.crisp[[0, 1, 3, 4]]).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_features(rng, value):
+    # unlike 1e180 above, nan/inf cannot be scored: an error, not a fallback
+    for maker in (random_t1_base, random_it2_base):
+        rb = maker(rng, n_rules=3, n_features=2)
+        col = re.escape(repr(rb.variable_names[1]))
+        with pytest.raises(DataError,
+                           match=f"column {col}, data row 1: non-finite"):
+            predict(rb, [0.5, value])
+        X = rng.uniform(-2, 2, (5, 2))
+        X[3, 1] = value
+        X[4, 0] = value
+        with pytest.raises(DataError,
+                           match=f"column {col}, data row 4: non-finite"):
+            predict_batch(rb, X)
 
 
 def test_predict_batch_empty_input(rng):

@@ -241,6 +241,14 @@ def test_feature_matrix_rejects_non_finite_cells(tmp_path, cell):
         feature_matrix(load_csv(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_dataset_rejects_non_finite_cells(tmp_path, cell):
+    path = write(tmp_path, "d.csv", f"a,b,y\n1,2,p\n3,{cell},q\n")
+    with pytest.raises(DataError,
+                       match="column 'b', data row 2: non-finite value"):
+        load_dataset(path)
+
+
 def test_dataset_validation(rng):
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), ("1", "2"), ("a", "b"))
