@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import os
 import sys
 from contextlib import contextmanager
 
@@ -168,6 +169,10 @@ def cmd_train(args) -> int:
             tol=tol, max_iter=max_iter)
         print(f"cluster scan: {dict(zip(scan.candidates, [round(v, 3) for v in scan.values]))}"
               f" -> c={scan.selected}")
+        print(f"scan runs: {len(scan.runs)}, "
+              f"{sum(r[2] for r in scan.runs)} iterations, "
+              f"{sum(r[3] for r in scan.runs)} converged, "
+              f"{scan.workers} workers")
 
     with _stage("extract_rules"):
         rb = extract_rules(train_ds, scan.selected, m=m, seed=seed, tol=tol,
@@ -193,7 +198,9 @@ def cmd_train(args) -> int:
         rb = rb.with_inference(dataclasses.replace(base_inference, threshold=thr))
 
     rb = dataclasses.replace(rb, provenance=rb.provenance + (
-        ("trained_on", str(args.input)),
+        # the file name only: the content is identified by data_sha1, and the
+        # model bytes must not depend on where the input lies
+        ("trained_on", os.path.basename(args.input)),
         ("data_sha1", _file_sha1(args.input)),
         ("train_rows", str(train_ds.n_rows)),
         ("train_ratio", cfg.get("train_ratio")),

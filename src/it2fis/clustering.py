@@ -12,7 +12,9 @@ Cluster counts are scored with the Fukuyama-Sugeno validity index
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +44,19 @@ class FuzzyPartition:
 
 @dataclass(frozen=True)
 class ValidityScan:
+    """Result of a cluster-count scan.
+
+    `runs` holds one (c, seed, n_iter, converged, objective, index) tuple per
+    FCM run, in (c, seed) order; `workers` is the number of processes that
+    ran them, which does not take part in comparisons.
+    """
+
     candidates: tuple
     values: tuple
     selected: int
     best_seeds: tuple
+    runs: tuple = ()
+    workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.selected != self.candidates[int(np.argmin(self.values))]:
@@ -241,13 +252,54 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
     return compact - separate
 
 
+# (X, m, tol, max_iter) of the scan in progress; forked workers inherit it,
+# so the data are not pickled with every task.  Only one scan runs at a time:
+# the pool is used only when no other thread runs.
+_SCAN = None
+
+
+def _scan_run(task):
+    """One (c, seed) run of the scan: FCM and the Fukuyama-Sugeno index.
+
+    Returns (n_iter, converged, objective, index), scalars only, so no
+    membership matrix crosses a pipe.
+    """
+    c, seed = task
+    X, m, tol, max_iter = _SCAN
+    part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
+    return part.n_iter, part.converged, part.objective, fukuyama_index(X, part)
+
+
+def _scan_workers(n_runs: int) -> int:
+    """One worker per CPU this process may run on, at most one per run.
+
+    A forked child gets only the forking thread, so a lock another thread
+    holds at the fork stays locked in it: with other threads running, or
+    without `fork`, the scan stays in-process.
+    """
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+
+
 def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
                          tol=1e-6, max_iter=300) -> ValidityScan:
     """Pick the cluster count in [2, c_max] minimizing the Fukuyama index.
 
     Each candidate count runs FCM once per seed and keeps the lowest-objective
-    run before scoring; ties on the index go to the smallest count.
+    run (the first seed on ties) before scoring; ties on the index go to the
+    smallest count.
+
+    The (count, seed) runs are independent, so they are spread over one
+    forked worker per CPU the process may use (`taskset` limits that set);
+    with one CPU, one run, other threads running or no `fork` start method
+    they run in-process.  Every run is seeded on its own, so the result is
+    the same either way.
     """
+    global _SCAN
     X = _as_data(X)
     if c_max < 2:
         raise ValueError(f"c_max must be at least 2, got {c_max}")
@@ -258,15 +310,39 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
         raise ValueError("need at least one seed")
 
     candidates = tuple(range(2, c_max + 1))
+    # largest counts run longest, so they start first and no worker is left
+    # with a long run at the end
+    tasks = [(c, s) for c in reversed(candidates) for s in seeds]
+    workers = _scan_workers(len(tasks))
+    _SCAN = (X, m, tol, max_iter)
+    try:
+        if workers == 1:
+            results = list(map(_scan_run, tasks))
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a killed worker raises BrokenProcessPool here instead of hanging
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                results = list(pool.map(_scan_run, tasks))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    finally:
+        _SCAN = None
+    done = dict(zip(tasks, results))
+
+    runs = tuple((c, s) + done[c, s] for c in candidates for s in seeds)
     values, best_seeds = [], []
     for c in candidates:
-        runs = [(fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=s), s)
-                for s in seeds]
-        part, seed = min(runs, key=lambda ps: ps[0].objective)
-        values.append(fukuyama_index(X, part))
-        best_seeds.append(seed)
+        # min keeps the first of equal objectives, i.e. the earliest seed
+        best = min((r for r in runs if r[0] == c), key=lambda r: r[4])
+        values.append(best[5])
+        best_seeds.append(best[1])
     selected = candidates[int(np.argmin(values))]
     return ValidityScan(
         candidates=candidates, values=tuple(values),
         selected=selected, best_seeds=tuple(best_seeds),
+        runs=runs, workers=workers,
     )

@@ -537,12 +537,19 @@ def _topk_select_loops(d2, k):
         bd = np.full(k, np.inf)
         bi = np.full(k, np.int64(m))
         for i in range(m):
+            # v goes before a kept entry when that slot is empty (index m),
+            # when v is smaller, or when v is a number and the entry NaN;
+            # columns arrive in order, so equal values keep theirs
             v = d2[j, i]
-            if v > bd[k - 1] or (v == bd[k - 1] and i > bi[k - 1]):
+            w = bd[k - 1]
+            if not (bi[k - 1] == m or v < w or (w != w and v == v)):
                 continue
             pos = k - 1
-            while pos > 0 and (v < bd[pos - 1] or (v == bd[pos - 1] and i < bi[pos - 1])):
-                bd[pos] = bd[pos - 1]
+            while pos > 0:
+                w = bd[pos - 1]
+                if not (bi[pos - 1] == m or v < w or (w != w and v == v)):
+                    break
+                bd[pos] = w
                 bi[pos] = bi[pos - 1]
                 pos -= 1
             bd[pos] = v

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -91,6 +92,38 @@ def test_train_is_deterministic_per_seed(workdir, tmp_path):
     assert main(args + ["-o", str(m1)]) == 0
     assert main(args + ["-o", str(m2)]) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def _train_fresh(root, capsys):
+    """Write the raw CSV and config into `root` and train from them there."""
+    root.mkdir(parents=True)
+    write_raw(root / "raw.csv")
+    (root / "run.cfg").write_text(CONFIG, encoding="utf-8")
+    model = root / "fit.model"
+    assert main(["--seed", "3", "--config", str(root / "run.cfg"),
+                 "train", str(root / "raw.csv"), "-o", str(model)]) == 0
+    return model, capsys.readouterr().out
+
+
+def test_model_bytes_do_not_depend_on_the_input_directory(tmp_path, capsys):
+    m1, _ = _train_fresh(tmp_path / "a", capsys)
+    m2, _ = _train_fresh(tmp_path / "b" / "deeper", capsys)
+    assert m1.read_bytes() == m2.read_bytes()
+    prov = json.loads(m1.read_text(encoding="utf-8"))["provenance"]
+    assert prov["trained_on"] == "raw.csv"
+
+
+# SHA-256 of the model trained by the test below, recorded with numpy 2.4 on
+# x86-64; a change that moves it changes training and must say why
+GOLDEN_MODEL_SHA256 = (
+    "a85a471908b2f05ebcd10f82d12c9a1cabdffe30f8f17478b1858c050feb3448")
+
+
+def test_train_golden_model_hash(tmp_path, capsys):
+    model, out = _train_fresh(tmp_path / "golden", capsys)
+    assert "scan runs: 4, 109 iterations, 4 converged, " in out
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == GOLDEN_MODEL_SHA256
 
 
 def test_train_type1_only(workdir, tmp_path, capsys):

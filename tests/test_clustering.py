@@ -1,9 +1,16 @@
 """Clustering: FCM against a from-scratch alternating-optimization oracle,
 GK shape recovery, and the Fukuyama-Sugeno index against brute force."""
 
+import dataclasses
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from it2fis import clustering
 from it2fis.clustering import (FuzzyPartition, ValidityScan, fcm,
                                fukuyama_index, gk, select_cluster_count)
 from it2fis.clustering import _init_membership
@@ -306,6 +313,95 @@ def test_select_cluster_count_is_pinned():
               for c in scan.candidates}
     assert n_iter == {2: (15, 14, 15), 3: (50, 38, 51), 4: (167, 180, 123),
                       5: (105, 106, 100)}
+    # the scan's own run record gives the same counts, in (c, seed) order
+    assert [r[:2] for r in scan.runs] == [(c, s) for c in scan.candidates
+                                          for s in (0, 1, 2)]
+    assert {c: tuple(r[2] for r in scan.runs if r[0] == c)
+            for c in scan.candidates} == n_iter
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(clustering.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool needs the fork start method")
+
+
+@needs_fork
+def test_select_cluster_count_pool_equals_in_process(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(0, 1, (30, 2)), rng.normal(4, 1, (30, 2))])
+    _affinity(monkeypatch, 2)
+    pooled = select_cluster_count(X, c_max=4, seeds=(0, 1, 2))
+    _affinity(monkeypatch, 1)
+    serial = select_cluster_count(X, c_max=4, seeds=(0, 1, 2))
+    assert (pooled.workers, serial.workers) == (2, 1)
+    assert pooled == serial
+    assert pooled.runs == serial.runs and len(pooled.runs) == 9
+    for c, s, n_iter, converged, objective, index in serial.runs:
+        part = fcm(X, c, seed=s)
+        assert (n_iter, converged, objective) == (
+            part.n_iter, part.converged, part.objective)
+        assert index == fukuyama_index(X, part)
+    assert clustering._SCAN is None
+
+
+def test_select_cluster_count_ties_go_to_the_first_seed(monkeypatch):
+    real_fcm = clustering.fcm
+    monkeypatch.setattr(clustering, "fcm", lambda X, c, **kw: dataclasses.replace(
+        real_fcm(X, c, **kw), objective=1.0))
+    X = np.random.default_rng(0).random((40, 2))
+    # neither the smallest nor the largest seed: the first in seed order
+    scan = select_cluster_count(X, c_max=4, seeds=(1, 0, 2))
+    assert scan.best_seeds == (1, 1, 1)
+
+
+def test_select_cluster_count_stays_in_process_beside_threads(monkeypatch):
+    # fork copies only the calling thread, so another thread's locks would
+    # stay held in the workers
+    _affinity(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        X = np.random.default_rng(0).random((40, 2))
+        scan = select_cluster_count(X, c_max=3, seeds=(0, 1))
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert scan.workers == 1 and len(scan.runs) == 4
+
+
+@needs_fork
+def test_select_cluster_count_worker_error_reaches_caller(monkeypatch):
+    real_fcm = clustering.fcm
+
+    def failing_fcm(X, c, **kw):
+        if c == 3:
+            raise DataError(f"cannot fit {c} clusters here")
+        return real_fcm(X, c, **kw)
+
+    # forked workers inherit the patched module attribute
+    monkeypatch.setattr(clustering, "fcm", failing_fcm)
+    _affinity(monkeypatch, 2)
+    X = np.random.default_rng(0).random((40, 2))
+    with pytest.raises(DataError, match="^cannot fit 3 clusters here$"):
+        select_cluster_count(X, c_max=4, seeds=(0, 1))
+    assert clustering._SCAN is None
+
+
+@needs_fork
+def test_select_cluster_count_killed_worker_raises(monkeypatch):
+    monkeypatch.setattr(clustering, "fcm", lambda *a, **kw: os._exit(3))
+    _affinity(monkeypatch, 2)
+    X = np.random.default_rng(0).random((40, 2))
+    with pytest.raises(BrokenProcessPool):
+        select_cluster_count(X, c_max=3, seeds=(0,))
+    assert clustering._SCAN is None
 
 
 def test_select_cluster_count_validation(rng):

@@ -423,9 +423,10 @@ def test_topk_select_matches_stable_argsort_on_ties(rng):
 
 def test_topk_select_loop_twin_matches_stable_argsort():
     # `_topk_select_loops` is the numba body; called directly it runs as
-    # plain Python, so keep the inputs tiny; it is not NaN-aware
+    # plain Python, so keep the inputs tiny; NaN must sort last
     rng = np.random.default_rng(7)
-    d2 = tie_heavy_distances(rng, 8, nan=False)
+    d2 = np.vstack([tie_heavy_distances(rng, 8, nan=True),
+                    [3.0, np.nan, 0.0, 0.0, np.nan, 3.0, np.inf, np.nan]])
     for k in range(1, 9):
         np.testing.assert_array_equal(
             kernels._topk_select_loops(d2, k),
