@@ -6,7 +6,7 @@ Builds a seeded joint matrix shaped like the scan input of the benchmark's
 as there), then times `select_cluster_count` with the default grid
 (c = 2..10, 5 seeds) twice per repeat: once on every CPU the process may
 use, and once after pinning this process to a single CPU with
-`os.sched_setaffinity`, which makes the scan run in-process.  The two
+`os.sched_setaffinity` (Linux only), which makes the scan run in-process.  The two
 `ValidityScan`s must be equal, run records included.  Best-of-N seconds,
 the CPU count, the kernel backend, the workers' peak RSS and the git SHA go
 to `BENCH_scan.json`.  OpenBLAS runs one thread unless

@@ -12,6 +12,7 @@ Cluster counts are scored with the Fukuyama-Sugeno validity index
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -252,22 +253,30 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
     return compact - separate
 
 
-# (X, m, tol, max_iter) of the scan in progress; forked workers inherit it,
-# so the data are not pickled with every task.  Only one scan runs at a time:
-# the pool is used only when no other thread runs.
-_SCAN = None
-
-
-def _scan_run(task):
+def _scan_run(X, m, tol, max_iter, task):
     """One (c, seed) run of the scan: FCM and the Fukuyama-Sugeno index.
 
     Returns (n_iter, converged, objective, index), scalars only, so no
     membership matrix crosses a pipe.
     """
     c, seed = task
-    X, m, tol, max_iter = _SCAN
     part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
     return part.n_iter, part.converged, part.objective, fukuyama_index(X, part)
+
+
+# (X, m, tol, max_iter) of a pool worker's scan, set only inside the forked
+# workers by the pool's initializer; `fork` hands the initializer's arguments
+# down without pickling, so X is not pickled with every task.
+_worker_scan = None
+
+
+def _init_worker(*scan):
+    global _worker_scan
+    _worker_scan = scan
+
+
+def _worker_run(task):
+    return _scan_run(*_worker_scan, task)
 
 
 def _scan_workers(n_runs: int) -> int:
@@ -275,14 +284,19 @@ def _scan_workers(n_runs: int) -> int:
 
     A forked child gets only the forking thread, so a lock another thread
     holds at the fork stays locked in it: with other threads running, or
-    without `fork`, the scan stays in-process.
+    without `fork`, the scan stays in-process.  It also stays in-process with
+    the numba backend: its parallel kernels already use every CPU, and its
+    threading layer may abort a child forked after that layer started.
     """
     import multiprocessing
 
-    if ("fork" not in multiprocessing.get_all_start_methods()
+    if (kernels.NUMBA_ACTIVE
+            or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(cpus, n_runs))
 
 
 def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
@@ -295,11 +309,10 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
 
     The (count, seed) runs are independent, so they are spread over one
     forked worker per CPU the process may use (`taskset` limits that set);
-    with one CPU, one run, other threads running or no `fork` start method
-    they run in-process.  Every run is seeded on its own, so the result is
-    the same either way.
+    with one CPU, one run, other threads running, the numba backend or no
+    `fork` start method they run in-process.  Every run is seeded on its
+    own, so the result is the same either way.
     """
-    global _SCAN
     X = _as_data(X)
     if c_max < 2:
         raise ValueError(f"c_max must be at least 2, got {c_max}")
@@ -314,23 +327,21 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     # with a long run at the end
     tasks = [(c, s) for c in reversed(candidates) for s in seeds]
     workers = _scan_workers(len(tasks))
-    _SCAN = (X, m, tol, max_iter)
-    try:
-        if workers == 1:
-            results = list(map(_scan_run, tasks))
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        results = list(map(functools.partial(_scan_run, X, m, tol, max_iter),
+                           tasks))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            # a killed worker raises BrokenProcessPool here instead of hanging
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                results = list(pool.map(_scan_run, tasks))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    finally:
-        _SCAN = None
+        # a killed worker raises BrokenProcessPool here instead of hanging
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(X, m, tol, max_iter))
+        try:
+            results = list(pool.map(_worker_run, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     done = dict(zip(tasks, results))
 
     runs = tuple((c, s) + done[c, s] for c in candidates for s in seeds)

@@ -321,8 +321,9 @@ def test_select_cluster_count_is_pinned():
 
 
 def _affinity(monkeypatch, cpus):
+    # raising=False: the call exists on Linux only
     monkeypatch.setattr(clustering.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
+                        lambda pid: set(range(cpus)), raising=False)
 
 
 needs_fork = pytest.mark.skipif(
@@ -346,7 +347,8 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
         assert (n_iter, converged, objective) == (
             part.n_iter, part.converged, part.objective)
         assert index == fukuyama_index(X, part)
-    assert clustering._SCAN is None
+    # the scan data reach only the workers, never a slot of the caller's
+    assert clustering._worker_scan is None
 
 
 def test_select_cluster_count_ties_go_to_the_first_seed(monkeypatch):
@@ -376,6 +378,47 @@ def test_select_cluster_count_stays_in_process_beside_threads(monkeypatch):
     assert scan.workers == 1 and len(scan.runs) == 4
 
 
+def test_select_cluster_count_concurrent_threads_keep_their_data():
+    # two threads scanning different data at once must each get the scan of
+    # their own data, as when run alone
+    rng = np.random.default_rng(11)
+    data = [np.vstack([rng.normal(0, 1, (60, 2)), rng.normal(k, 1, (60, 2))])
+            for k in (3, 6)]
+    alone = [select_cluster_count(X, c_max=4, seeds=(0, 1)) for X in data]
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def scan(i):
+        start.wait(10)
+        got[i] = select_cluster_count(data[i], c_max=4, seeds=(0, 1))
+
+    threads = [threading.Thread(target=scan, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert got == alone
+    assert [g.runs for g in got] == [a.runs for a in alone]
+
+
+def test_select_cluster_count_stays_in_process_with_numba(monkeypatch):
+    # numba's parallel kernels already use every CPU
+    monkeypatch.setattr(kernels, "NUMBA_ACTIVE", True)
+    _affinity(monkeypatch, 2)
+    X = np.random.default_rng(0).random((40, 2))
+    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 1
+
+
+@needs_fork
+def test_select_cluster_count_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delattr(clustering.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(clustering.os, "cpu_count", lambda: 2)
+    X = np.random.default_rng(0).random((40, 2))
+    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 2
+    monkeypatch.setattr(clustering.os, "cpu_count", lambda: None)
+    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 1
+
+
 @needs_fork
 def test_select_cluster_count_worker_error_reaches_caller(monkeypatch):
     real_fcm = clustering.fcm
@@ -391,7 +434,6 @@ def test_select_cluster_count_worker_error_reaches_caller(monkeypatch):
     X = np.random.default_rng(0).random((40, 2))
     with pytest.raises(DataError, match="^cannot fit 3 clusters here$"):
         select_cluster_count(X, c_max=4, seeds=(0, 1))
-    assert clustering._SCAN is None
 
 
 @needs_fork
@@ -401,7 +443,6 @@ def test_select_cluster_count_killed_worker_raises(monkeypatch):
     X = np.random.default_rng(0).random((40, 2))
     with pytest.raises(BrokenProcessPool):
         select_cluster_count(X, c_max=3, seeds=(0,))
-    assert clustering._SCAN is None
 
 
 def test_select_cluster_count_validation(rng):
