@@ -7,16 +7,28 @@ integer-rounded distances, so ties are common, and its result is first
 checked against a stable ``argsort``; ``--rows 85000`` gives the 850 x 85,000
 shape of a full-size KNN baseline.  Run with the default
 environment so the numba backend is importable; under IT2FIS_NO_NUMBA=1 the
-script degrades to timing the numpy path alone.
+script degrades to timing the numpy path alone.  OpenBLAS runs one thread
+unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH`` the
+best-of-N milliseconds of every kernel function, with its shape, go to a
+JSON file together with the core count, the backend, the OpenBLAS thread
+count and the git SHA.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
+    python3 benchmarks/bench_kernels.py --rows 85569 --rules 7 --features 34 \
+        --json BENCH_kernels.json
 """
 
 import argparse
+import json
+import os
 import time
+
+# one BLAS thread, as in perfbench and bench_scan
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from bench_scan import git_sha
 from it2fis import kernels
 
 
@@ -80,6 +92,8 @@ def main(argv=None):
     ap.add_argument("--features", type=int, default=27)
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the timings to this JSON file")
     args = ap.parse_args(argv)
 
     cases = build_cases(args.rows, args.rules, args.features, args.seed)
@@ -92,6 +106,7 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
 
+    timings = {}
     for name, shape, call_args in cases:
         fn_np = getattr(kernels, name + "_np")
         if name == "topk_select":  # exact contract: a stable argsort prefix
@@ -100,14 +115,34 @@ def main(argv=None):
                                   np.argsort(d2, axis=1, kind="stable")[:, :k]):
                 raise SystemExit("topk_select: differs from a stable argsort")
         t_np = best_of(fn_np, call_args, args.repeats)
+        timings[name + "_np"] = {"shape": shape, "best_ms": t_np * 1e3}
         line = f"{name:<16} {shape:<20} {t_np * 1e3:9.2f}ms"
         if have_numba:
             fn_nb = getattr(kernels, name + "_nb")
             if not agree(fn_np(*call_args), fn_nb(*call_args)):
                 raise SystemExit(f"{name}: backends disagree")
             t_nb = best_of(fn_nb, call_args, args.repeats)
+            timings[name + "_nb"] = {"shape": shape, "best_ms": t_nb * 1e3}
             line += f" {t_nb * 1e3:9.2f}ms {t_np / t_nb:7.1f}x"
         print(line)
+
+    if args.json:
+        result = {
+            "benchmark": "kernels",
+            "rows": args.rows,
+            "rules": args.rules,
+            "features": args.features,
+            "repeats": args.repeats,
+            "seed": args.seed,
+            "kernels": timings,
+            "cores": len(os.sched_getaffinity(0)),
+            "backend": kernels.backend(),
+            "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "git_sha": git_sha(),
+        }
+        with open(args.json, "w", encoding="utf-8") as f:
+            json.dump(result, f, indent=2)
+            f.write("\n")
     return 0
 
 

@@ -319,9 +319,9 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     winner = np.empty(Xte.shape[0], dtype=np.int64)
     for start in range(0, Xte.shape[0], rows):
         T = Xte[start:start + rows]
-        # d2 = |t|^2 - 2 t.x + |x|^2, built in place in the product's buffer
-        d2 = T @ Xtr.T
-        d2 *= -2.0
+        # d2 = |t|^2 - 2 t.x + |x|^2, built in place in the product's buffer;
+        # scaling T by -2 is exact, so the block equals -2 * (T @ Xtr.T)
+        d2 = (-2.0 * T) @ Xtr.T
         d2 += (T * T).sum(axis=1)[:, None]
         d2 += tr_norm
         np.clip(d2, 0.0, None, out=d2)

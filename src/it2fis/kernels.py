@@ -12,6 +12,19 @@ The two clustering kernels are cluster-major, like ``FuzzyPartition.U``:
 distance and membership matrices are (n_clusters, n_samples), and
 ``sq_distances`` takes the data transposed, (n_features, n_samples), with its
 squared row norms precomputed.
+
+The numpy epoch kernels never form an (n_samples, n_rules, n_features)
+array: firing and gradients are BLAS products in a centred form.  Each
+column is centred on the batch's first row, z = x - x[0] and mc = means -
+x[0], and with P = 1/sigma^2 the log firing is
+-0.5 (z^2 P^T - 2 z (mc P)^T + sum_f mc^2 P).  Centring keeps the form
+exact enough to tune on: a column that is constant in the data (a one-hot
+level every row has) has its sigma floored at 1e-6, so uncentred its
+x^2/sigma^2 terms are ~1e12 and their cancellation leaves ~1e-4 of error in
+the firing, while centred the column is exactly 0.  ``log_firing_np`` keeps
+its einsum: ``predict_batch`` and single-row ``predict`` score through it,
+and a centre taken from the batch would move a row's score (by ~1e-11)
+with the batch it comes in.
 """
 
 from __future__ import annotations
@@ -264,11 +277,45 @@ def _km_batch_loops(lo, up, cents):
 # space and shifted by the per-sample max; f and all gradients are ratios of
 # firings, so the shift cancels exactly.  A degenerate sample (non-finite
 # log firing) makes the returned error non-finite; the caller locates it.
+#
+# The numpy kernel works in the centred form of the module docstring.  With
+# per-sample weights q (n, d) on the rules' log firings, the gradients are
+#   gm = (q^T z - (sum_j q) mc) P
+#   gs = (q^T z^2 - 2 mc (q^T z) + (sum_j q) mc^2) P / sigma,
+# i.e. sum_j q_js (x_jf - m_sf) / sigma^2 and sum_j q_js (x_jf - m_sf)^2 /
+# sigma^3 without an (n, d, g) temporary.  For a one-row call z is 0.
+
+
+def _centred_gauss(z, z2, mc, sigmas):
+    """Log firing under one sigma matrix, and the map to its gradients.
+
+    z is the data less a reference row, z2 = z * z, and mc the rule means
+    less the same row.  Returns (e, grad): e[j, s] = -0.5 sum_f
+    ((z - mc) / sigma)^2, and grad(q) gives sum_j q[j, s] times de[j, s] /
+    dmeans and de[j, s] / dsigmas, both (n_rules, n_features).
+    """
+    p = 1.0 / (sigmas * sigmas)
+    mp = mc * p
+    e = z2 @ p.T
+    e -= z @ (2.0 * mp).T
+    e += (mc * mp).sum(axis=1)
+    e *= -0.5
+
+    def grad(q):
+        qs = q.sum(axis=0)[:, None]
+        qz = q.T @ z
+        gm = (qz - qs * mc) * p
+        gs = (q.T @ z2 - 2.0 * mc * qz + qs * mc * mc) * (p / sigmas)
+        return gm, gs
+
+    return e, grad
 
 
 def t1_epoch_np(x, y, means, sigmas, cons):
     n = x.shape[0]
-    e = log_firing_np(x, means, sigmas)
+    z = x - x[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, grad = _centred_gauss(z, z * z, means - x[0], sigmas)
     shift = e.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         w = np.exp(e - shift)
@@ -281,10 +328,8 @@ def t1_epoch_np(x, y, means, sigmas, cons):
     # q[j,S] = r_j * (g_S - f_j) / den_j * w_jS
     with np.errstate(invalid="ignore", divide="ignore"):
         q = r[:, None] * (cons[None, :] - f[:, None]) / den[:, None] * w
-    zx = x[:, None, :] - means[None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        gm = np.einsum("ns,nsf->sf", q, zx / sigmas[None, :, :] ** 2)
-        gs = np.einsum("ns,nsf->sf", q, zx**2 / sigmas[None, :, :] ** 3)
+        gm, gs = grad(q)
     with np.errstate(invalid="ignore", divide="ignore"):
         gc = ((r / den)[:, None] * w).sum(axis=0)
     return gm, gs, gc, err
@@ -336,13 +381,19 @@ def _t1_epoch_loops(x, y, means, sigmas, cons):
 # f(x) = (y_l + y_r)/2 from the KM reduction; gradients follow the two
 # type-1 expansions picked out by the converged switch splits.  `order`
 # sorts rules by ascending consequent mean and is fixed for the whole call.
+# The numpy kernel forms z and z^2 once and takes the centred firing and
+# gradients of the type-1 kernel for sigma_lower and sigma_upper in turn.
 
 
 def it2_epoch_np(x, y, means, sig_lo, sig_up, cons, order):
     n = x.shape[0]
     d = means.shape[0]
-    e_lo = log_firing_np(x, means, sig_lo)
-    e_up = log_firing_np(x, means, sig_up)
+    z = x - x[0]
+    mc = means - x[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = z * z
+        e_lo, grad_lo = _centred_gauss(z, z2, mc, sig_lo)
+        e_up, grad_up = _centred_gauss(z, z2, mc, sig_up)
     shift = e_up.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         w_lo = np.exp(e_lo - shift)
@@ -384,12 +435,10 @@ def it2_epoch_np(x, y, means, sig_lo, sig_up, cons, order):
     coef_up = coef_up[:, inv]
     coef_lo = coef_lo[:, inv]
 
-    zx = x[:, None, :] - means[None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        gm = np.einsum("ns,nsf->sf", coef_up, zx / sig_up[None] ** 2)
-        gm += np.einsum("ns,nsf->sf", coef_lo, zx / sig_lo[None] ** 2)
-        gsu = np.einsum("ns,nsf->sf", coef_up, zx**2 / sig_up[None] ** 3)
-        gsl = np.einsum("ns,nsf->sf", coef_lo, zx**2 / sig_lo[None] ** 3)
+        gm, gsu = grad_up(coef_up)
+        gm_lo, gsl = grad_lo(coef_lo)
+    gm += gm_lo
     return gm, gsl, gsu, gc, err
 
 

@@ -195,12 +195,16 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
         cells = [r[i] for r in kept]
         if c in config.categorical_columns:
             cats = sorted(set(cells))
+            # one pass over the cells maps each to its category's index;
+            # then every indicator column is one array comparison
+            code = {cat: k for k, cat in enumerate(cats)}
+            codes = np.fromiter(map(code.__getitem__, cells), dtype=np.intp,
+                                count=len(cells))
             group = []
-            for cat in cats:
+            for k, cat in enumerate(cats):
                 names.append(f"{c}={cat}")
                 group.append(f"{c}={cat}")
-                columns.append(np.fromiter((1.0 if v == cat else 0.0
-                                            for v in cells), dtype=float))
+                columns.append((codes == k).astype(float))
             onehot.append((c, tuple(group)))
         else:
             vals = np.empty(len(cells))

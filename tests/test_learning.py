@@ -156,6 +156,36 @@ def test_it2_gradient_matches_finite_differences(rng, warm_kernels):
     assert rel_err(gc, fc) < 1e-3
 
 
+def test_epoch_kernels_match_loop_twins():
+    # the `_*_loops` twins are the numba bodies; called directly they run as
+    # plain Python.  Column 0 is constant with its sigma at the floor and the
+    # rule means about 50 sigma off it, as a constant one-hot column ends up
+    # after tuning: there x^2 / sigma^2 ~ 1e12, so a matmul firing that is
+    # not centred on a data row loses ~1e-4 to cancellation.
+    r = np.random.default_rng(7)
+    X = np.column_stack([np.ones(9), r.integers(0, 2, (9, 2)),
+                         r.uniform(-2.0, 2.0, 9)])
+    y = r.uniform(1.0, 2.0, 9)
+    means = r.uniform(-1.0, 1.0, (3, 4))
+    means[:, 0] = 1.0 + SIGMA_FLOOR * np.array([50.0, -50.0, 49.9])
+    su = r.uniform(0.8, 1.5, (3, 4))
+    sl = su * r.uniform(0.6, 0.95, (3, 4))
+    su[:, 0] = sl[:, 0] = SIGMA_FLOOR
+    cons = r.uniform(1.0, 2.0, 3)
+    order = np.argsort(cons, kind="stable")
+
+    for rows in (slice(None), slice(4, 5)):  # full batch, then one sample
+        x, t = X[rows], y[rows]
+        got = kernels.t1_epoch_np(x, t, means, su, cons)
+        want = kernels._t1_epoch_loops(x, t, means, su, cons)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        got = kernels.it2_epoch_np(x, t, means, sl, su, cons, order)
+        want = kernels._it2_epoch_loops(x, t, means, sl, su, cons, order)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+
 def test_gradient_vanishes_at_perfect_fit(rng, warm_kernels):
     # a single rule outputs its consequent regardless of x, so matching
     # targets zero the error and every gradient exactly
