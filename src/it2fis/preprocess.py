@@ -195,16 +195,17 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
         cells = [r[i] for r in kept]
         if c in config.categorical_columns:
             cats = sorted(set(cells))
-            # one pass over the cells maps each to its category's index;
-            # then every indicator column is one array comparison
+            # one pass over the cells maps each to its category's index, and
+            # one comparison builds all the indicator columns as a block
             code = {cat: k for k, cat in enumerate(cats)}
             codes = np.fromiter(map(code.__getitem__, cells), dtype=np.intp,
                                 count=len(cells))
+            block = (codes[:, None] == np.arange(len(cats))).astype(float)
             group = []
             for k, cat in enumerate(cats):
                 names.append(f"{c}={cat}")
                 group.append(f"{c}={cat}")
-                columns.append((codes == k).astype(float))
+                columns.append(block[:, k])
             onehot.append((c, tuple(group)))
         else:
             vals = np.empty(len(cells))
