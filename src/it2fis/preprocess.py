@@ -201,12 +201,10 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
             codes = np.fromiter(map(code.__getitem__, cells), dtype=np.intp,
                                 count=len(cells))
             block = (codes[:, None] == np.arange(len(cats))).astype(float)
-            group = []
-            for k, cat in enumerate(cats):
-                names.append(f"{c}={cat}")
-                group.append(f"{c}={cat}")
-                columns.append(block[:, k])
-            onehot.append((c, tuple(group)))
+            group = tuple(f"{c}={cat}" for cat in cats)
+            names.extend(group)
+            columns.extend(block.T)
+            onehot.append((c, group))
         else:
             vals = np.empty(len(cells))
             for j, v in enumerate(cells):
