@@ -1,17 +1,14 @@
-"""Timing comparison of the numba and pure-numpy kernel backends.
+"""Timings of the numeric kernels in ``it2fis.kernels``.
 
 Runs each hot kernel on representative shapes (ICU-model sized rule bases,
-tens of thousands of rows), checks that the two implementations agree, and
-prints best-of-N wall times with the speedup.  ``topk_select`` runs on
-integer-rounded distances, so ties are common, and its result is first
-checked against a stable ``argsort``; ``--rows 85000`` gives the 850 x 85,000
-shape of a full-size KNN baseline.  Run with the default
-environment so the numba backend is importable; under IT2FIS_NO_NUMBA=1 the
-script degrades to timing the numpy path alone.  OpenBLAS runs one thread
+tens of thousands of rows) and prints best-of-N wall times.  ``topk_select``
+runs on integer-rounded distances, so ties are common, and its result is
+first checked against a stable ``argsort``; ``--rows 85000`` gives the
+850 x 85,000 shape of a full-size KNN baseline.  OpenBLAS runs one thread
 unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH`` the
-best-of-N milliseconds of every kernel function, with its shape, go to a
-JSON file together with the core count, the backend, the OpenBLAS thread
-count and the git SHA.
+best-of-N milliseconds of every kernel, with its shape, go to a JSON file
+together with the core count, the backend, the OpenBLAS thread count and
+the git SHA.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
     python3 benchmarks/bench_kernels.py --rows 85569 --rules 7 --features 34 \
@@ -33,20 +30,13 @@ from it2fis import kernels
 
 
 def best_of(fn, args, repeats):
-    fn(*args)  # warm-up: JIT compile / fault pages
+    fn(*args)  # warm-up: fault pages
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def agree(a, b):
-    a = a if isinstance(a, tuple) else (a,)
-    b = b if isinstance(b, tuple) else (b,)
-    return all(np.allclose(x, y, rtol=1e-10, atol=1e-12, equal_nan=True)
-               for x, y in zip(a, b))
 
 
 def build_cases(rows, rules, features, seed):
@@ -67,11 +57,11 @@ def build_cases(rows, rules, features, seed):
     # their squared norms, distances and memberships come out (c, rows)
     xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
     centers = rng.normal(size=(8, features))
-    d2 = kernels.sq_distances_np(centers, xt, xx)
+    d2 = kernels.sq_distances(centers, xt, xx)
     n_query = max(rows // 100, 1)
     queries = rng.normal(size=(n_query, features))
     # rounded to integers so that distances tie, also at the k-th place
-    qd2 = np.round(kernels.sq_distances_np(queries, xt, xx))
+    qd2 = np.round(kernels.sq_distances(queries, xt, xx))
 
     return [
         ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
@@ -97,34 +87,21 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     cases = build_cases(args.rows, args.rules, args.features, args.seed)
-    have_numba = kernels.NUMBA_ACTIVE
-
-    print(f"backend available: numpy{' + numba' if have_numba else ' only'}")
-    header = f"{'kernel':<16} {'shape':<20} {'numpy':>10}"
-    if have_numba:
-        header += f" {'numba':>10} {'speedup':>8}"
+    header = f"{'kernel':<16} {'shape':<20} {'best':>10}"
     print(header)
     print("-" * len(header))
 
     timings = {}
     for name, shape, call_args in cases:
-        fn_np = getattr(kernels, name + "_np")
+        fn = getattr(kernels, name)
         if name == "topk_select":  # exact contract: a stable argsort prefix
             d2, k = call_args
-            if not np.array_equal(fn_np(d2, k),
+            if not np.array_equal(fn(d2, k),
                                   np.argsort(d2, axis=1, kind="stable")[:, :k]):
                 raise SystemExit("topk_select: differs from a stable argsort")
-        t_np = best_of(fn_np, call_args, args.repeats)
-        timings[name + "_np"] = {"shape": shape, "best_ms": t_np * 1e3}
-        line = f"{name:<16} {shape:<20} {t_np * 1e3:9.2f}ms"
-        if have_numba:
-            fn_nb = getattr(kernels, name + "_nb")
-            if not agree(fn_np(*call_args), fn_nb(*call_args)):
-                raise SystemExit(f"{name}: backends disagree")
-            t_nb = best_of(fn_nb, call_args, args.repeats)
-            timings[name + "_nb"] = {"shape": shape, "best_ms": t_nb * 1e3}
-            line += f" {t_nb * 1e3:9.2f}ms {t_np / t_nb:7.1f}x"
-        print(line)
+        t = best_of(fn, call_args, args.repeats)
+        timings[name] = {"shape": shape, "best_ms": t * 1e3}
+        print(f"{name:<16} {shape:<20} {t * 1e3:9.2f}ms")
 
     if args.json:
         result = {

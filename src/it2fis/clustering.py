@@ -284,14 +284,11 @@ def _scan_workers(n_runs: int) -> int:
 
     A forked child gets only the forking thread, so a lock another thread
     holds at the fork stays locked in it: with other threads running, or
-    without `fork`, the scan stays in-process.  It also stays in-process with
-    the numba backend: its parallel kernels already use every CPU, and its
-    threading layer may abort a child forked after that layer started.
+    without `fork`, the scan stays in-process.
     """
     import multiprocessing
 
-    if (kernels.NUMBA_ACTIVE
-            or "fork" not in multiprocessing.get_all_start_methods()
+    if ("fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
@@ -309,9 +306,9 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
 
     The (count, seed) runs are independent, so they are spread over one
     forked worker per CPU the process may use (`taskset` limits that set);
-    with one CPU, one run, other threads running, the numba backend or no
-    `fork` start method they run in-process.  Every run is seeded on its
-    own, so the result is the same either way.
+    with one CPU, one run, other threads running or no `fork` start method
+    they run in-process.  Every run is seeded on its own, so the result is
+    the same either way.
     """
     X = _as_data(X)
     if c_max < 2:

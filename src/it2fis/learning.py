@@ -169,12 +169,15 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _bad_sample_message(X, means, *sigma_arrays) -> str:
-    for sig in sigma_arrays:
-        lf = kernels.log_firing(X, means, sig)
-        bad = ~np.isfinite(lf.max(axis=1))
+def _bad_sample_message(X, params, start) -> str:
+    """Name the first row of X (row `start` of the training set) whose log
+    firing is non-finite under one of the sigma matrices in params."""
+    means, *sigmas, _ = params
+    for sig in sigmas:
+        bad = ~np.isfinite(kernels.log_firing(X, means, sig).max(axis=1))
         if bad.any():
-            return f"non-finite gradient at sample {int(np.flatnonzero(bad)[0])}"
+            j = start + int(np.flatnonzero(bad)[0])
+            return f"non-finite gradient at sample {j}"
     return "non-finite gradient"
 
 
@@ -190,6 +193,74 @@ def _train_arrays(rb: RuleBase, train):
     return X, targets_for(rb, train.labels)
 
 
+def _tune(X, y, cfg: TuneConfig, params, kernel, project):
+    """The descent loop of both tuners; returns (best params, trace).
+
+    The params arrays (means, sigma matrices, consequents) are copied, then
+    stepped by lr times the gradients kernel(x, y, *params) returns with the
+    batch's mean error, and put back in their legal set by project(*params).
+    A per-sample epoch is n one-row batches in a seeded shuffled order.  An
+    epoch's error is the mean of its batch errors, each taken before that
+    batch's step; its digest and snapshot are of the params it started from.
+    """
+    n = X.shape[0]
+    lr = cfg.learning_rate
+    rng = np.random.default_rng(cfg.seed)
+    params = tuple(p.copy() for p in params)
+
+    errs, digests = [], []
+    best = (np.inf, -1, None)
+    since_best = 0
+    for epoch in range(cfg.epochs):
+        digests.append(_digest(*params))
+        snap_now = tuple(p.copy() for p in params)
+        if cfg.batch == "full":
+            batches = [slice(None)]
+        else:
+            batches = [slice(j, j + 1) for j in rng.permutation(n)]
+        err = 0.0
+        for rows in batches:
+            *grads, e = kernel(X[rows], y[rows], *params)
+            if not np.isfinite(e):
+                raise DataError(
+                    _bad_sample_message(X[rows], params, rows.start or 0))
+            for p, g in zip(params, grads):
+                p -= lr * g
+            project(*params)
+            err += e
+        err /= len(batches)
+        errs.append(float(err))
+        if err < best[0]:
+            best = (err, epoch, snap_now)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+
+    _, best_epoch, snap = best
+    return snap, TuneTrace(np.array(errs), tuple(digests), int(best_epoch))
+
+
+def _floor_sigma(means, sig, cons):
+    np.maximum(sig, SIGMA_FLOOR, out=sig)
+
+
+def _project_interval(means, sl, su, cons):
+    np.maximum(sl, SIGMA_FLOOR, out=sl)
+    np.maximum(su, SIGMA_FLOOR, out=su)
+    bad = sl > su
+    if bad.any():
+        avg = 0.5 * (sl[bad] + su[bad])
+        sl[bad] = avg
+        su[bad] = avg
+
+
+def _it2_epoch(x, y, means, sl, su, cons):
+    order = np.argsort(cons, kind="stable")
+    return kernels.it2_epoch(x, y, means, sl, su, cons, order)
+
+
 def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     """Steepest descent on the type-1 system; returns (best base, trace).
 
@@ -201,65 +272,16 @@ def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     if rb.kind != KIND_T1:
         raise ValueError("tune_t1 expects a type-1 rule base")
     X, y = _train_arrays(rb, train)
-    n = X.shape[0]
-    lr = cfg.learning_rate
-    rng = np.random.default_rng(cfg.seed)
-
-    means = rb.means.copy()
-    sig = rb.sigma_upper.copy()
-    cons = rb.cons_mean.copy()
-
-    errs, digests = [], []
-    best = (np.inf, -1, None)
-    since_best = 0
-    for epoch in range(cfg.epochs):
-        digests.append(_digest(means, sig, cons))
-        # the recorded error belongs to the epoch-start parameters, so the
-        # best-epoch snapshot is taken here, before any update
-        snap_now = (means.copy(), sig.copy(), cons.copy())
-        if cfg.batch == "full":
-            gm, gs, gc, err = kernels.t1_epoch(X, y, means, sig, cons)
-            if not np.isfinite(err):
-                raise DataError(_bad_sample_message(X, means, sig))
-        else:
-            gm = gs = gc = None
-            err = 0.0
-            for j in rng.permutation(n):
-                g1m, g1s, g1c, e1 = kernels.t1_epoch(X[j:j + 1], y[j:j + 1],
-                                                     means, sig, cons)
-                if not np.isfinite(e1):
-                    raise DataError(f"non-finite gradient at sample {j}")
-                means -= lr * g1m
-                sig -= lr * g1s
-                cons -= lr * g1c
-                np.maximum(sig, SIGMA_FLOOR, out=sig)
-                err += e1
-            err /= n  # a sum of per-sample errors; the full-batch one is a mean
-        errs.append(float(err))
-        if err < best[0]:
-            best = (err, epoch, snap_now)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-        if cfg.batch == "full":
-            # the kernel's gradients are already means over samples
-            means -= lr * gm
-            sig -= lr * gs
-            cons -= lr * gc
-            np.maximum(sig, SIGMA_FLOOR, out=sig)
-
-    _, best_epoch, snap = best
-    trace = TuneTrace(np.array(errs), tuple(digests), int(best_epoch))
-    tuned = rb.with_params(snap[0], snap[1], snap[1], snap[2])
-    return tuned, trace
+    (means, sig, cons), trace = _tune(
+        X, y, cfg, (rb.means, rb.sigma_upper, rb.cons_mean),
+        kernels.t1_epoch, _floor_sigma)
+    return rb.with_params(means, sig, sig, cons), trace
 
 
 def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     """Steepest descent on the interval type-2 system; returns (base, trace).
 
-    The forward output is the Karnik-Mendel midpoint; each epoch re-derives
+    The forward output is the Karnik-Mendel midpoint; each step re-derives
     the switch points and differentiates the two boundary type-1 systems they
     select.  After every step sigmas are floored and the pair is projected
     back to sigma_lower <= sigma_upper (offenders collapse to their average).
@@ -267,68 +289,7 @@ def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     if rb.kind != KIND_IT2:
         raise ValueError("tune_it2 expects an interval type-2 rule base")
     X, y = _train_arrays(rb, train)
-    n = X.shape[0]
-    lr = cfg.learning_rate
-    rng = np.random.default_rng(cfg.seed)
-
-    means = rb.means.copy()
-    sl = rb.sigma_lower.copy()
-    su = rb.sigma_upper.copy()
-    cons = rb.cons_mean.copy()
-
-    def project():
-        np.maximum(sl, SIGMA_FLOOR, out=sl)
-        np.maximum(su, SIGMA_FLOOR, out=su)
-        bad = sl > su
-        if bad.any():
-            avg = 0.5 * (sl[bad] + su[bad])
-            sl[bad] = avg
-            su[bad] = avg
-
-    errs, digests = [], []
-    best = (np.inf, -1, None)
-    since_best = 0
-    for epoch in range(cfg.epochs):
-        digests.append(_digest(means, sl, su, cons))
-        snap_now = (means.copy(), sl.copy(), su.copy(), cons.copy())
-        if cfg.batch == "full":
-            order = np.argsort(cons, kind="stable")
-            gm, gsl, gsu, gc, err = kernels.it2_epoch(X, y, means, sl, su,
-                                                      cons, order)
-            if not np.isfinite(err):
-                raise DataError(_bad_sample_message(X, means, su, sl))
-        else:
-            gm = gsl = gsu = gc = None
-            err = 0.0
-            for j in rng.permutation(n):
-                order = np.argsort(cons, kind="stable")
-                g1m, g1sl, g1su, g1c, e1 = kernels.it2_epoch(
-                    X[j:j + 1], y[j:j + 1], means, sl, su, cons, order)
-                if not np.isfinite(e1):
-                    raise DataError(f"non-finite gradient at sample {j}")
-                means -= lr * g1m
-                sl -= lr * g1sl
-                su -= lr * g1su
-                cons -= lr * g1c
-                project()
-                err += e1
-            err /= n  # a sum of per-sample errors; the full-batch one is a mean
-        errs.append(float(err))
-        if err < best[0]:
-            best = (err, epoch, snap_now)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-        if cfg.batch == "full":
-            means -= lr * gm
-            sl -= lr * gsl
-            su -= lr * gsu
-            cons -= lr * gc
-            project()
-
-    _, best_epoch, snap = best
-    trace = TuneTrace(np.array(errs), tuple(digests), int(best_epoch))
-    tuned = rb.with_params(snap[0], snap[1], snap[2], snap[3])
-    return tuned, trace
+    (means, sl, su, cons), trace = _tune(
+        X, y, cfg, (rb.means, rb.sigma_lower, rb.sigma_upper, rb.cons_mean),
+        _it2_epoch, _project_interval)
+    return rb.with_params(means, sl, su, cons), trace

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from it2fis import kernels
 from it2fis.preprocess import Dataset
 from it2fis.rules import it2_rule_base, t1_rule_base
 
@@ -44,23 +43,3 @@ def two_class_dataset(rng, n_major=80, n_minor=40, gap=4.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Run every kernel once so JIT compilation stays out of timed sections."""
-    r = np.random.default_rng(0)
-    x = r.random((6, 3))
-    v = np.ascontiguousarray(x[:2])
-    d2 = kernels.sq_distances(v, np.ascontiguousarray(x.T), (x * x).sum(axis=1))
-    kernels.fcm_memberships(d2, 2.0)
-    means = np.zeros((2, 3))
-    sig = np.ones((2, 3))
-    cons = np.array([1.0, 2.0])
-    kernels.log_firing(x, means, sig)
-    kernels.km_batch(np.full((1, 2), 0.3), np.full((1, 2), 0.6), cons)
-    y = np.ones(6)
-    kernels.t1_epoch(x, y, means, sig, cons)
-    kernels.it2_epoch(x, y, means, 0.8 * sig, sig, cons, np.argsort(cons))
-    kernels.topk_select(d2.T, 2)
-    return kernels.backend()

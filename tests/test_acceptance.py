@@ -56,7 +56,7 @@ COVID_SKIP = ("ICU admissions CSV not present; set IT2FIS_COVID_CSV or place "
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_km_matches_vertex_oracle(rng, warm_kernels, capsys):
+def test_criterion_1_km_matches_vertex_oracle(rng, capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
@@ -78,7 +78,7 @@ def test_criterion_1_km_matches_vertex_oracle(rng, warm_kernels, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_zero_spread_collapse(rng, warm_kernels, capsys):
+def test_criterion_2_zero_spread_collapse(rng, capsys):
     t1 = random_t1_base(rng, n_rules=5, n_features=4)
     it2 = widen_to_it2(t1, spread=0.0)
     X = rng.normal(size=(1000, 4)) * 2.0
@@ -98,8 +98,7 @@ def test_criterion_2_zero_spread_collapse(rng, warm_kernels, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_gradients_match_finite_differences(rng, warm_kernels,
-                                                        capsys):
+def test_criterion_3_gradients_match_finite_differences(rng, capsys):
     t0 = time.perf_counter()
     worst_t1, worst_it2 = 0.0, 0.0
     for _ in range(10):
@@ -139,7 +138,7 @@ def test_criterion_3_gradients_match_finite_differences(rng, warm_kernels,
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_fukuyama_and_blob_recovery(rng, warm_kernels, capsys):
+def test_criterion_4_fukuyama_and_blob_recovery(rng, capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(20):
@@ -176,7 +175,7 @@ def test_criterion_4_fukuyama_and_blob_recovery(rng, warm_kernels, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_fcm_invariants(rng, warm_kernels, capsys):
+def test_criterion_5_fcm_invariants(rng, capsys):
     worst_col, worst_rise = 0.0, 0.0
     for run in range(100):
         n = int(rng.integers(30, 150))
@@ -489,8 +488,7 @@ def _cases_encode(rng, n):
     return count
 
 
-def test_criterion_9_randomized_invariant_harness(rng, warm_kernels, capsys,
-                                                  tmp_path):
+def test_criterion_9_randomized_invariant_harness(rng, capsys, tmp_path):
     t0 = time.perf_counter()
     counts = {
         "sets": _cases_sets(rng, 3000),

@@ -63,7 +63,7 @@ def manual_partition(rng, c, n, d, m=2.0):
 # ---------------------------------------------------------------------------
 
 
-def test_fcm_matches_naive_alternating_optimization(rng, warm_kernels):
+def test_fcm_matches_naive_alternating_optimization(rng):
     X = blobs(rng, [[0.0, 0.0], [4.0, 1.0], [-2.0, 5.0]], n_per=30)
     for iters in (1, 3, 7):
         part = fcm(X, 3, m=2.0, seed=7, max_iter=iters, tol=0.0)
@@ -73,7 +73,7 @@ def test_fcm_matches_naive_alternating_optimization(rng, warm_kernels):
         np.testing.assert_allclose(part.V, v_ref, rtol=1e-12, atol=1e-12)
 
 
-def test_fcm_objective_trace_never_increases(rng, warm_kernels):
+def test_fcm_objective_trace_never_increases(rng):
     for seed in range(5):
         X = np.random.default_rng(seed).random((80, 3)) * 4.0
         part = fcm(X, 4, seed=seed)
@@ -81,7 +81,7 @@ def test_fcm_objective_trace_never_increases(rng, warm_kernels):
         assert (diffs <= part.objective_trace[:-1] * 1e-12 + 1e-12).all()
 
 
-def test_fcm_memberships_are_column_stochastic(rng, warm_kernels):
+def test_fcm_memberships_are_column_stochastic(rng):
     X = rng.random((60, 2))
     part = fcm(X, 3, seed=0)
     np.testing.assert_allclose(part.U.sum(axis=0), 1.0, atol=1e-9)
@@ -156,25 +156,25 @@ def test_fcm_duplicated_groups_end_on_exact_memberships():
 
 
 def test_loop_kernels_match_numpy_kernels():
-    # the `_*_loops` twins are the numba bodies; called directly they run as
-    # plain Python, so check them against the numpy kernels here
+    # the `_*_loops` reference loops compute the same result element by
+    # element; check the vectorized kernels against them here
     r = np.random.default_rng(11)
     X = r.normal(size=(7, 3))
     v = np.vstack([r.normal(size=(2, 3)), X[4]])  # prototype 2 sits on x_4
     xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
-    d2 = kernels.sq_distances_np(v, xt, xx)
+    d2 = kernels.sq_distances(v, xt, xx)
     assert d2.shape == (3, 7)
     np.testing.assert_allclose(kernels._sq_distances_loops(v, xt, xx), d2,
                                rtol=1e-12, atol=1e-12)
     d2[2, 4] = 0.0  # cancellation leaves ~1e-16 where the loops give 0
     d2[:, 6] = [0.0, 0.0, 1.5]  # two prototypes share sample 6
     for m in (2.0, 1.5, 3.0):
-        u_np = kernels.fcm_memberships_np(d2, m)
+        u = kernels.fcm_memberships(d2, m)
         np.testing.assert_allclose(kernels._fcm_memberships_loops(d2, m),
-                                   u_np, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(u_np[:, 4], [0.0, 0.0, 1.0])
-        assert np.array_equal(u_np[:, 6], [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(u_np.sum(axis=0), 1.0, atol=1e-12)
+                                   u, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(u[:, 4], [0.0, 0.0, 1.0])
+        assert np.array_equal(u[:, 6], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def elongated_pair(rng, n_per=150):
     return np.column_stack([x, y]), truth
 
 
-def test_gk_recovers_elongated_clusters(rng, warm_kernels):
+def test_gk_recovers_elongated_clusters(rng):
     X, truth = elongated_pair(rng)
     warm = fcm(X, 2, seed=0)
     part = gk(X, 2, seed=0, u0=warm.U)
@@ -399,14 +399,6 @@ def test_select_cluster_count_concurrent_threads_keep_their_data():
         t.join(60)
     assert got == alone
     assert [g.runs for g in got] == [a.runs for a in alone]
-
-
-def test_select_cluster_count_stays_in_process_with_numba(monkeypatch):
-    # numba's parallel kernels already use every CPU
-    monkeypatch.setattr(kernels, "NUMBA_ACTIVE", True)
-    _affinity(monkeypatch, 2)
-    X = np.random.default_rng(0).random((40, 2))
-    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 1
 
 
 @needs_fork

@@ -415,15 +415,15 @@ def test_topk_select_matches_stable_argsort_on_ties(rng):
     for m in (1, 2, 9, 31):
         d2 = tie_heavy_distances(rng, max(m, 6))[:, :m]
         for k in range(1, m + 1):
-            got = kernels.topk_select_np(d2, k)
+            got = kernels.topk_select(d2, k)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(
                 got, np.argsort(d2, axis=1, kind="stable")[:, :k])
 
 
 def test_topk_select_loop_twin_matches_stable_argsort():
-    # `_topk_select_loops` is the numba body; called directly it runs as
-    # plain Python, so keep the inputs tiny; NaN must sort last
+    # `_topk_select_loops` is the reference loop; it runs as plain Python,
+    # so keep the inputs tiny; NaN must sort last
     rng = np.random.default_rng(7)
     d2 = np.vstack([tie_heavy_distances(rng, 8, nan=True),
                     [3.0, np.nan, 0.0, 0.0, np.nan, 3.0, np.inf, np.nan]])

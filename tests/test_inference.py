@@ -49,7 +49,7 @@ def random_km_instance(rng, d):
     return lo, up, cents
 
 
-def test_km_reduce_matches_vertex_oracle(rng, warm_kernels):
+def test_km_reduce_matches_vertex_oracle(rng):
     for _ in range(200):
         d = int(rng.integers(1, 5))
         lo, up, cents = random_km_instance(rng, d)
@@ -59,7 +59,7 @@ def test_km_reduce_matches_vertex_oracle(rng, warm_kernels):
         assert tri.y_r == pytest.approx(oyr, rel=1e-9, abs=1e-9)
 
 
-def test_km_reduce_interval_properties(rng, warm_kernels):
+def test_km_reduce_interval_properties(rng):
     for _ in range(100):
         d = int(rng.integers(1, 7))
         lo, up, cents = random_km_instance(rng, d)

@@ -117,7 +117,7 @@ def test_targets_for_roundtrip(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_t1_gradient_matches_finite_differences(rng, warm_kernels):
+def test_t1_gradient_matches_finite_differences(rng):
     X = rng.uniform(-2, 2, (8, 2))
     y = rng.uniform(1, 2, 8)
     means = rng.uniform(-1.5, 1.5, (3, 2))
@@ -134,7 +134,7 @@ def test_t1_gradient_matches_finite_differences(rng, warm_kernels):
     assert rel_err(gc, fc) < 1e-4
 
 
-def test_it2_gradient_matches_finite_differences(rng, warm_kernels):
+def test_it2_gradient_matches_finite_differences(rng):
     X = rng.uniform(-2, 2, (8, 2))
     y = rng.uniform(1, 2, 8)
     means = rng.uniform(-1.5, 1.5, (3, 2))
@@ -157,8 +157,8 @@ def test_it2_gradient_matches_finite_differences(rng, warm_kernels):
 
 
 def test_epoch_kernels_match_loop_twins():
-    # the `_*_loops` twins are the numba bodies; called directly they run as
-    # plain Python.  Column 0 is constant with its sigma at the floor and the
+    # the `_*_loops` versions are reference loops that compute the epoch
+    # element by element.  Column 0 is constant with its sigma at the floor and the
     # rule means about 50 sigma off it, as a constant one-hot column ends up
     # after tuning: there x^2 / sigma^2 ~ 1e12, so a matmul firing that is
     # not centred on a data row loses ~1e-4 to cancellation.
@@ -176,17 +176,17 @@ def test_epoch_kernels_match_loop_twins():
 
     for rows in (slice(None), slice(4, 5)):  # full batch, then one sample
         x, t = X[rows], y[rows]
-        got = kernels.t1_epoch_np(x, t, means, su, cons)
+        got = kernels.t1_epoch(x, t, means, su, cons)
         want = kernels._t1_epoch_loops(x, t, means, su, cons)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        got = kernels.it2_epoch_np(x, t, means, sl, su, cons, order)
+        got = kernels.it2_epoch(x, t, means, sl, su, cons, order)
         want = kernels._it2_epoch_loops(x, t, means, sl, su, cons, order)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
-def test_gradient_vanishes_at_perfect_fit(rng, warm_kernels):
+def test_gradient_vanishes_at_perfect_fit(rng):
     # a single rule outputs its consequent regardless of x, so matching
     # targets zero the error and every gradient exactly
     X = rng.uniform(-1, 1, (6, 2))
@@ -262,15 +262,24 @@ def test_tune_it2_reduces_error_and_keeps_invariants(rng):
     assert dig == trace.param_digests[trace.best_epoch]
 
 
-def test_tune_per_sample_mode(rng):
-    data = regression_dataset(rng)
+def base_for(tune):
+    """The small two-rule base the tuning tests start from, of tune's kind."""
     rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
                       label_low="a", label_high="b")
+    return widen_to_it2(rb, 0.2) if tune is tune_it2 else rb
+
+
+@pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
+def test_tune_per_sample_mode(rng, tune):
+    data = regression_dataset(rng)
+    rb = base_for(tune)
     cfg = TuneConfig(learning_rate=0.01, epochs=15, batch="per-sample", seed=3)
-    tuned, trace = tune_t1(rb, data, cfg)
+    tuned, trace = tune(rb, data, cfg)
     assert trace.epoch_error[trace.best_epoch] < trace.epoch_error[0]
+    assert (tuned.sigma_lower <= tuned.sigma_upper).all()
+    assert (tuned.sigma_lower >= SIGMA_FLOOR).all()
     # same seed reproduces the shuffled-order trajectory exactly
-    tuned2, trace2 = tune_t1(rb, data, cfg)
+    tuned2, trace2 = tune(rb, data, cfg)
     assert trace.param_digests == trace2.param_digests
 
 
@@ -309,16 +318,18 @@ def test_tune_kind_checks(rng):
 
 
 def test_tune_rejects_uncovered_sample(rng):
+    # 1e180 is finite, but its squared distance to every rule overflows, so
+    # each of the row's log firings is -inf and its gradient is NaN; both
+    # tuners name the row in both batch modes
     data = regression_dataset(rng)
     feats = data.features.copy()
-    feats[2, 0] = 1e180  # firing underflows to -inf for every rule
+    feats[2, 0] = 1e180
     bad = Dataset(feats, data.labels, data.feature_names)
-    rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
-                      label_low="a", label_high="b")
-    with pytest.raises(DataError, match="sample 2"):
-        tune_t1(rb, bad, TuneConfig(epochs=2))
-    with pytest.raises(DataError, match="non-finite"):
-        tune_it2(widen_to_it2(rb, 0.2), bad, TuneConfig(epochs=2))
+    for tune in (tune_t1, tune_it2):
+        for batch in ("full", "per-sample"):
+            with pytest.raises(DataError,
+                               match=r"^non-finite gradient at sample 2$"):
+                tune(base_for(tune), bad, TuneConfig(epochs=2, batch=batch))
 
 
 # ---------------------------------------------------------------------------
