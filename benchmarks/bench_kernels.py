@@ -4,13 +4,17 @@ Runs each hot kernel on representative shapes (ICU-model sized rule bases,
 tens of thousands of rows) and prints best-of-N wall times.  ``topk_select``
 runs on integer-rounded distances, so ties are common, and its result is
 first checked against a stable ``argsort``; ``--rows 85000`` gives the
-850 x 85,000 shape of a full-size KNN baseline.  OpenBLAS runs one thread
+850 x 85,000 shape of a full-size KNN baseline.  The epoch kernels take
+their data as ``kernels.centre`` returns it, and ``centre`` is timed on its
+own line: tuning calls it once per run, not once per epoch.  ``km_batch``
+takes its firings rule-major, (rules, rows).  OpenBLAS runs one thread
 unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH`` the
 best-of-N milliseconds of every kernel, with its shape, go to a JSON file
 together with the core count, the backend, the OpenBLAS thread count and
 the git SHA.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
+    python3 benchmarks/bench_kernels.py --rows 6222 --rules 3 --features 34
     python3 benchmarks/bench_kernels.py --rows 85569 --rules 7 --features 34 \
         --json BENCH_kernels.json
 """
@@ -49,8 +53,8 @@ def build_cases(rows, rules, features, seed):
     order = np.argsort(cons, kind="stable")
     y = rng.uniform(1.0, 2.0, rows)
 
-    up = rng.uniform(0.0, 1.0, (rows, rules))
-    lo = up * rng.uniform(0.0, 1.0, (rows, rules))
+    up = rng.uniform(0.0, 1.0, (rules, rows))
+    lo = up * rng.uniform(0.0, 1.0, (rules, rows))
     cents = np.sort(rng.uniform(1.0, 2.0, rules))
 
     # the clustering kernels are cluster-major: data enter transposed with
@@ -62,15 +66,18 @@ def build_cases(rows, rules, features, seed):
     queries = rng.normal(size=(n_query, features))
     # rounded to integers so that distances tie, also at the k-th place
     qd2 = np.round(kernels.sq_distances(queries, xt, xx))
+    centred = kernels.centre(X)
 
     return [
         ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
         ("fcm_memberships", f"8x{rows} m=2", (d2, 2.0)),
         ("log_firing", f"{rows}x{rules}x{features}", (X, means, sig_up)),
-        ("km_batch", f"{rows}x{rules}", (lo, up, cents)),
-        ("t1_epoch", f"{rows}x{rules}x{features}", (X, y, means, sig_up, cons)),
+        ("km_batch", f"{rules}x{rows}", (lo, up, cents)),
+        ("centre", f"{rows}x{features}", (X,)),
+        ("t1_epoch", f"{rows}x{rules}x{features}",
+         (centred, y, means, sig_up, cons)),
         ("it2_epoch", f"{rows}x{rules}x{features}",
-         (X, y, means, sig_lo, sig_up, cons, order)),
+         (centred, y, means, sig_lo, sig_up, cons, order)),
         ("topk_select", f"{n_query}x{rows} k=5", (qd2, 5)),
     ]
 

@@ -162,7 +162,7 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
 
     order = np.argsort(cents, kind="stable")
     y_l, y_r, k_l, k_r = kernels.km_batch(
-        lo[order][None, :], up[order][None, :], cents[order])
+        lo[order][:, None], up[order][:, None], cents[order])
     y_l, y_r = float(y_l[0]), float(y_r[0])
     return TypeReducedInterval(
         y_l=y_l,
@@ -323,7 +323,7 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
             lo = np.exp(logl - shift[idx, None])
             order = np.argsort(rb.cons_mean, kind="stable")
             yl, yr, _, _ = kernels.km_batch(
-                lo[:, order], up[:, order], rb.cons_mean[order])
+                lo.T[order], up.T[order], rb.cons_mean[order])
             y_l[idx], y_r[idx] = yl, yr
             crisp[idx] = 0.5 * (yl + yr)
         elif rb.inference.aggregation == "mamdani":

@@ -5,24 +5,31 @@ Five of them keep a plain-Python loop version (``_*_loops``) that computes
 the same result one element at a time; the tests compare each kernel with
 its loop version, and nothing else calls them.
 
-Array conventions: data matrices are (n_samples, n_features); rule parameter
-matrices are (n_rules, n_features); firing matrices are (n_samples, n_rules).
-The two clustering kernels are cluster-major, like ``FuzzyPartition.U``:
-distance and membership matrices are (n_clusters, n_samples), and
-``sq_distances`` takes the data transposed, (n_features, n_samples), with its
-squared row norms precomputed.
+Array conventions: data matrices are (n_samples, n_features) and rule
+parameter matrices (n_rules, n_features).  The two clustering kernels are
+cluster-major, like ``FuzzyPartition.U``: distance and membership matrices
+are (n_clusters, n_samples), and ``sq_distances`` takes the data transposed,
+(n_features, n_samples), with its squared row norms precomputed.  The tuning
+kernels are rule-major in the same way: ``t1_epoch``, ``it2_epoch`` and
+``km_batch`` hold firings as (n_rules, n_samples), so every step and every
+sum over the few rules runs along rows of n_samples, not as a length-n_rules
+inner loop per sample.  ``log_firing`` stays sample-major, (n_samples,
+n_rules): it scores rows for ``predict_batch``, whose outputs must equal
+single-row ``predict`` bit for bit, so it sums each row's terms by itself in
+an einsum, and its callers take per-row maxima and pick out rows.
 
 The epoch kernels never form an (n_samples, n_rules, n_features)
 array: firing and gradients are BLAS products in a centred form.  Each
 column is centred on the batch's first row, z = x - x[0] and mc = means -
 x[0], and with P = 1/sigma^2 the log firing is
--0.5 (z^2 P^T - 2 z (mc P)^T + sum_f mc^2 P).  Centring keeps the form
+-0.5 (P (z^2)^T - 2 (mc P) z^T + sum_f mc^2 P).  ``centre`` builds x[0], z^T
+and (z^2)^T, which depend on the data only, so a tuning run builds them once
+and every epoch reuses them.  Centring keeps the form
 exact enough to tune on: a column that is constant in the data (a one-hot
 level every row has) has its sigma floored at 1e-6, so uncentred its
 x^2/sigma^2 terms are ~1e12 and their cancellation leaves ~1e-4 of error in
-the firing, while centred the column is exactly 0.  ``log_firing`` keeps its
-einsum: ``predict_batch`` and single-row ``predict`` score through it,
-and a centre taken from the batch would move a row's score (by ~1e-11)
+the firing, while centred the column is exactly 0.  ``log_firing`` does not
+centre: a centre taken from the batch would move a row's score (by ~1e-11)
 with the batch it comes in.
 """
 
@@ -139,49 +146,74 @@ def log_firing(x, means, sigmas):
 
 
 # ---------------------------------------------------------------------------
-# Karnik-Mendel center-of-sets reduction, batched over rows
+# Karnik-Mendel center-of-sets reduction, batched over columns
 # ---------------------------------------------------------------------------
 #
-# Inputs are already in ascending-centroid order.  The kernel evaluates the
-# weighted-average ratio at every switch split k (first k rules take one bound,
-# the rest take the other) and pick the extremal one; the extremum of the
-# linear-fractional objective over the firing box sits at such a split.
+# Inputs are (n_rules, n_samples), rows already in ascending-centroid order.
+# The kernel evaluates the weighted-average ratio at every switch split k
+# (first k rules take one bound, the rest take the other) and picks the
+# extremal one; the extremum of the linear-fractional objective over the
+# firing box sits at such a split.
 
 
 def km_batch(lo, up, cents):
     lo = np.where(lo < TINY, 0.0, lo)
     up = np.where(up < TINY, 0.0, up)
-    n, d = lo.shape
-    zero = np.zeros((n, 1))
+    d, n = lo.shape
+    c = cents[:, None]
 
-    def prefix(a):  # pre[:, k] = a[:, :k].sum(axis=1)
-        return np.hstack([zero, np.cumsum(a, axis=1)])
+    def prefix(a):  # pre[k] = a[:k].sum(axis=0)
+        # one row addition at a time, in the order of np.cumsum: a cumsum
+        # along axis 0 would run a length-d inner loop per column
+        pre = np.zeros((d + 1, n))
+        pre[1] = a[0]
+        for k in range(1, d):
+            np.add(pre[k], a[k], out=pre[k + 1])
+        return pre
 
-    def suffix(a):  # suf[:, k] = a[:, k:].sum(axis=1)
-        # summed from the right rather than as total - prefix: the
+    def suffix(a):  # suf[k] = a[k:].sum(axis=0)
+        # summed from the bottom rather than as total - prefix: the
         # difference of two near-equal totals can wipe out a small
         # suffix entirely (a lone 1e-9 weight against O(1) ones),
         # pushing the candidate ratio outside the centroid hull
-        return np.hstack([np.cumsum(a[:, ::-1], axis=1)[:, ::-1], zero])
+        return prefix(a[::-1])[::-1]
 
-    num_l = prefix(up * cents) + suffix(lo * cents)
+    num_l = prefix(up * c) + suffix(lo * c)
     den_l = prefix(up) + suffix(lo)
-    num_r = prefix(lo * cents) + suffix(up * cents)
+    num_r = prefix(lo * c) + suffix(up * c)
     den_r = prefix(lo) + suffix(up)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         rat_l = np.where(den_l > 0.0, num_l / den_l, np.inf)
         rat_r = np.where(den_r > 0.0, num_r / den_r, -np.inf)
-    kl = np.argmin(rat_l, axis=1)
-    kr = np.argmax(rat_r, axis=1)
-    yl = rat_l[np.arange(n), kl]
-    yr = rat_r[np.arange(n), kr]
+    kl = np.argmin(rat_l, axis=0)
+    kr = np.argmax(rat_r, axis=0)
+    yl = rat_l[kl, np.arange(n)]
+    yr = rat_r[kr, np.arange(n)]
     return yl, yr, kl.astype(np.int64), kr.astype(np.int64)
 
 
 # it2_epoch's own reference: a wrapper put on the public name (the
 # benchmark's tracer) then counts only the calls from outside this module
 _km_batch = km_batch
+
+
+# ---------------------------------------------------------------------------
+# the epochs' data-only terms
+# ---------------------------------------------------------------------------
+
+
+def centre(x):
+    """The data terms the epoch kernels take for the batch x (n, g).
+
+    Returns (x0, zt, z2t): the batch's first row, and z = x - x0 and z * z
+    transposed to (g, n), C-contiguous.  They depend on the data only, so a
+    full-batch tuning run computes them once, not once per epoch.
+    """
+    x0 = x[0].copy()
+    zt = np.subtract(x.T, x0[:, None], order="C")
+    with np.errstate(over="ignore"):  # an overflow marks the sample uncovered
+        return x0, zt, zt * zt
 
 
 # ---------------------------------------------------------------------------
@@ -194,60 +226,62 @@ _km_batch = km_batch
 # firings, so the shift cancels exactly.  A degenerate sample (non-finite
 # log firing) makes the returned error non-finite; the caller locates it.
 #
-# The kernel works in the centred form of the module docstring.  With
-# per-sample weights q (n, d) on the rules' log firings, the gradients are
-#   gm = (q^T z - (sum_j q) mc) P
-#   gs = (q^T z^2 - 2 mc (q^T z) + (sum_j q) mc^2) P / sigma,
-# i.e. sum_j q_js (x_jf - m_sf) / sigma^2 and sum_j q_js (x_jf - m_sf)^2 /
+# The kernel works in the centred form of the module docstring, on
+# (n_rules, n_samples) firings.  With per-sample weights q (d, n) on the
+# rules' log firings, the gradients are
+#   gm = (q z - (sum_j q) mc) P
+#   gs = (q z^2 - 2 mc (q z) + (sum_j q) mc^2) P / sigma,
+# i.e. sum_j q_sj (x_jf - m_sf) / sigma^2 and sum_j q_sj (x_jf - m_sf)^2 /
 # sigma^3 without an (n, d, g) temporary.  For a one-row call z is 0.
 
 
-def _centred_gauss(z, z2, mc, sigmas):
-    """Log firing under one sigma matrix, and the map to its gradients.
+def _centred_gauss(zt, z2t, mc, sigmas):
+    """Log firing of each row of (mc, sigmas), and the map to its gradients.
 
-    z is the data less a reference row, z2 = z * z, and mc the rule means
-    less the same row.  Returns (e, grad): e[j, s] = -0.5 sum_f
-    ((z - mc) / sigma)^2, and grad(q) gives sum_j q[j, s] times de[j, s] /
-    dmeans and de[j, s] / dsigmas, both (n_rules, n_features).
+    zt and z2t are the data less a reference row, and its square,
+    transposed to (n_features, n_samples); mc is the rule means less the
+    same row.  Returns (e, grad): e[s, j] = -0.5 sum_f ((z - mc) / sigma)^2,
+    shape (n_rows, n_samples), and grad(q) gives sum_j q[s, j] times
+    de[s, j] / dmeans and de[s, j] / dsigmas, both (n_rows, n_features).
     """
     p = 1.0 / (sigmas * sigmas)
     mp = mc * p
-    e = z2 @ p.T
-    e -= z @ (2.0 * mp).T
-    e += (mc * mp).sum(axis=1)
+    e = p @ z2t
+    e -= (2.0 * mp) @ zt
+    e += (mc * mp).sum(axis=1)[:, None]
     e *= -0.5
 
     def grad(q):
-        qs = q.sum(axis=0)[:, None]
-        qz = q.T @ z
+        qs = q.sum(axis=1)[:, None]
+        qz = q @ zt.T
         gm = (qz - qs * mc) * p
-        gs = (q.T @ z2 - 2.0 * mc * qz + qs * mc * mc) * (p / sigmas)
+        gs = (q @ z2t.T - 2.0 * mc * qz + qs * mc * mc) * (p / sigmas)
         return gm, gs
 
     return e, grad
 
 
-def t1_epoch(x, y, means, sigmas, cons):
-    n = x.shape[0]
-    z = x - x[0]
+def t1_epoch(data, y, means, sigmas, cons):
+    x0, zt, z2t = data
+    n = zt.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        e, grad = _centred_gauss(z, z * z, means - x[0], sigmas)
-    shift = e.max(axis=1, keepdims=True)
+        e, grad = _centred_gauss(zt, z2t, means - x0, sigmas)
+    shift = e.max(axis=0)
     with np.errstate(invalid="ignore"):
         w = np.exp(e - shift)
-    den = w.sum(axis=1)
+    den = w.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        f = (w @ cons) / den
+        f = (cons @ w) / den
     r = (f - y) / n
     err = 0.5 * np.mean((f - y) ** 2)
 
-    # q[j,S] = r_j * (g_S - f_j) / den_j * w_jS
+    # q[S,j] = r_j * (g_S - f_j) / den_j * w_Sj
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = r[:, None] * (cons[None, :] - f[:, None]) / den[:, None] * w
+        q = r * (cons[:, None] - f) / den * w
     with np.errstate(over="ignore", invalid="ignore"):
         gm, gs = grad(q)
     with np.errstate(invalid="ignore", divide="ignore"):
-        gc = ((r / den)[:, None] * w).sum(axis=0)
+        gc = (r / den * w).sum(axis=1)
     return gm, gs, gc, err
 
 
@@ -297,65 +331,59 @@ def _t1_epoch_loops(x, y, means, sigmas, cons):
 # f(x) = (y_l + y_r)/2 from the KM reduction; gradients follow the two
 # type-1 expansions picked out by the converged switch splits.  `order`
 # sorts rules by ascending consequent mean and is fixed for the whole call.
-# The kernel forms z and z^2 once and takes the centred firing and
-# gradients of the type-1 kernel for sigma_lower and sigma_upper in turn.
+# The kernel takes the centred firing and gradients of the type-1 kernel for
+# both sigma matrices at once: stacked, sigma_lower over sigma_upper, they
+# are one (2 n_rules, n_features) matrix, so each BLAS product reads the
+# data once.  Firings are (n_rules, n_samples).
 
 
-def it2_epoch(x, y, means, sig_lo, sig_up, cons, order):
-    n = x.shape[0]
+def it2_epoch(data, y, means, sig_lo, sig_up, cons, order):
+    x0, zt, z2t = data
+    n = zt.shape[1]
     d = means.shape[0]
-    z = x - x[0]
-    mc = means - x[0]
+    mc = means - x0
     with np.errstate(over="ignore", invalid="ignore"):
-        z2 = z * z
-        e_lo, grad_lo = _centred_gauss(z, z2, mc, sig_lo)
-        e_up, grad_up = _centred_gauss(z, z2, mc, sig_up)
-    shift = e_up.max(axis=1, keepdims=True)
+        e, grad = _centred_gauss(zt, z2t, np.vstack([mc, mc]),
+                                 np.vstack([sig_lo, sig_up]))
+    shift = e[d:].max(axis=0)
     with np.errstate(invalid="ignore"):
-        w_lo = np.exp(e_lo - shift)
-        w_up = np.exp(e_up - shift)
-    w_lo[w_lo < TINY] = 0.0
-    w_up[w_up < TINY] = 0.0
+        w = np.exp(e - shift)
+    w[w < TINY] = 0.0
 
     cs = cons[order]
-    lo_s = w_lo[:, order]
-    up_s = w_up[:, order]
+    lo_s = w[order]
+    up_s = w[d + order]
     yl, yr, kl, kr = _km_batch(lo_s, up_s, cs)
     with np.errstate(invalid="ignore"):  # uncovered sample: inf + -inf
         f = 0.5 * (yl + yr)
     r = (f - y) / n
     err = 0.5 * np.mean((f - y) ** 2)
 
-    idx = np.arange(d)[None, :]
-    upper_l = idx < kl[:, None]  # rules taking the upper bound in y_l
-    upper_r = idx >= kr[:, None]  # rules taking the upper bound in y_r
+    idx = np.arange(d)[:, None]
+    upper_l = idx < kl  # rules taking the upper bound in y_l
+    upper_r = idx >= kr  # rules taking the upper bound in y_r
     a = np.where(upper_l, up_s, lo_s)
     b = np.where(upper_r, up_s, lo_s)
-    den_a = a.sum(axis=1)
-    den_b = b.sum(axis=1)
+    den_a = a.sum(axis=0)
+    den_b = b.sum(axis=0)
 
     # d f / d theta for each side, in sorted order
     with np.errstate(invalid="ignore", divide="ignore"):
-        da = 0.5 * (cs[None, :] - yl[:, None]) / den_a[:, None]
-        db = 0.5 * (cs[None, :] - yr[:, None]) / den_b[:, None]
-        gc_sorted = (r[:, None] * 0.5 * (a / den_a[:, None] + b / den_b[:, None])).sum(axis=0)
+        da = 0.5 * (cs[:, None] - yl) / den_a
+        db = 0.5 * (cs[:, None] - yr) / den_b
+        gc_sorted = (r * 0.5 * (a / den_a + b / den_b)).sum(axis=1)
     gc = np.empty(d)
     gc[order] = gc_sorted
 
-    # per-sample weight hitting the upper / lower firing of each sorted rule
-    coef_up = r[:, None] * (da * upper_l * up_s + db * upper_r * up_s)
-    coef_lo = r[:, None] * (da * ~upper_l * lo_s + db * ~upper_r * lo_s)
-
-    inv = np.empty(d, dtype=np.int64)
-    inv[order] = np.arange(d)
-    coef_up = coef_up[:, inv]
-    coef_lo = coef_lo[:, inv]
+    # per-sample weight hitting the lower / upper firing of each rule, put
+    # back from sorted order into the rows of the stacked sigma matrices
+    q = np.empty((2 * d, n))
+    q[order] = r * (da * ~upper_l * lo_s + db * ~upper_r * lo_s)
+    q[d + order] = r * (da * upper_l * up_s + db * upper_r * up_s)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        gm, gsu = grad_up(coef_up)
-        gm_lo, gsl = grad_lo(coef_lo)
-    gm += gm_lo
-    return gm, gsl, gsu, gc, err
+        gm, gs = grad(q)
+    return gm[:d] + gm[d:], gs[:d], gs[d:], gc, err
 
 
 def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):

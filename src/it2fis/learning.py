@@ -197,16 +197,20 @@ def _tune(X, y, cfg: TuneConfig, params, kernel, project):
     """The descent loop of both tuners; returns (best params, trace).
 
     The params arrays (means, sigma matrices, consequents) are copied, then
-    stepped by lr times the gradients kernel(x, y, *params) returns with the
-    batch's mean error, and put back in their legal set by project(*params).
-    A per-sample epoch is n one-row batches in a seeded shuffled order.  An
-    epoch's error is the mean of its batch errors, each taken before that
+    stepped by lr times the gradients kernel(kernels.centre(x), y, *params)
+    returns with the batch's mean error, and put back in their legal set by
+    project(*params).  A per-sample epoch is n one-row batches in a seeded
+    shuffled order; a full-batch run centres X once, before its first epoch.
+    An epoch's error is the mean of its batch errors, each taken before that
     batch's step; its digest and snapshot are of the params it started from.
     """
     n = X.shape[0]
     lr = cfg.learning_rate
     rng = np.random.default_rng(cfg.seed)
     params = tuple(p.copy() for p in params)
+    full = cfg.batch == "full"
+    if full:
+        centred = kernels.centre(X)
 
     errs, digests = [], []
     best = (np.inf, -1, None)
@@ -214,13 +218,14 @@ def _tune(X, y, cfg: TuneConfig, params, kernel, project):
     for epoch in range(cfg.epochs):
         digests.append(_digest(*params))
         snap_now = tuple(p.copy() for p in params)
-        if cfg.batch == "full":
+        if full:
             batches = [slice(None)]
         else:
             batches = [slice(j, j + 1) for j in rng.permutation(n)]
         err = 0.0
         for rows in batches:
-            *grads, e = kernel(X[rows], y[rows], *params)
+            data = centred if full else kernels.centre(X[rows])
+            *grads, e = kernel(data, y[rows], *params)
             if not np.isfinite(e):
                 raise DataError(
                     _bad_sample_message(X[rows], params, rows.start or 0))
@@ -256,9 +261,9 @@ def _project_interval(means, sl, su, cons):
         su[bad] = avg
 
 
-def _it2_epoch(x, y, means, sl, su, cons):
+def _it2_epoch(data, y, means, sl, su, cons):
     order = np.argsort(cons, kind="stable")
-    return kernels.it2_epoch(x, y, means, sl, su, cons, order)
+    return kernels.it2_epoch(data, y, means, sl, su, cons, order)
 
 
 def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):

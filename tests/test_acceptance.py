@@ -20,7 +20,7 @@ from it2fis.clustering import fcm, fukuyama_index, select_cluster_count
 from it2fis.config import load_config, preprocess_config
 from it2fis.evaluation import compute_metrics, split
 from it2fis.inference import km_reduce, predict_batch
-from it2fis.kernels import it2_epoch, t1_epoch
+from it2fis.kernels import centre, it2_epoch, t1_epoch
 from it2fis.learning import encode_labels, widen_to_it2
 from it2fis.model_io import (load_bundled_model, load_model, save_model)
 from it2fis.preprocess import (Dataset, PreprocessConfig, RawTable, load_csv,
@@ -108,7 +108,7 @@ def test_criterion_3_gradients_match_finite_differences(rng, capsys):
         sig = rng.uniform(0.8, 1.5, (3, 2))
         cons = rng.uniform(1.0, 2.0, 3)
 
-        gm, gs, gc, _ = t1_epoch(X, y, means, sig, cons)
+        gm, gs, gc, _ = t1_epoch(centre(X), y, means, sig, cons)
         fm, fs, fc = fd_gradient(lambda: t1_error(X, y, means, sig, cons),
                                  [means, sig, cons])
         worst_t1 = max(worst_t1, rel_err(gm, fm), rel_err(gs, fs),
@@ -119,7 +119,7 @@ def test_criterion_3_gradients_match_finite_differences(rng, capsys):
         sl = su * rng.uniform(0.6, 0.9, (3, 2))
         c2 = rng.uniform(1.0, 2.0, 3)
         order = np.argsort(c2, kind="stable")
-        gm, gl, gu, gc, _ = it2_epoch(X, y, m2, sl, su, c2, order)
+        gm, gl, gu, gc, _ = it2_epoch(centre(X), y, m2, sl, su, c2, order)
         fm, fl, fu, fc = fd_gradient(lambda: it2_error(X, y, m2, sl, su, c2),
                                      [m2, sl, su, c2])
         worst_it2 = max(worst_it2, rel_err(gm, fm), rel_err(gl, fl),
@@ -246,7 +246,8 @@ def covid_run(tmp_path_factory):
         prefix = root / f"seed{seed}"
         assert main(["--seed", str(seed), "evaluate", str(model), path,
                      "-o", str(prefix), "--baselines"]) == 0
-        lines = open(f"{prefix}.kv", encoding="utf-8").read().splitlines()
+        with open(f"{prefix}.kv", encoding="utf-8") as f:
+            lines = f.read().splitlines()
         kv = dict(l.split("=", 1) for l in lines if l)
         runs.append(kv)
     return {"rows": ds.n_rows, "runs": runs,

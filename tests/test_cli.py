@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def write_raw(path, n=170, seed=42):
 
 
 def read_kv(path):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     return dict(line.split("=", 1) for line in lines if line)
 
 
@@ -62,7 +63,8 @@ def workdir(tmp_path_factory):
 
     # features-only CSV for `predict`: the dataset minus its label column
     features = root / "features.csv"
-    rows = list(csv.reader(open(dataset, encoding="utf-8")))
+    with open(dataset, encoding="utf-8") as f:
+        rows = list(csv.reader(f))
     li = rows[0].index("icu")
     with open(features, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerows(
@@ -72,14 +74,15 @@ def workdir(tmp_path_factory):
 
 
 def test_train_output_files(workdir):
-    doc = json.loads(open(workdir["model"], encoding="utf-8").read())
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
     assert doc["kind"] == "interval-type-2"
     assert doc["format_version"] == 1
     prov = doc["provenance"]
     assert prov["global_seed"] == "3"
     assert len(prov["data_sha1"]) == 40
 
-    trace = open(str(workdir["model"]) + ".trace.txt", encoding="utf-8").read()
+    trace = Path(str(workdir["model"]) + ".trace.txt").read_text(
+        encoding="utf-8")
     assert "t1 epoch 0: error=" in trace
     assert "it2 best epoch:" in trace
     assert "np.float64" not in trace  # plain reprs only
@@ -139,11 +142,12 @@ def test_train_type1_only(workdir, tmp_path, capsys):
 
 
 def test_preprocess_report(workdir):
-    report = open(str(workdir["dataset"]) + ".report.txt",
-                  encoding="utf-8").read()
+    report = Path(str(workdir["dataset"]) + ".report.txt").read_text(
+        encoding="utf-8")
     assert "input rows: 170" in report
     assert "rows dropped for missing label: 4" in report
-    header = open(workdir["dataset"], encoding="utf-8").readline().strip()
+    with open(workdir["dataset"], encoding="utf-8") as f:
+        header = f.readline().strip()
     assert header.split(",")[-1] == "icu"
     assert "sex=1" in header  # one-hot names carry their category
 
@@ -153,7 +157,8 @@ def test_predict_writes_one_row_per_input(workdir, tmp_path, capsys):
     rc = main(["predict", str(workdir["model"]), str(workdir["features"]),
                "-o", str(out)])
     assert rc == 0
-    rows = list(csv.reader(open(out, encoding="utf-8")))
+    with open(out, encoding="utf-8") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["row", "crisp", "y_l", "y_r", "label", "flagged"]
     assert len(rows) - 1 == 166  # 170 raw minus 4 missing-label rows
     labels = {r[4] for r in rows[1:]}
@@ -164,7 +169,8 @@ def test_predict_writes_one_row_per_input(workdir, tmp_path, capsys):
 
 
 def test_predict_header_only_input(workdir, tmp_path):
-    header = open(workdir["features"], encoding="utf-8").readline()
+    with open(workdir["features"], encoding="utf-8") as f:
+        header = f.readline()
     empty = tmp_path / "empty.csv"
     empty.write_text(header, encoding="utf-8")
     out = tmp_path / "pred.csv"
@@ -175,7 +181,8 @@ def test_predict_header_only_input(workdir, tmp_path):
 
 
 def test_predict_feature_count_mismatch(workdir, tmp_path, capsys):
-    rows = list(csv.reader(open(workdir["features"], encoding="utf-8")))
+    with open(workdir["features"], encoding="utf-8") as f:
+        rows = list(csv.reader(f))
     short = tmp_path / "short.csv"
     with open(short, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows([r[:-1] for r in rows])
@@ -188,7 +195,8 @@ def test_predict_feature_count_mismatch(workdir, tmp_path, capsys):
 
 
 def test_predict_rejects_non_finite_cells(workdir, tmp_path, capsys):
-    rows = list(csv.reader(open(workdir["features"], encoding="utf-8")))
+    with open(workdir["features"], encoding="utf-8") as f:
+        rows = list(csv.reader(f))
     rows[3][1] = "nan"
     bad = tmp_path / "nan.csv"
     with open(bad, "w", newline="", encoding="utf-8") as f:

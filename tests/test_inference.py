@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from it2fis import kernels
 from it2fis.errors import DataError, NoCoverageError
 from it2fis.inference import (FiringInterval, Prediction, defuzzify_t1,
                               fire_it2, fire_t1, km_reduce, predict,
@@ -57,6 +58,34 @@ def test_km_reduce_matches_vertex_oracle(rng):
         oyl, oyr = vertex_oracle(lo, up, cents)
         assert tri.y_l == pytest.approx(oyl, rel=1e-9, abs=1e-9)
         assert tri.y_r == pytest.approx(oyr, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_km_batch_columns_match_vertex_oracle_and_km_reduce(rng, d):
+    # km_batch is rule-major: each column of a (rules, samples) block is one
+    # reduction, and it must come out exactly as km_reduce gives it alone
+    n = 150
+    cents = np.sort(rng.uniform(-5.0, 5.0, d))
+    if d > 1:
+        cents[2] = cents[1]  # tied centroids
+    up = rng.uniform(0.0, 1.0, (d, n))
+    up[rng.random((d, n)) < 0.3] = 0.0
+    up[rng.integers(0, d, n), np.arange(n)] = rng.uniform(0.1, 1.0, n)
+    lo = up * rng.uniform(0.0, 1.0, (d, n))
+    lo[:, 0] = 0.0  # zero lower firings
+    lo[:, 1] = np.where(up[:, 1] > 0.0, 5e-320, 0.0)  # denormal ones
+    lo[:, 2] = up[:, 2]  # degenerate intervals
+    lo[0, 3::4] = 0.0
+    yl, yr, kl, kr = kernels.km_batch(lo, up, cents)
+    flushed = np.where(lo < kernels.TINY, 0.0, lo)
+    for j in range(n):
+        oyl, oyr = vertex_oracle(flushed[:, j], up[:, j], cents)
+        assert yl[j] == pytest.approx(oyl, rel=1e-9, abs=1e-9)
+        assert yr[j] == pytest.approx(oyr, rel=1e-9, abs=1e-9)
+        tri = km_reduce(np.column_stack([lo[:, j], up[:, j]]), cents)
+        assert np.float64(tri.y_l).tobytes() == yl[j].tobytes()
+        assert np.float64(tri.y_r).tobytes() == yr[j].tobytes()
+        assert tri.switch_points == (kl[j], kr[j])
 
 
 def test_km_reduce_interval_properties(rng):

@@ -124,7 +124,7 @@ def test_t1_gradient_matches_finite_differences(rng):
     sig = rng.uniform(0.8, 1.5, (3, 2))
     cons = rng.uniform(1, 2, 3)
 
-    gm, gs, gc, err = kernels.t1_epoch(X, y, means, sig, cons)
+    gm, gs, gc, err = kernels.t1_epoch(kernels.centre(X), y, means, sig, cons)
     assert err == pytest.approx(t1_error(X, y, means, sig, cons), rel=1e-12)
 
     fm, fs, fc = fd_gradient(lambda: t1_error(X, y, means, sig, cons),
@@ -143,7 +143,8 @@ def test_it2_gradient_matches_finite_differences(rng):
     cons = rng.uniform(1, 2, 3)
     order = np.argsort(cons, kind="stable")
 
-    gm, gsl, gsu, gc, err = kernels.it2_epoch(X, y, means, sl, su, cons, order)
+    gm, gsl, gsu, gc, err = kernels.it2_epoch(kernels.centre(X), y, means,
+                                              sl, su, cons, order)
     assert err == pytest.approx(it2_error(X, y, means, sl, su, cons), rel=1e-12)
 
     # at generic parameters the switch points are locally constant, so the
@@ -176,12 +177,28 @@ def test_epoch_kernels_match_loop_twins():
 
     for rows in (slice(None), slice(4, 5)):  # full batch, then one sample
         x, t = X[rows], y[rows]
-        got = kernels.t1_epoch(x, t, means, su, cons)
+        got = kernels.t1_epoch(kernels.centre(x), t, means, su, cons)
         want = kernels._t1_epoch_loops(x, t, means, su, cons)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        got = kernels.it2_epoch(x, t, means, sl, su, cons, order)
+        got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons, order)
         want = kernels._it2_epoch_loops(x, t, means, sl, su, cons, order)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    # four rules whose sorting permutation is not its own inverse, so a
+    # kernel that scatters sorted rows back with it the wrong way round fails
+    cons4 = np.array([1.6, 1.2, 1.9, 1.4])
+    order4 = np.argsort(cons4, kind="stable")
+    assert not np.array_equal(order4[order4], np.arange(4))
+    means4 = r.uniform(-1.0, 1.0, (4, 4))
+    su4 = r.uniform(0.8, 1.5, (4, 4))
+    sl4 = su4 * r.uniform(0.6, 0.95, (4, 4))
+    for rows in (slice(None), slice(4, 5)):
+        x, t = X[rows], y[rows]
+        got = kernels.it2_epoch(kernels.centre(x), t, means4, sl4, su4, cons4,
+                                order4)
+        want = kernels._it2_epoch_loops(x, t, means4, sl4, su4, cons4, order4)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
@@ -194,7 +211,7 @@ def test_gradient_vanishes_at_perfect_fit(rng):
     means = rng.uniform(-1, 1, (1, 2))
     sig = np.ones((1, 2))
     cons = np.array([1.7])
-    gm, gs, gc, err = kernels.t1_epoch(X, y, means, sig, cons)
+    gm, gs, gc, err = kernels.t1_epoch(kernels.centre(X), y, means, sig, cons)
     assert err == 0.0
     assert not gm.any() and not gs.any() and not gc.any()
 
@@ -281,6 +298,26 @@ def test_tune_per_sample_mode(rng, tune):
     # same seed reproduces the shuffled-order trajectory exactly
     tuned2, trace2 = tune(rb, data, cfg)
     assert trace.param_digests == trace2.param_digests
+
+
+@pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
+def test_tune_centres_each_batch_once(rng, tune, monkeypatch):
+    # the data terms depend on the batch only: a full-batch run builds them
+    # once, before its first epoch, and per-sample mode once per row step
+    rows = []
+    centre = kernels.centre
+    monkeypatch.setattr(kernels, "centre",
+                        lambda x: rows.append(x.shape[0]) or centre(x))
+    data = regression_dataset(rng)
+    n = data.features.shape[0]
+    cfg = TuneConfig(learning_rate=0.05, epochs=5, patience=5)
+    _, trace = tune(base_for(tune), data, cfg)
+    assert len(trace.epoch_error) == 5
+    assert rows == [n]
+    rows.clear()
+    cfg = TuneConfig(epochs=2, patience=2, batch="per-sample")
+    _, trace = tune(base_for(tune), data, cfg)
+    assert rows == [1] * (n * len(trace.epoch_error))
 
 
 def test_tune_early_stopping(rng):

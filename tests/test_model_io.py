@@ -1,6 +1,7 @@
 """Model-file round trips, structural validation, and the bundled model."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ def test_saved_file_is_stable_json(tmp_path, rng):
     p1, p2 = str(tmp_path / "a.model"), str(tmp_path / "b.model")
     save_model(rb, p1)
     save_model(rb, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    doc = json.loads(open(p1, encoding="utf-8").read())
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    doc = json.loads(Path(p1).read_text(encoding="utf-8"))
     assert doc["format_version"] == FORMAT_VERSION
     assert doc["kind"] == KIND_IT2
 

@@ -1,5 +1,7 @@
 """CSV ingestion, cleaning order, one-hot encoding, correlation pruning."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ def test_save_dataset_deterministic_bytes(tmp_path, rng):
     p1, p2 = str(tmp_path / "x1.csv"), str(tmp_path / "x2.csv")
     save_dataset(ds, p1)
     save_dataset(ds, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_dataset_defaults_to_last_column(tmp_path):
