@@ -1,17 +1,23 @@
 """Timings of the numeric kernels in ``it2fis.kernels``.
 
 Runs each hot kernel on representative shapes (ICU-model sized rule bases,
-tens of thousands of rows) and prints best-of-N wall times.  ``topk_select``
-runs on integer-rounded distances, so ties are common, and its result is
-first checked against a stable ``argsort``; ``--rows 85000`` gives the
-850 x 85,000 shape of a full-size KNN baseline.  The epoch kernels take
-their data as ``kernels.centre`` returns it, and ``centre`` is timed on its
-own line: tuning calls it once per run, not once per epoch.  ``km_batch``
-takes its firings rule-major, (rules, rows).  OpenBLAS runs one thread
-unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH`` the
-best-of-N milliseconds of every kernel, with its shape, go to a JSON file
-together with the core count, the backend, the OpenBLAS thread count and
-the git SHA.
+tens of thousands of rows) and prints, over N timed calls, the best time
+beside the median and the quartiles: on a shared host the best alone moves
+by tens of percent between runs of one tree.  ``topk_select`` runs on one
+KNN chunk as ``evaluation.baseline_knn`` cuts it, ``KNN_BLOCK_CELLS //
+rows`` query rows against all rows, on integer-rounded distances so that
+ties are common; its result is first checked against a stable ``argsort``.
+``--rows 85569`` gives the 49 x 85,569 chunk of a full-size KNN baseline.
+The ``fcm`` line is one ``clustering.fcm`` run at the fixed 2,080 x 35
+shape of a scaled-down cluster-count scan (34 binary columns and one
+continuous), c = 6, with tol=0 and max_iter=50, so it always runs 50
+iterations.  The epoch kernels take their data as ``kernels.centre``
+returns it, and ``centre`` is timed on its own line: tuning calls it once
+per run, not once per epoch.  ``km_batch`` takes its firings rule-major,
+(rules, rows).  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS says
+otherwise.  With ``--json PATH`` the best, quartile and median milliseconds
+of every line, with its shape, go to a JSON file together with the core
+count, the backend, the OpenBLAS thread count and the git SHA.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
     python3 benchmarks/bench_kernels.py --rows 6222 --rules 3 --features 34
@@ -30,17 +36,26 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from bench_scan import git_sha
-from it2fis import kernels
+from it2fis import clustering, kernels
+from it2fis.evaluation import KNN_BLOCK_CELLS
+
+# the fcm line's fixed shape and run
+FCM_ROWS, FCM_BINARY, FCM_CLUSTERS, FCM_ITERS = 2080, 34, 6, 50
 
 
-def best_of(fn, args, repeats):
+def times_of(fn, args, repeats):
+    """Seconds of `repeats` calls of fn(*args), after one warm-up call."""
     fn(*args)  # warm-up: fault pages
-    best = np.inf
-    for _ in range(repeats):
+    times = np.empty(repeats)
+    for i in range(repeats):
         t0 = time.perf_counter()
         fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times[i] = time.perf_counter() - t0
+    return times
+
+
+def fcm_run(X):
+    return clustering.fcm(X, FCM_CLUSTERS, tol=0.0, max_iter=FCM_ITERS)
 
 
 def build_cases(rows, rules, features, seed):
@@ -62,15 +77,19 @@ def build_cases(rows, rules, features, seed):
     xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
     centers = rng.normal(size=(8, features))
     d2 = kernels.sq_distances(centers, xt, xx)
-    n_query = max(rows // 100, 1)
+    n_query = max(1, KNN_BLOCK_CELLS // rows)  # baseline_knn's chunk rows
     queries = rng.normal(size=(n_query, features))
     # rounded to integers so that distances tie, also at the k-th place
     qd2 = np.round(kernels.sq_distances(queries, xt, xx))
     centred = kernels.centre(X)
+    Xc = np.column_stack([rng.random((FCM_ROWS, FCM_BINARY)) < 0.3,
+                          rng.random(FCM_ROWS)]).astype(float)
 
     return [
         ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
         ("fcm_memberships", f"8x{rows} m=2", (d2, 2.0)),
+        ("fcm", f"{FCM_ROWS}x{FCM_BINARY + 1} c={FCM_CLUSTERS} "
+                f"{FCM_ITERS} it", (Xc,)),
         ("log_firing", f"{rows}x{rules}x{features}", (X, means, sig_up)),
         ("km_batch", f"{rules}x{rows}", (lo, up, cents)),
         ("centre", f"{rows}x{features}", (X,)),
@@ -94,21 +113,25 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     cases = build_cases(args.rows, args.rules, args.features, args.seed)
-    header = f"{'kernel':<16} {'shape':<20} {'best':>10}"
+    header = (f"{'kernel':<16} {'shape':<24} {'best':>9} {'q1':>9} "
+              f"{'median':>9} {'q3':>9}")
     print(header)
     print("-" * len(header))
 
     timings = {}
     for name, shape, call_args in cases:
-        fn = getattr(kernels, name)
+        fn = fcm_run if name == "fcm" else getattr(kernels, name)
         if name == "topk_select":  # exact contract: a stable argsort prefix
             d2, k = call_args
             if not np.array_equal(fn(d2, k),
                                   np.argsort(d2, axis=1, kind="stable")[:, :k]):
                 raise SystemExit("topk_select: differs from a stable argsort")
-        t = best_of(fn, call_args, args.repeats)
-        timings[name] = {"shape": shape, "best_ms": t * 1e3}
-        print(f"{name:<16} {shape:<20} {t * 1e3:9.2f}ms")
+        ms = 1e3 * times_of(fn, call_args, args.repeats)
+        q1, med, q3 = np.percentile(ms, [25, 50, 75])
+        timings[name] = {"shape": shape, "best_ms": ms.min(), "q1_ms": q1,
+                         "median_ms": med, "q3_ms": q3}
+        print(f"{name:<16} {shape:<24} {ms.min():7.2f}ms {q1:7.2f}ms "
+              f"{med:7.2f}ms {q3:7.2f}ms")
 
     if args.json:
         result = {

@@ -122,7 +122,7 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
 
     xt, xx = _data_terms(X)
     u = _init_membership(n, c, seed)
-    w = u ** m
+    w = kernels.fuzzy_weights(u, m)
     v = None
     obj_trace, colsum_trace = [], []
     converged = False
@@ -131,10 +131,13 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
         d2 = kernels.sq_distances(v, xt, xx)
         u_new = kernels.fcm_memberships(d2, m)
         # u^m serves this iteration's objective and the next prototypes
-        w = u_new ** m
-        obj_trace.append(float((w * d2).sum()))
+        w = kernels.fuzzy_weights(u_new, m)
+        # d2 and u are dead after their last use here, so the objective's
+        # terms and |u_new - u| are formed in their buffers
+        obj_trace.append(float(np.multiply(w, d2, out=d2).sum()))
         colsum_trace.append(float(np.abs(u_new.sum(axis=0) - 1.0).max()))
-        delta = float(np.abs(u_new - u).max())
+        np.subtract(u_new, u, out=u)
+        delta = float(np.abs(u, out=u).max())
         u = u_new
         if delta < tol:
             converged = True
@@ -185,7 +188,7 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
         )
     global_diag = np.diag(X.var(axis=0))
     covs = np.empty((c, d, d))
-    w = u ** m
+    w = kernels.fuzzy_weights(u, m)
     v = None
     obj_trace, colsum_trace = [], []
     converged = False
@@ -210,9 +213,11 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
             d2[i] = np.einsum("nd,de,ne->n", diff, A, diff)
         np.clip(d2, 0.0, None, out=d2)
         u_new = kernels.fcm_memberships(d2, m)
-        w = u_new ** m
+        w = kernels.fuzzy_weights(u_new, m)
         obj_trace.append(float((w * d2).sum()))
         colsum_trace.append(float(np.abs(u_new.sum(axis=0) - 1.0).max()))
+        # u may be the caller's u0, so unlike in fcm |u_new - u| is not
+        # formed in u's buffer
         delta = float(np.abs(u_new - u).max())
         u = u_new
         if delta < tol:
@@ -244,7 +249,7 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
         raise ValueError(
             f"partition prototypes have {p.V.shape[1]} coordinates but data has {d}"
         )
-    w = p.U ** p.m  # (c, n)
+    w = kernels.fuzzy_weights(p.U, p.m)  # (c, n)
     d2 = kernels.sq_distances(p.V, *_data_terms(X))  # (c, n)
     compact = float((w * d2).sum())
     vbar = p.V.mean(axis=0)

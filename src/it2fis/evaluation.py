@@ -324,7 +324,7 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
         d2 = (-2.0 * T) @ Xtr.T
         d2 += (T * T).sum(axis=1)[:, None]
         d2 += tr_norm
-        np.clip(d2, 0.0, None, out=d2)
+        np.maximum(d2, 0.0, out=d2)
         votes = ytr[kernels.topk_select(d2, k)]  # (rows, k), nearest first
         counts = (votes[:, :, None] == class_ids).sum(axis=1)
         unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1

@@ -55,9 +55,14 @@ def sq_distances(v, xt, xx):
     v is (c, d); xt holds the n points as columns, (d, n) and C-contiguous;
     xx is their squared norms, shape (n,).  xt and xx depend on the data
     only, so FCM computes them once per run, not once per iteration.
+
+    The cross term is (2 v) @ xt, scaled on the (c, d) side rather than the
+    (c, n) product.  Multiplying by 2 only moves the exponent (away from
+    overflow and the subnormal range), so every product and partial sum of
+    the BLAS call is exactly twice that of v @ xt: the result is
+    2 * (v @ xt) bit for bit, at one pass over (c, n) less.
     """
-    g = v @ xt
-    g *= 2.0
+    g = (2.0 * v) @ xt
     d2 = (v * v).sum(axis=1)[:, None] + xx
     d2 -= g
     np.maximum(d2, 0.0, out=d2)
@@ -89,17 +94,28 @@ def fcm_memberships(d2, m):
 
     Columns containing a zero (or overflowing) distance split their mass
     evenly over the offending prototypes.
+
+    The terms d2^(-1/(m-1)) are non-negative, so a column sum is finite
+    only if every term in it is: the (c, n) finiteness mask is built only
+    when some column sum is not.  For m = 2, the default, the terms are
+    np.reciprocal(d2): numpy 2.4 runs a scalar ``**`` through pow, about
+    twice as slow, and both round 1/d2 correctly, so the bits are the same.
     """
-    p = 1.0 / (m - 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = d2 ** (-p)
-        u = inv / inv.sum(axis=0)
-    bad = ~np.isfinite(inv)
-    cols_bad = bad.any(axis=0)
-    if cols_bad.any():
+        inv = np.reciprocal(d2) if m == 2.0 else d2 ** (-1.0 / (m - 1.0))
+        tot = inv.sum(axis=0)
+        bad = None if np.isfinite(tot).all() else ~np.isfinite(inv)
+        u = np.divide(inv, tot, out=inv)
+    if bad is not None:
+        cols_bad = bad.any(axis=0)
         share = bad[:, cols_bad]
         u[:, cols_bad] = share / share.sum(axis=0)
     return u
+
+
+def fuzzy_weights(u, m):
+    """The FCM weights u^m; np.square(u) for m = 2, with the bits of u ** 2."""
+    return np.square(u) if m == 2.0 else u ** m
 
 
 def _fcm_memberships_loops(d2, m):
@@ -508,16 +524,21 @@ def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
 # selects instead of sorting: each row's k-th smallest value bounds a small
 # candidate set (every entry not above it, so ties straddling the k-th place
 # are all kept), and one stable sort of the candidates by (row, distance)
-# restores the exact tie order, since np.nonzero lists each row's columns in
-# ascending order.  NaN is "not above" anything, so a row with fewer than k
-# non-NaN entries still yields k candidates, sorted last as argsort sorts them.
+# restores the exact tie order.  The candidates are found as flat (row-major)
+# indices into d2, which list each row's columns in ascending order as
+# np.nonzero does, at a sixth of the 2-D nonzero's cost; divmod by the row
+# length splits them into row and column, and the flat index also picks the
+# candidates' distances out of d2.ravel().  NaN is "not above" anything, so a
+# row with fewer than k non-NaN entries still yields k candidates, sorted
+# last as argsort sorts them.
 
 
 def topk_select(d2, k):
-    n = d2.shape[0]
+    n, m = d2.shape
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(~(d2 > kth[:, None]))
-    order = np.lexsort((d2[rows, cols], rows))
+    flat = np.flatnonzero(~(d2 > kth[:, None]))
+    rows, cols = np.divmod(flat, m)
+    order = np.lexsort((d2.ravel()[flat], rows))
     start = np.zeros(n, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n)[:-1], out=start[1:])
     return cols[order[start[:, None] + np.arange(k)]].astype(np.int64)

@@ -2,6 +2,7 @@
 GK shape recovery, and the Fukuyama-Sugeno index against brute force."""
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import threading
@@ -168,13 +169,41 @@ def test_loop_kernels_match_numpy_kernels():
                                rtol=1e-12, atol=1e-12)
     d2[2, 4] = 0.0  # cancellation leaves ~1e-16 where the loops give 0
     d2[:, 6] = [0.0, 0.0, 1.5]  # two prototypes share sample 6
+    # a subnormal smallest distance and no zero: d2^(-1/(m-1)) overflows
+    # for m = 2 and 1.5, so only the column sum's finiteness flags sample 7
+    d2 = np.column_stack([d2, [2.0, 5e-324, 0.5]])
     for m in (2.0, 1.5, 3.0):
         u = kernels.fcm_memberships(d2, m)
-        np.testing.assert_allclose(kernels._fcm_memberships_loops(d2, m),
-                                   u, rtol=1e-12, atol=1e-15)
+        with np.errstate(over="ignore"):  # the loops' scalar power at 5e-324
+            ref = kernels._fcm_memberships_loops(d2, m)
+        np.testing.assert_allclose(ref, u, rtol=1e-12, atol=1e-15)
         assert np.array_equal(u[:, 4], [0.0, 0.0, 1.0])
         assert np.array_equal(u[:, 6], [0.5, 0.5, 0.0])
         np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-12)
+    for m in (2.0, 1.5):
+        assert np.array_equal(kernels.fcm_memberships(d2, m)[:, 7],
+                              [0.0, 1.0, 0.0])
+
+
+def test_fcm_memberships_default_fuzziness_is_bitwise_the_power_formula():
+    # for m = 2 the kernel takes np.reciprocal, not ** -1.0, and skips the
+    # finiteness mask when every column sum is finite; neither may move a bit
+    r = np.random.default_rng(12)
+    d2 = 10.0 ** r.uniform(-300.0, 300.0, (5, 20000))
+    d2[r.random(d2.shape) < 1e-3] = 0.0
+    d2[:, :3] = 0.0
+    zero = d2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = d2 ** -1.0
+        ref = inv / inv.sum(axis=0)
+    cols = zero.any(axis=0)
+    ref[:, cols] = zero[:, cols] / zero[:, cols].sum(axis=0)
+    u = kernels.fcm_memberships(d2, 2.0)
+    assert 3 <= cols.sum() < 300
+    assert np.array_equal(u.view(np.int64), ref.view(np.int64))
+    w = r.random((6, 5000))
+    assert np.array_equal(kernels.fuzzy_weights(w, 2.0).view(np.int64),
+                          (w ** 2.0).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +347,21 @@ def test_select_cluster_count_is_pinned():
                                           for s in (0, 1, 2)]
     assert {c: tuple(r[2] for r in scan.runs if r[0] == c)
             for c in scan.candidates} == n_iter
+
+
+def test_select_cluster_count_runs_are_pinned_bit_for_bit():
+    # seeds that converge to one partition differ in objective by rounding
+    # only, so a rounding change inside FCM can flip `best_seeds` while the
+    # selected count stays: pin every run's objective and index to the bit
+    rng = np.random.default_rng(7)
+    group = rng.integers(0, 3, 150)
+    X = np.column_stack([rng.random((150, 6)) < rng.random((3, 6))[group],
+                         rng.random(150)]).astype(float)
+    scan = select_cluster_count(X, c_max=5, seeds=(0, 1, 2))
+    text = "\n".join(f"{c} {s} {n_iter} {converged} {obj.hex()} {idx.hex()}"
+                     for c, s, n_iter, converged, obj, idx in scan.runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f25bfeb231381538111f7c45b59c8bce31275fea242f5f58be3d92ae40958f6b")
 
 
 def _affinity(monkeypatch, cpus):
