@@ -14,10 +14,16 @@ continuous), c = 6, with tol=0 and max_iter=50, so it always runs 50
 iterations.  The epoch kernels take their data as ``kernels.centre``
 returns it, and ``centre`` is timed on its own line: tuning calls it once
 per run, not once per epoch.  ``km_batch`` takes its firings rule-major,
-(rules, rows).  OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS says
-otherwise.  With ``--json PATH`` the best, quartile and median milliseconds
-of every line, with its shape, go to a JSON file together with the core
-count, the backend, the OpenBLAS thread count and the git SHA.
+(rules, rows); the ``km_batch_col`` line times it on one column at a time,
+``{rules}x1``, walking through --calls columns, as single-row ``predict``
+calls it.  The ``predict_row`` line times ``inference.predict`` on the
+bundled model, one call per row of --calls rows drawn around its rules.
+Every line times single calls: N = --repeats calls for the full-size
+kernels, N = --calls for the two one-column lines.  OpenBLAS runs one
+thread unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH``
+the best, quartile and median milliseconds of every line, with its shape,
+go to a JSON file together with the core count, the backend, the OpenBLAS
+thread count and the git SHA.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
     python3 benchmarks/bench_kernels.py --rows 6222 --rules 3 --features 34
@@ -36,18 +42,18 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from bench_scan import git_sha
-from it2fis import clustering, kernels
+from it2fis import clustering, inference, kernels, load_bundled_model
 from it2fis.evaluation import KNN_BLOCK_CELLS
 
 # the fcm line's fixed shape and run
 FCM_ROWS, FCM_BINARY, FCM_CLUSTERS, FCM_ITERS = 2080, 34, 6, 50
 
 
-def times_of(fn, args, repeats):
-    """Seconds of `repeats` calls of fn(*args), after one warm-up call."""
-    fn(*args)  # warm-up: fault pages
-    times = np.empty(repeats)
-    for i in range(repeats):
+def times_of(fn, calls):
+    """Seconds of each call fn(*args), args in `calls`, after one warm-up call."""
+    fn(*calls[0])  # warm-up: fault pages
+    times = np.empty(len(calls))
+    for i, args in enumerate(calls):
         t0 = time.perf_counter()
         fn(*args)
         times[i] = time.perf_counter() - t0
@@ -58,7 +64,8 @@ def fcm_run(X):
     return clustering.fcm(X, FCM_CLUSTERS, tol=0.0, max_iter=FCM_ITERS)
 
 
-def build_cases(rows, rules, features, seed):
+def build_cases(rows, rules, features, seed, repeats, calls):
+    """(name, shape, function, argument tuples: one per timed call)."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(rows, features))
     means = rng.normal(size=(rules, features))
@@ -85,7 +92,17 @@ def build_cases(rows, rules, features, seed):
     Xc = np.column_stack([rng.random((FCM_ROWS, FCM_BINARY)) < 0.3,
                           rng.random(FCM_ROWS)]).astype(float)
 
-    return [
+    # one column per call, contiguous (rules, 1) as predict passes it
+    columns = [(np.ascontiguousarray(lo[:, j:j + 1]),
+                np.ascontiguousarray(up[:, j:j + 1]), cents)
+               for j in rng.integers(0, rows, calls)]
+    # serving rows around the bundled model's rules, so that they fire
+    rb = load_bundled_model()
+    near = rng.integers(0, rb.n_rules, calls)
+    served = rb.means[near] + rng.normal(size=(calls, rb.n_features)) \
+        * rb.sigma_upper[near]
+
+    cases = [
         ("sq_distances", f"8 vs {features}x{rows}", (centers, xt, xx)),
         ("fcm_memberships", f"8x{rows} m=2", (d2, 2.0)),
         ("fcm", f"{FCM_ROWS}x{FCM_BINARY + 1} c={FCM_CLUSTERS} "
@@ -99,6 +116,13 @@ def build_cases(rows, rules, features, seed):
          (centred, y, means, sig_lo, sig_up, cons, order)),
         ("topk_select", f"{n_query}x{rows} k=5", (qd2, 5)),
     ]
+    cases = [(name, shape, fcm_run if name == "fcm" else getattr(kernels, name),
+              [args] * repeats) for name, shape, args in cases]
+    return cases + [
+        ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
+        ("predict_row", f"bundled {rb.n_rules}x{rb.n_features}",
+         inference.predict, [(rb, x) for x in served]),
+    ]
 
 
 def main(argv=None):
@@ -107,31 +131,33 @@ def main(argv=None):
     ap.add_argument("--rules", type=int, default=5)
     ap.add_argument("--features", type=int, default=27)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--calls", type=int, default=2000,
+                    help="timed calls of the one-column lines")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", metavar="PATH",
                     help="also write the timings to this JSON file")
     args = ap.parse_args(argv)
 
-    cases = build_cases(args.rows, args.rules, args.features, args.seed)
-    header = (f"{'kernel':<16} {'shape':<24} {'best':>9} {'q1':>9} "
-              f"{'median':>9} {'q3':>9}")
+    cases = build_cases(args.rows, args.rules, args.features, args.seed,
+                        args.repeats, args.calls)
+    header = (f"{'kernel':<16} {'shape':<24} {'best':>10} {'q1':>10} "
+              f"{'median':>10} {'q3':>10}")
     print(header)
     print("-" * len(header))
 
     timings = {}
-    for name, shape, call_args in cases:
-        fn = fcm_run if name == "fcm" else getattr(kernels, name)
+    for name, shape, fn, calls in cases:
         if name == "topk_select":  # exact contract: a stable argsort prefix
-            d2, k = call_args
+            d2, k = calls[0]
             if not np.array_equal(fn(d2, k),
                                   np.argsort(d2, axis=1, kind="stable")[:, :k]):
                 raise SystemExit("topk_select: differs from a stable argsort")
-        ms = 1e3 * times_of(fn, call_args, args.repeats)
+        ms = 1e3 * times_of(fn, calls)
         q1, med, q3 = np.percentile(ms, [25, 50, 75])
         timings[name] = {"shape": shape, "best_ms": ms.min(), "q1_ms": q1,
                          "median_ms": med, "q3_ms": q3}
-        print(f"{name:<16} {shape:<24} {ms.min():7.2f}ms {q1:7.2f}ms "
-              f"{med:7.2f}ms {q3:7.2f}ms")
+        print(f"{name:<16} {shape:<24} {ms.min():8.3f}ms {q1:8.3f}ms "
+              f"{med:8.3f}ms {q3:8.3f}ms")
 
     if args.json:
         result = {
@@ -140,6 +166,7 @@ def main(argv=None):
             "rules": args.rules,
             "features": args.features,
             "repeats": args.repeats,
+            "calls": args.calls,
             "seed": args.seed,
             "kernels": timings,
             "cores": len(os.sched_getaffinity(0)),

@@ -89,11 +89,13 @@ def _check_input(rb: RuleBase, x) -> np.ndarray:
 
 
 def _log_fire(x, means, sigmas):
-    # log of the product-t-norm firing: -1/2 sum_f ((x_f - m)/sigma)^2;
-    # an overflowing square is deliberate (it marks the sample uncovered)
+    # log of the product-t-norm firing: -1/2 sum_f ((x_f - m)/sigma)^2,
+    # one sum per rule (sigmas may stack several (rules, features) matrices;
+    # each row is summed alone, so stacking changes no bit); an overflowing
+    # square is deliberate (it marks the sample uncovered)
     with np.errstate(over="ignore"):
         z = (x[None, :] - means) / sigmas
-        return -0.5 * (z * z).sum(axis=1)
+        return -0.5 * (z * z).sum(axis=-1)
 
 
 def fire_t1(rb: RuleBase, x) -> np.ndarray:
@@ -137,7 +139,10 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
 
     `firings` may be a sequence of FiringInterval or an (n, 2) array of
     [lower, upper] rows.  Raises NoCoverageError when every upper firing is
-    zero (the ratio is undefined: no rule fires).
+    zero (the ratio is undefined: no rule fires).  This is the validating
+    entry for firings from outside the engine (set centroids, API callers);
+    `predict` builds its firings to satisfy these checks and calls the
+    kernel itself.
     """
     fir = _as_firing_array(firings)
     cents = np.asarray(centroids, dtype=float).ravel()
@@ -254,35 +259,49 @@ def _mamdani_crisp(rb: RuleBase, w: np.ndarray) -> float:
 def predict(rb: RuleBase, x, threshold=None) -> Prediction:
     """Classify one input vector.
 
-    IT2 path: firing intervals -> km_reduce over consequent means -> interval
-    midpoint.  T1 path: the same center-of-sets ratio with degenerate
-    intervals, or a defuzzified Mamdani aggregate curve when the rule base's
-    inference config selects aggregation="mamdani".  Label is the high class
-    exactly when crisp >= threshold.  When no rule fires (vanishing firing
-    after underflow) the prediction falls back to the majority training class
-    (the low label) with flagged=True and a NaN crisp score.  A nan or inf
-    feature raises DataError instead.
+    IT2 path: firing intervals -> Karnik-Mendel reduction over consequent
+    means -> interval midpoint.  T1 path: the same center-of-sets ratio with
+    degenerate intervals, or a defuzzified Mamdani aggregate curve when the
+    rule base's inference config selects aggregation="mamdani".  Label is the
+    high class exactly when crisp >= threshold.  When no rule fires
+    (vanishing firing after underflow) the prediction falls back to the
+    majority training class (the low label) with flagged=True and a NaN crisp
+    score.  A nan or inf feature raises DataError instead.
+
+    The lower and upper log firings come from one pass over the stacked
+    sigma matrices and are shifted by the upper maximum, so the upper firings
+    peak at exactly 1.  The reduction calls ``kernels.km_batch`` on one
+    column directly: ``km_reduce``'s checks (finite firings, 0 <= lower <=
+    upper, some upper firing positive) hold here by construction, and its
+    result is the same bit for bit.
     """
     x = _check_input(rb, x)
     thr = _resolve_threshold(rb, threshold)
 
-    logu = _log_fire(x, rb.means, rb.sigma_upper)
-    shift = logu.max()
+    it2 = rb.kind == KIND_IT2
+    if it2:  # lower over upper
+        sig = np.concatenate((rb.sigma_lower, rb.sigma_upper))
+        sig = sig.reshape(2, rb.n_rules, rb.n_features)
+    else:
+        sig = rb.sigma_upper[None]
+    logf = _log_fire(x, rb.means, sig)
+    shift = logf[-1].max()
     if not np.isfinite(shift):
         return _fallback(rb, thr)
-    up = np.exp(logu - shift)
+    fir = np.exp(logf - shift)
 
-    if rb.kind == KIND_IT2:
-        lo = np.exp(_log_fire(x, rb.means, rb.sigma_lower) - shift)
-        tri = km_reduce(np.column_stack([lo, up]), rb.cons_mean)
-    elif rb.inference.aggregation == "mamdani":
-        crisp = _mamdani_crisp(rb, up)
+    if not it2 and rb.inference.aggregation == "mamdani":
+        crisp = _mamdani_crisp(rb, fir[0])
         label = rb.label_high if crisp >= thr else rb.label_low
         return Prediction(crisp=crisp, label=label, threshold=thr,
                           interval=None, flagged=False)
-    else:
-        tri = km_reduce(np.column_stack([up, up]), rb.cons_mean)
 
+    order = np.argsort(rb.cons_mean, kind="stable")
+    fir = fir[:, order, None]
+    y_l, y_r, k_l, k_r = kernels.km_batch(fir[0], fir[-1], rb.cons_mean[order])
+    y_l, y_r = float(y_l[0]), float(y_r[0])
+    tri = TypeReducedInterval(y_l=y_l, y_r=y_r, crisp=0.5 * (y_l + y_r),
+                              switch_points=(int(k_l[0]), int(k_r[0])))
     label = rb.label_high if tri.crisp >= thr else rb.label_low
     return Prediction(crisp=tri.crisp, label=label, threshold=thr,
                       interval=tri, flagged=False)

@@ -170,43 +170,92 @@ def log_firing(x, means, sigmas):
 # (first k rules take one bound, the rest take the other) and picks the
 # extremal one; the extremum of the linear-fractional objective over the
 # firing box sits at such a split.
+#
+# With prefix sums pre[k] = a[:k].sum() and suffix sums suf[k] = a[k:].sum()
+# of the four planes up*c, up, lo*c and lo, the left ratio at split k is
+# (pre(up c) + suf(lo c)) / (pre(up) + suf(lo)), and the right one the same
+# with lo and up swapped.  The planes are stacked (kind, side, rule,
+# column), kind 0 the weighted plane w*c and 1 the weight w, side 0 up and
+# 1 lo, so each product w*c is formed once and every prefix or suffix step
+# adds all four planes in one call.  The suffixes are summed with the sides
+# swapped, so one addition pre + suf gives num_l, den_l, num_r and den_r;
+# the prefixes are summed in place of the planes, and the ratios in place
+# of the numerators, so a call holds two arrays of the planes' size.
+# The suffixes are summed from the bottom, not as total - prefix: the
+# difference of two near-equal totals can wipe out a small suffix entirely
+# (a lone 1e-9 weight against O(1) ones), pushing the candidate ratio
+# outside the centroid hull.  Every sum runs rule by rule in the order of
+# np.cumsum, so each element sees the same additions whichever way the
+# steps are batched: a few columns take one accumulate along the rules (a
+# length-n_rules inner loop per column, cheap when the columns are few);
+# more take one row addition per rule.  Wide inputs go in equal blocks of
+# at most _KM_BLOCK_CELLS // (n_rules + 1) columns, so that a block's
+# planes and sums stay in cache.
+#
+# The left and right ratios of a collapsed interval (every firing rule at
+# one centroid) are sums over different splits and may round one ulp
+# apart in either direction, so the pair is returned ordered: y_l <= y_r.
+# An uncovered column (no positive weight) keeps y_l = inf, y_r = -inf.
+
+_KM_BLOCK_CELLS = 32768  # (rules + 1) x columns of one block's sums
+_KM_ACCUMULATE = 32  # at most this many columns take the accumulate path
+_KM_EMPTY = np.array([np.inf, -np.inf])[:, None, None]  # ratios at den = 0
 
 
 def km_batch(lo, up, cents):
-    lo = np.where(lo < TINY, 0.0, lo)
-    up = np.where(up < TINY, 0.0, up)
     d, n = lo.shape
-    c = cents[:, None]
+    blocks = -(-n // max(1, _KM_BLOCK_CELLS // (d + 1)))
+    if blocks <= 1:
+        return _km_columns(lo, up, cents)
+    m = -(-n // blocks)  # equal blocks, the last one shorter by < blocks
+    yl, yr = np.empty(n), np.empty(n)
+    kl, kr = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for j in range(0, n, m):
+        b = slice(j, j + m)
+        yl[b], yr[b], kl[b], kr[b] = _km_columns(lo[:, b], up[:, b], cents)
+    return yl, yr, kl, kr
 
-    def prefix(a):  # pre[k] = a[:k].sum(axis=0)
-        # one row addition at a time, in the order of np.cumsum: a cumsum
-        # along axis 0 would run a length-d inner loop per column
-        pre = np.zeros((d + 1, n))
-        pre[1] = a[0]
+
+def _km_columns(lo, up, cents):
+    d, n = lo.shape
+    planes = np.empty((2, 2, d, n))
+    w = planes[1]
+    np.concatenate((up, lo), out=w.reshape(2 * d, n))
+    np.copyto(w, 0.0, where=w < TINY)
+    np.multiply(w, cents[:, None], out=planes[0])
+
+    # suffix sums, sides swapped; then prefix sums in place of the planes,
+    # planes[:, :, k] becoming pre[k + 1]
+    sums = np.empty((2, 2, d + 1, n))
+    sums[:, :, d] = 0.0
+    swapped = planes[:, ::-1]
+    if n <= _KM_ACCUMULATE:
+        np.add.accumulate(swapped[:, :, ::-1], axis=2,
+                          out=sums[:, :, d - 1::-1])
+        np.add.accumulate(planes, axis=2, out=planes)
+    else:
+        sums[:, :, d - 1] = swapped[:, :, d - 1]
+        for k in range(d - 2, -1, -1):
+            np.add(sums[:, :, k + 1], swapped[:, :, k], out=sums[:, :, k])
         for k in range(1, d):
-            np.add(pre[k], a[k], out=pre[k + 1])
-        return pre
-
-    def suffix(a):  # suf[k] = a[k:].sum(axis=0)
-        # summed from the bottom rather than as total - prefix: the
-        # difference of two near-equal totals can wipe out a small
-        # suffix entirely (a lone 1e-9 weight against O(1) ones),
-        # pushing the candidate ratio outside the centroid hull
-        return prefix(a[::-1])[::-1]
-
-    num_l = prefix(up * c) + suffix(lo * c)
-    den_l = prefix(up) + suffix(lo)
-    num_r = prefix(lo * c) + suffix(up * c)
-    den_r = prefix(lo) + suffix(up)
+            np.add(planes[:, :, k - 1], planes[:, :, k], out=planes[:, :, k])
+    np.add(sums[:, :, 0], 0.0, out=sums[:, :, 0])  # pre[0] = 0 (-0.0 -> 0.0)
+    np.add(sums[:, :, 1:], planes, out=sums[:, :, 1:])
+    num, den = sums
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        rat_l = np.where(den_l > 0.0, num_l / den_l, np.inf)
-        rat_r = np.where(den_r > 0.0, num_r / den_r, -np.inf)
-    kl = np.argmin(rat_l, axis=0)
-    kr = np.argmax(rat_r, axis=0)
-    yl = rat_l[kl, np.arange(n)]
-    yr = rat_r[kr, np.arange(n)]
-    return yl, yr, kl.astype(np.int64), kr.astype(np.int64)
+        rat = np.divide(num, den, out=num)
+    np.copyto(rat, _KM_EMPTY, where=~(den > 0.0))
+    kl = rat[0].argmin(axis=0)
+    kr = rat[1].argmax(axis=0)
+    cols = np.arange(n)
+    yl = rat[0, kl, cols]
+    yr = rat[1, kr, cols]
+    flip = yl > yr
+    if flip.any():
+        flip &= yr > -np.inf  # an uncovered column keeps (inf, -inf)
+        yl[flip], yr[flip] = yr[flip], yl[flip]
+    return yl, yr, kl, kr
 
 
 # it2_epoch's own reference: a wrapper put on the public name (the

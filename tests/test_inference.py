@@ -1,12 +1,13 @@
 """Inference engine: KM type reduction against a vertex-enumeration oracle,
 defuzzification, prediction paths, and the no-coverage fallback."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
-from it2fis import kernels
+from it2fis import kernels, load_bundled_model
 from it2fis.errors import DataError, NoCoverageError
 from it2fis.inference import (FiringInterval, Prediction, defuzzify_t1,
                               fire_it2, fire_t1, km_reduce, predict,
@@ -86,6 +87,54 @@ def test_km_batch_columns_match_vertex_oracle_and_km_reduce(rng, d):
         assert np.float64(tri.y_l).tobytes() == yl[j].tobytes()
         assert np.float64(tri.y_r).tobytes() == yr[j].tobytes()
         assert tri.switch_points == (kl[j], kr[j])
+
+
+def km_battery():
+    """Seeded km_batch inputs, (lo, up, cents) in ascending-centroid order.
+
+    One column and 2,000 columns (and two inputs wide enough to be cut in
+    blocks) of firings with zero, sub-normal and degenerate (lower == upper)
+    entries and uncovered columns, under spread, tied, equal and negative
+    centroids.
+    """
+    rng = np.random.default_rng(20)
+    shapes = [(d, n) for d in (1, 2, 3, 5, 8) for n in (1, 2000)]
+    for d, n in shapes + [(3, 9000), (8, 4100)]:
+        for kind in ("spread", "tied", "equal", "negative"):
+            cents = {"spread": rng.uniform(-5.0, 5.0, d),
+                     "tied": np.round(rng.uniform(-2.0, 2.0, d)),
+                     "equal": np.full(d, rng.uniform(-5.0, 5.0)),
+                     "negative": rng.uniform(-3.0, -1.0, d)}[kind]
+            up = rng.uniform(0.0, 1.0, (d, n))
+            lo = up * rng.uniform(0.0, 1.0, (d, n))
+            cell = rng.integers(0, 6, (d, n))
+            up[cell == 0] = lo[cell == 0] = 0.0
+            lo[cell == 1] = 0.0
+            lo[cell == 2] *= 1e-310  # below TINY
+            up[cell == 3] *= 1e-310
+            lo[cell == 3] = 0.0
+            lo[cell == 4] = up[cell == 4]
+            uncovered = rng.random(n) < 0.05
+            up[:, uncovered] = lo[:, uncovered] = 0.0
+            yield lo, up, np.sort(cents)
+
+
+def test_km_batch_is_pinned_bit_for_bit():
+    # the digest was recorded before km_batch's stacked rewrite, with the
+    # 11 of 92,420 columns whose collapsed interval came out with y_l one ulp
+    # above y_r put in (min, max) order: the one change that rewrite made
+    lines = []
+    for lo, up, cents in km_battery():
+        yl, yr, kl, kr = kernels.km_batch(lo, up, cents)
+        assert yl.shape == yr.shape == kl.shape == kr.shape == (lo.shape[1],)
+        assert kl.dtype == kr.dtype == np.int64
+        covered = np.isfinite(yl)
+        assert (yl[covered] <= yr[covered]).all()
+        assert (yl[~covered] == np.inf).all() and (yr[~covered] == -np.inf).all()
+        lines += [f"{a.hex()} {b.hex()} {i} {j}"
+                  for a, b, i, j in zip(yl.tolist(), yr.tolist(), kl, kr)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "694720898a696fb2ccc19f94e62b2a407307f32053d24db37e410440dde7fbe4")
 
 
 def test_km_reduce_interval_properties(rng):
@@ -364,6 +413,52 @@ def test_predict_underflow_rescued_by_normalization(rng):
     p = predict(rb, [0.4])
     assert not p.flagged
     assert p.crisp == pytest.approx(1.0, abs=1e-6)  # rule 1 dominates
+
+
+def test_predict_equal_consequent_means_keep_the_interval_ordered():
+    # every rule shares one centroid, so y_l and y_r are the same value
+    # reached through different sums; before km_batch ordered its pair,
+    # one of these rows came out with y_l an ulp above y_r and predict
+    # raised ValueError
+    c = float.fromhex("0x1.f88779a167b2cp+2")
+    rng = np.random.default_rng(24)
+    means = rng.uniform(-2.0, 2.0, (4, 2))
+    su = rng.uniform(0.5, 2.0, (4, 2))
+    rb = it2_rule_base(means, 0.3 * su, su, np.full(4, c), np.full(4, 0.3),
+                       np.full(4, 0.4))
+    for x in 3.0 * rng.normal(size=(50, 2)):
+        p = predict(rb, x)
+        assert p.interval.y_l <= p.crisp <= p.interval.y_r
+        assert abs(p.crisp - c) <= 4 * np.spacing(c)
+
+
+def predict_battery():
+    """200 seeded rows: the bundled model, a random type-1 base and a random
+    type-2 one, each with rows whose firing products underflow (rescued by
+    the shift) and rows whose squares overflow (flagged)."""
+    rng = np.random.default_rng(21)
+    bundled = load_bundled_model()
+    t1 = random_t1_base(rng, n_rules=5, n_features=4)
+    it2 = random_it2_base(rng, n_rules=6, n_features=3)
+    for rb, rows in ((bundled, 100), (t1, 60), (it2, 40)):
+        X = rng.normal(0.5, 1.0, (rows, rb.n_features))
+        X[rows // 2:] *= 40.0  # products far below the smallest double
+        X[-rows // 10:] = 1e170  # every square overflows
+        for x in X:
+            yield rb, x
+
+
+def test_predict_is_pinned_bit_for_bit():
+    lines = []
+    for rb, x in predict_battery():
+        p = predict(rb, x)
+        iv = p.interval
+        tri = "none" if iv is None else (
+            f"{iv.y_l.hex()} {iv.y_r.hex()} {iv.switch_points}")
+        lines.append(f"{p.crisp.hex()} {tri} {p.label} {p.flagged}")
+    assert sum(line.endswith("True") for line in lines) == 20
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4c40ac8beea654f56b7f64ea52ac784ef3294b70bf221cf4029c8cc53e2ed5e6")
 
 
 def test_predict_batch_matches_single(rng):

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from it2fis.clustering import fcm
@@ -41,9 +41,18 @@ def test_km_interval_lies_inside_centroid_range(case):
     assert tri.crisp == pytest.approx(0.5 * (tri.y_l + tri.y_r))
 
 
+# every rule at one centroid: y_l and y_r come from different sums and once
+# rounded an ulp apart the wrong way, so km_reduce raised
+_EQUAL_CENTROIDS = (
+    np.column_stack([np.zeros(4), [float.fromhex(h) for h in (
+        "0x0p+0", "0x1.25p-1", "0x1.b6288b3da0c0ap-2", "0x1.8p-4")]]),
+    np.full(4, float.fromhex("0x1.f88779a167b2cp+2")))
+
+
 @given(km_instances(),
        st.floats(0.1, 10.0, allow_nan=False),
        st.floats(-20.0, 20.0, allow_nan=False))
+@example(_EQUAL_CENTROIDS, 1.0, 0.0)
 def test_km_affine_equivariance(case, scale, offset):
     firing, cents = case
     a = km_reduce(firing, cents)
