@@ -2,14 +2,14 @@
 
 Builds a seeded joint matrix shaped like the scan input of the benchmark's
 `pipeline` train sets (2,080 rows: unscaled age, 28 flags coded 1/2, 5 rare
-0/1 sentinel columns and the 1/2 label; about 7,000 FCM iterations in all,
-as there), then times `select_cluster_count` with the default grid
-(c = 2..10, 5 seeds) twice per repeat: once on every CPU the process may
-use, and once after pinning this process to a single CPU with
-`os.sched_setaffinity` (Linux only), which makes the scan run in-process.  The two
-`ValidityScan`s must be equal, run records included.  Best-of-N seconds,
-the CPU count, the kernel backend, the workers' peak RSS and the git SHA go
-to `BENCH_scan.json`.  OpenBLAS runs one thread unless
+0/1 sentinel columns and the 1/2 label; about 2,900 FCM iterations in 18
+runs, as there), then times `select_cluster_count` with the default grid
+(c = 2..10, at most 5 seeds per count) twice per repeat: once on every CPU
+the process may use, and once after pinning this process to a single CPU
+with `os.sched_setaffinity` (Linux only), which makes the scan run
+in-process.  The two `ValidityScan`s must be equal, run records included.
+Best-of-N seconds, the CPU count, the kernel backend, the workers' peak RSS
+and the git SHA go to `BENCH_scan.json`.  OpenBLAS runs one thread unless
 `OPENBLAS_NUM_THREADS` says otherwise.
 
     PYTHONPATH=src python3 benchmarks/bench_scan.py --repeats 3

@@ -48,8 +48,10 @@ class ValidityScan:
     """Result of a cluster-count scan.
 
     `runs` holds one (c, seed, n_iter, converged, objective, index) tuple per
-    FCM run, in (c, seed) order; `workers` is the number of processes that
-    ran them, which does not take part in comparisons.
+    FCM run that actually ran, in (c, seed) order.  A count stops at the
+    first run that agrees with its best so far, so the number of runs varies
+    from count to count.  `workers` is the number of processes that ran
+    them, which does not take part in comparisons.
     """
 
     candidates: tuple
@@ -258,20 +260,38 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
     return compact - separate
 
 
-def _scan_run(X, m, tol, max_iter, task):
-    """One (c, seed) run of the scan: FCM and the Fukuyama-Sugeno index.
+# Two FCM runs whose objectives differ by at most this share of the best one
+# have reached the same partition: seeds that converge together differ only
+# by rounding, about 1e-14 relative.
+AGREE_RTOL = 1e-6
 
-    Returns (n_iter, converged, objective, index), scalars only, so no
-    membership matrix crosses a pipe.
+
+def _scan_count(X, m, tol, max_iter, seeds, c):
+    """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
+
+    Runs the seeds in order and stops at the first run whose objective
+    agrees with the best so far to AGREE_RTOL; that run is recorded but the
+    best stays, so agreeing runs go to the earlier seed.  A run lower by
+    more than that becomes the best.  Returns the runs made, as (c, seed,
+    n_iter, converged, objective, index) tuples, and the best of them:
+    scalars only, so no membership matrix crosses a pipe.
     """
-    c, seed = task
-    part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
-    return part.n_iter, part.converged, part.objective, fukuyama_index(X, part)
+    runs, best = [], None
+    for seed in seeds:
+        part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
+        run = (c, seed, part.n_iter, part.converged, part.objective,
+               fukuyama_index(X, part))
+        runs.append(run)
+        if best is None or run[4] < best[4] - AGREE_RTOL * abs(best[4]):
+            best = run
+        elif abs(run[4] - best[4]) <= AGREE_RTOL * abs(best[4]):
+            break
+    return tuple(runs), best
 
 
-# (X, m, tol, max_iter) of a pool worker's scan, set only inside the forked
-# workers by the pool's initializer; `fork` hands the initializer's arguments
-# down without pickling, so X is not pickled with every task.
+# (X, m, tol, max_iter, seeds) of a pool worker's scan, set only inside the
+# forked workers by the pool's initializer; `fork` hands the initializer's
+# arguments down without pickling, so X is not pickled with every task.
 _worker_scan = None
 
 
@@ -280,12 +300,12 @@ def _init_worker(*scan):
     _worker_scan = scan
 
 
-def _worker_run(task):
-    return _scan_run(*_worker_scan, task)
+def _worker_count(c):
+    return _scan_count(*_worker_scan, c)
 
 
-def _scan_workers(n_runs: int) -> int:
-    """One worker per CPU this process may run on, at most one per run.
+def _scan_workers(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, at most one per task.
 
     A forked child gets only the forking thread, so a lock another thread
     holds at the fork stays locked in it: with other threads running, or
@@ -298,22 +318,25 @@ def _scan_workers(n_runs: int) -> int:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, n_runs))
+    return max(1, min(cpus, n_tasks))
 
 
 def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
                          tol=1e-6, max_iter=300) -> ValidityScan:
     """Pick the cluster count in [2, c_max] minimizing the Fukuyama index.
 
-    Each candidate count runs FCM once per seed and keeps the lowest-objective
-    run (the first seed on ties) before scoring; ties on the index go to the
+    Each candidate count runs FCM from the seeds in order until a run's
+    objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
+    out, and scores its lowest-objective run, the earlier seed among runs
+    that agree.  So `seeds` bounds the runs per count, and a count makes
+    at least two unless only one seed is given.  Ties on the index go to the
     smallest count.
 
-    The (count, seed) runs are independent, so they are spread over one
-    forked worker per CPU the process may use (`taskset` limits that set);
-    with one CPU, one run, other threads running or no `fork` start method
-    they run in-process.  Every run is seeded on its own, so the result is
-    the same either way.
+    The counts are independent, so they are spread over one forked worker
+    per CPU the process may use (`taskset` limits that set); with one CPU,
+    one count, other threads running or no `fork` start method they run
+    in-process.  Every run is seeded on its own, so the result is the same
+    either way.
     """
     X = _as_data(X)
     if c_max < 2:
@@ -327,11 +350,11 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     candidates = tuple(range(2, c_max + 1))
     # largest counts run longest, so they start first and no worker is left
     # with a long run at the end
-    tasks = [(c, s) for c in reversed(candidates) for s in seeds]
+    tasks = candidates[::-1]
     workers = _scan_workers(len(tasks))
     if workers == 1:
-        results = list(map(functools.partial(_scan_run, X, m, tol, max_iter),
-                           tasks))
+        results = list(map(
+            functools.partial(_scan_count, X, m, tol, max_iter, seeds), tasks))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -339,23 +362,19 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
         # a killed worker raises BrokenProcessPool here instead of hanging
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(X, m, tol, max_iter))
+            initializer=_init_worker, initargs=(X, m, tol, max_iter, seeds))
         try:
-            results = list(pool.map(_worker_run, tasks))
+            results = list(pool.map(_worker_count, tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     done = dict(zip(tasks, results))
 
-    runs = tuple((c, s) + done[c, s] for c in candidates for s in seeds)
-    values, best_seeds = [], []
-    for c in candidates:
-        # min keeps the first of equal objectives, i.e. the earliest seed
-        best = min((r for r in runs if r[0] == c), key=lambda r: r[4])
-        values.append(best[5])
-        best_seeds.append(best[1])
+    runs = tuple(r for c in candidates for r in done[c][0])
+    best = [done[c][1] for c in candidates]
+    values = tuple(b[5] for b in best)
     selected = candidates[int(np.argmin(values))]
     return ValidityScan(
-        candidates=candidates, values=tuple(values),
-        selected=selected, best_seeds=tuple(best_seeds),
+        candidates=candidates, values=values,
+        selected=selected, best_seeds=tuple(b[1] for b in best),
         runs=runs, workers=workers,
     )

@@ -331,28 +331,33 @@ def test_fukuyama_index_validation(rng):
 
 def test_select_cluster_count_is_pinned():
     # a rewrite of the FCM iteration may move U by rounding, but must keep
-    # the selected count, the best seeds and every run's iteration count
+    # the selected count, the best seeds, the seeds each count runs and
+    # every run's iteration count
     rng = np.random.default_rng(2024)
     X = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(3, 1, (30, 3)),
                    rng.uniform(-2, 5, (20, 3))])
     scan = select_cluster_count(X, c_max=5, seeds=(0, 1, 2))
     assert scan.selected == 5
-    assert scan.best_seeds == (0, 1, 2, 0)
-    n_iter = {c: tuple(fcm(X, c, seed=s).n_iter for s in (0, 1, 2))
-              for c in scan.candidates}
-    assert n_iter == {2: (15, 14, 15), 3: (50, 38, 51), 4: (167, 180, 123),
-                      5: (105, 106, 100)}
-    # the scan's own run record gives the same counts, in (c, seed) order
+    assert scan.best_seeds == (0, 0, 0, 0)
+    # each count runs a prefix of the seeds, in (c, seed) order: at c = 4
+    # seed 1 ends elsewhere, and seed 2 agrees with seed 0
+    runs = {2: (0, 1), 3: (0, 1), 4: (0, 1, 2), 5: (0, 1)}
     assert [r[:2] for r in scan.runs] == [(c, s) for c in scan.candidates
-                                          for s in (0, 1, 2)]
+                                          for s in runs[c]]
+    n_iter = {c: tuple(fcm(X, c, seed=s).n_iter for s in runs[c])
+              for c in scan.candidates}
+    assert n_iter == {2: (15, 14), 3: (50, 38), 4: (167, 180, 123),
+                      5: (105, 106)}
+    # the scan's own run record gives the same counts
     assert {c: tuple(r[2] for r in scan.runs if r[0] == c)
             for c in scan.candidates} == n_iter
 
 
 def test_select_cluster_count_runs_are_pinned_bit_for_bit():
     # seeds that converge to one partition differ in objective by rounding
-    # only, so a rounding change inside FCM can flip `best_seeds` while the
-    # selected count stays: pin every run's objective and index to the bit
+    # only, so a rounding change inside FCM can move the Fukuyama values
+    # while the selected count stays: pin every recorded run's objective and
+    # index to the bit
     rng = np.random.default_rng(7)
     group = rng.integers(0, 3, 150)
     X = np.column_stack([rng.random((150, 6)) < rng.random((3, 6))[group],
@@ -361,7 +366,7 @@ def test_select_cluster_count_runs_are_pinned_bit_for_bit():
     text = "\n".join(f"{c} {s} {n_iter} {converged} {obj.hex()} {idx.hex()}"
                      for c, s, n_iter, converged, obj, idx in scan.runs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f25bfeb231381538111f7c45b59c8bce31275fea242f5f58be3d92ae40958f6b")
+        "83556e42db90f4fa8828da9c184b57534389eea40c787acf13b0d9f171ac02d3")
 
 
 def _affinity(monkeypatch, cpus):
@@ -385,7 +390,8 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
     serial = select_cluster_count(X, c_max=4, seeds=(0, 1, 2))
     assert (pooled.workers, serial.workers) == (2, 1)
     assert pooled == serial
-    assert pooled.runs == serial.runs and len(pooled.runs) == 9
+    # c = 2 and 4 stop at their second seed; at c = 3 seed 1 ends elsewhere
+    assert pooled.runs == serial.runs and len(pooled.runs) == 7
     for c, s, n_iter, converged, objective, index in serial.runs:
         part = fcm(X, c, seed=s)
         assert (n_iter, converged, objective) == (
@@ -403,6 +409,72 @@ def test_select_cluster_count_ties_go_to_the_first_seed(monkeypatch):
     # neither the smallest nor the largest seed: the first in seed order
     scan = select_cluster_count(X, c_max=4, seeds=(1, 0, 2))
     assert scan.best_seeds == (1, 1, 1)
+
+
+def _scripted_scan(monkeypatch, objectives, seeds):
+    """Scan c = 2, 3 with each seed's FCM objective scripted; the memberships
+    and so the indices stay the real runs'."""
+    monkeypatch.setattr(clustering, "fcm", lambda X, c, **kw: dataclasses.replace(
+        fcm(X, c, **kw), objective=objectives[kw["seed"]]))
+    X = np.random.default_rng(0).random((40, 2))
+    scan = select_cluster_count(X, c_max=3, seeds=seeds)
+    assert all(r[4] == objectives[r[1]] for r in scan.runs)
+    # each count scores the run of its best seed
+    assert scan.values == tuple(
+        next(r[5] for r in scan.runs if r[:2] == (c, s))
+        for c, s in zip(scan.candidates, scan.best_seeds))
+    return scan
+
+
+def _seeds_run(scan):
+    return {c: tuple(r[1] for r in scan.runs if r[0] == c)
+            for c in scan.candidates}
+
+
+def test_select_cluster_count_stops_once_two_seeds_agree(monkeypatch):
+    # the second seed agrees within AGREE_RTOL, above or below the first:
+    # no later seed runs, even one that would score lower, and the earlier
+    # seed is kept
+    rtol = clustering.AGREE_RTOL
+    for second in (1.0, 1.0 + 0.5 * rtol, 1.0 - 0.5 * rtol):
+        scan = _scripted_scan(monkeypatch, {5: 1.0, 1: second, 2: 0.5},
+                              seeds=(5, 1, 2))
+        assert _seeds_run(scan) == {2: (5, 1), 3: (5, 1)}
+        assert scan.best_seeds == (5, 5)
+
+
+def test_select_cluster_count_runs_on_until_a_seed_matches_the_best(
+        monkeypatch):
+    # a higher run neither stops the count nor becomes its best; the run
+    # that matches the best does stop it
+    scan = _scripted_scan(monkeypatch,
+                          {0: 2.0, 1: 3.0, 2: 2.0 * (1 + 1e-9), 3: 0.5},
+                          seeds=(0, 1, 2, 3))
+    assert _seeds_run(scan) == {2: (0, 1, 2), 3: (0, 1, 2)}
+    assert scan.best_seeds == (0, 0)
+    # with no two runs agreeing, every seed runs
+    scan = _scripted_scan(monkeypatch, {0: 2.0, 1: 3.0, 2: 4.0},
+                          seeds=(0, 1, 2))
+    assert _seeds_run(scan) == {2: (0, 1, 2), 3: (0, 1, 2)}
+    assert scan.best_seeds == (0, 0)
+
+
+def test_select_cluster_count_lower_seed_beyond_tolerance_is_best(
+        monkeypatch):
+    # twice the tolerance below the best replaces it, and the next run then
+    # has to agree with the new best to stop the count
+    lower = 2.0 * (1 - 2 * clustering.AGREE_RTOL)
+    scan = _scripted_scan(monkeypatch, {0: 2.0, 1: lower, 2: 2.0, 3: lower,
+                                        4: 0.5},
+                          seeds=(0, 1, 2, 3, 4))
+    assert _seeds_run(scan) == {2: (0, 1, 2, 3), 3: (0, 1, 2, 3)}
+    assert scan.best_seeds == (1, 1)
+
+
+def test_select_cluster_count_one_seed_runs_once_per_count(monkeypatch):
+    scan = _scripted_scan(monkeypatch, {3: 1.0}, seeds=(3,))
+    assert [r[:2] for r in scan.runs] == [(2, 3), (3, 3)]
+    assert scan.best_seeds == (3, 3)
 
 
 def test_select_cluster_count_stays_in_process_beside_threads(monkeypatch):
