@@ -8,6 +8,16 @@ KNN chunk as ``evaluation.baseline_knn`` cuts it, ``KNN_BLOCK_CELLS //
 rows`` query rows against all rows, on integer-rounded distances so that
 ties are common; its result is first checked against a stable ``argsort``.
 ``--rows 85569`` gives the 49 x 85,569 chunk of a full-size KNN baseline.
+The two ``knn_chunk`` lines time one such chunk of the baseline itself,
+the distance block plus ``topk_select``, on covid-like integer data:
+--features - 1 sparse 0/1 flags and an integer age in 0..100.
+``knn_chunk_exact`` takes the float32 integer-key blocks that
+``baseline_knn`` uses on such data, ``knn_chunk_f64`` the float64 blocks
+of min-max scaled values that it uses on any other.  Both are first
+checked against a stable ``argsort`` of the exact keys (span^2 * Hamming +
+age difference^2): the exact path must equal it, the float64 path must
+pick neighbours at the same exact distances, and the number of rows whose
+float64 tie order differs is printed.
 The ``fcm`` line is one ``clustering.fcm`` run at the fixed 2,080 x 35
 shape of a scaled-down cluster-count scan (34 binary columns and one
 continuous), c = 6, with tol=0 and max_iter=50, so it always runs 50
@@ -42,7 +52,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from bench_scan import git_sha
-from it2fis import clustering, inference, kernels, load_bundled_model
+from it2fis import clustering, evaluation, inference, kernels, \
+    load_bundled_model
 from it2fis.evaluation import KNN_BLOCK_CELLS
 
 # the fcm line's fixed shape and run
@@ -62,6 +73,48 @@ def times_of(fn, calls):
 
 def fcm_run(X):
     return clustering.fcm(X, FCM_CLUSTERS, tol=0.0, max_iter=FCM_ITERS)
+
+
+def covid_like(rng, n, features):
+    """(n, features): sparse 0/1 flags, then an integer age in 0..100."""
+    flags = rng.random((n, features - 1)) < 0.2
+    age = np.clip(np.rint(rng.normal(44.0, 17.0, n)), 0, 100)
+    return np.column_stack([flags, age])
+
+
+def knn_chunk(block, rows, k):
+    """One chunk of ``baseline_knn``: its distance block, then top-k."""
+    return kernels.topk_select(block(0, rows), k)
+
+
+def knn_chunk_cases(rng, rows, features, k=5):
+    """The exact and float64 KNN chunk lines, checked against exact keys."""
+    n_query = max(1, KNN_BLOCK_CELLS // rows)  # baseline_knn's chunk rows
+    Xtr, Xq = covid_like(rng, rows, features), covid_like(rng, n_query, features)
+    Xtr[0, -1], Xtr[1, -1] = 0.0, 100.0
+    span2 = 100.0 ** 2
+    # the exact keys, one query row at a time in difference form; each is
+    # an integer well below 2^53, so float64 holds it exactly
+    keys = np.array([span2 * (Xtr[:, :-1] != q[:-1]).sum(axis=1)
+                     + (Xtr[:, -1] - q[-1]) ** 2 for q in Xq])
+    ref = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    scale = np.zeros(features, dtype=bool)
+    scale[-1] = True
+    exact = evaluation._integer_key_blocks(Xtr, Xq, scale)
+    f64 = evaluation._scaled_blocks(Xtr, Xq, scale)
+    if exact is None:
+        raise SystemExit("knn_chunk_exact: the integer key does not apply")
+    if not np.array_equal(knn_chunk(exact, n_query, k), ref):
+        raise SystemExit("knn_chunk_exact: differs from the exact order")
+    picks = knn_chunk(f64, n_query, k)
+    if not np.array_equal(np.take_along_axis(keys, picks, 1),
+                          np.take_along_axis(keys, ref, 1)):
+        raise SystemExit("knn_chunk_f64: picks a wrong distance")
+    print(f"knn_chunk_f64: tie order differs from the exact one in "
+          f"{int((picks != ref).any(axis=1).sum())} of {n_query} rows")
+    shape = f"{n_query}x{rows}x{features} k={k}"
+    return [("knn_chunk_exact", shape, (exact, n_query, k)),
+            ("knn_chunk_f64", shape, (f64, n_query, k))]
 
 
 def build_cases(rows, rules, features, seed, repeats, calls):
@@ -118,6 +171,8 @@ def build_cases(rows, rules, features, seed, repeats, calls):
     ]
     cases = [(name, shape, fcm_run if name == "fcm" else getattr(kernels, name),
               [args] * repeats) for name, shape, args in cases]
+    cases += [(name, shape, knn_chunk, [args] * repeats)
+              for name, shape, args in knn_chunk_cases(rng, rows, features)]
     return cases + [
         ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
         ("predict_row", f"bundled {rb.n_rules}x{rb.n_features}",

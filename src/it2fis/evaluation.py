@@ -14,6 +14,7 @@ non-binary columns min-max scaled by training statistics.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,10 +24,15 @@ from . import kernels
 from .errors import DataError
 from .preprocess import Dataset
 
-# Cell budget of one KNN distance block: 2**22 doubles, 32 MiB.  The block and
-# the selection's temporaries (a partitioned copy, a mask) then stay within a
-# small multiple of it, however many test rows there are.
+# Cell budget of one KNN distance block: 2**22 cells, 16 MiB of float32 keys
+# or 32 MiB of doubles.  The block and the selection's temporaries (a
+# partitioned copy, a mask) then stay within a small multiple of it, however
+# many test rows there are.
 KNN_BLOCK_CELLS = 2 ** 22
+
+# Every integer of magnitude up to 2**24 is a float32; the exact KNN key and
+# all its partial sums stay within this.
+_F32_EXACT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,7 @@ def calibrate_threshold(crisp, truth, low_code, lo, hi, n_points=101) -> float:
 
 
 def _binary_columns(X: np.ndarray) -> np.ndarray:
-    return np.array([set(np.unique(X[:, j])) <= {0.0, 1.0}
-                     for j in range(X.shape[1])])
+    return ((X == 0.0) | (X == 1.0)).all(axis=0)
 
 
 def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
@@ -284,8 +289,16 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     neighbor's label decides, even if its class is not among the tied ones
     (possible with three or more classes).
 
+    Ties are exact when every feature value of both shares is a finite
+    integer and the integer key of ``_integer_key_blocks`` fits a float32
+    (the covid schema: 0/1 flags and an integer age): the neighbours are
+    then ordered by exact distance, then by row index.  Otherwise the
+    distances are float64 expansions |t|^2 - 2 t.x + |x|^2 of the scaled
+    values, whose rounding can order two mathematically equal distances
+    either way, so float rounding settles such ties.
+
     Test rows are scored in chunks whose (rows x training rows) distance block
-    holds at most ``KNN_BLOCK_CELLS`` doubles; ``chunk``, when given, further
+    holds at most ``KNN_BLOCK_CELLS`` cells; ``chunk``, when given, further
     caps the rows per chunk.  Chunking does not change the result.
     """
     if k < 1:
@@ -298,14 +311,8 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
         raise DataError("train and test feature counts differ")
 
     scale_cols = ~_binary_columns(Xtr)
-    if scale_cols.any():
-        lo = Xtr[:, scale_cols].min(axis=0)
-        rng = Xtr[:, scale_cols].max(axis=0) - lo
-        rng[rng == 0.0] = 1.0
-        Xtr = Xtr.copy()
-        Xte = Xte.copy()
-        Xtr[:, scale_cols] = (Xtr[:, scale_cols] - lo) / rng
-        Xte[:, scale_cols] = (Xte[:, scale_cols] - lo) / rng
+    block = (_integer_key_blocks(Xtr, Xte, scale_cols)
+             or _scaled_blocks(Xtr, Xte, scale_cols))
 
     classes = sorted(set(train.labels))
     code = {c: i for i, c in enumerate(classes)}
@@ -315,19 +322,78 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     rows = max(1, KNN_BLOCK_CELLS // Xtr.shape[0])
     if chunk is not None:
         rows = min(rows, chunk)
-    tr_norm = (Xtr * Xtr).sum(axis=1)
     winner = np.empty(Xte.shape[0], dtype=np.int64)
     for start in range(0, Xte.shape[0], rows):
-        T = Xte[start:start + rows]
-        # d2 = |t|^2 - 2 t.x + |x|^2, built in place in the product's buffer;
-        # scaling T by -2 is exact, so the block equals -2 * (T @ Xtr.T)
-        d2 = (-2.0 * T) @ Xtr.T
-        d2 += (T * T).sum(axis=1)[:, None]
-        d2 += tr_norm
-        np.maximum(d2, 0.0, out=d2)
-        votes = ytr[kernels.topk_select(d2, k)]  # (rows, k), nearest first
+        # (rows, k) class codes of the nearest training rows, nearest first
+        votes = ytr[kernels.topk_select(block(start, start + rows), k)]
         counts = (votes[:, :, None] == class_ids).sum(axis=1)
         unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1
         winner[start:start + rows] = np.where(unique, counts.argmax(axis=1),
                                               votes[:, 0])
     return [classes[i] for i in winner]
+
+
+def _integer_key_blocks(Xtr, Xte, scale_cols):
+    """Distance blocks of exact integer keys L * d^2, or None where they
+    would not be exact.
+
+    With every value a finite integer, L the lcm of the scaled columns'
+    squared ranges and w_j = L / rng_j^2 (L on binary columns), L * d^2 =
+    sum_j w_j (t_j - x_j)^2 is an integer.  It is formed as |t|_w^2 -
+    2 t.x_w + |x|_w^2, with the scaled columns shifted by their train
+    minimum to keep the values small, in one float32 product whose two
+    extra columns carry the norms.  While 4 sum_j w_j max|x_j|^2 <= 2^24,
+    every product and partial sum of it is an integer that float32 holds
+    exactly, whatever the BLAS summation order, so the key orders the rows
+    by exact distance.  Returns ``block(start, stop)``, the (stop - start,
+    training rows) float32 keys of those test rows, or None when a value is
+    not a finite integer or the bound fails.
+    """
+    for X in (Xtr, Xte):
+        if not (np.isfinite(X).all() and (X == np.rint(X)).all()):
+            return None
+    lo = np.where(scale_cols, Xtr.min(axis=0), 0.0)
+    Str, Ste = Xtr - lo, Xte - lo
+    # Python ints: the lcm and the bound may exceed every fixed-width type
+    span = [max(int(r), 1) for r in Str.max(axis=0)]
+    lcm = math.lcm(*(r * r for r, s in zip(span, scale_cols) if s))
+    w = [lcm // (r * r) if s else lcm for r, s in zip(span, scale_cols)]
+    top = np.maximum(np.abs(Str).max(axis=0),
+                     np.abs(Ste).max(axis=0, initial=0.0))
+    if 4 * sum(wj * int(m) ** 2 for wj, m in zip(w, top)) > _F32_EXACT:
+        return None
+    w = np.array(w, dtype=np.float64)
+    # [-2 w t, |t|_w^2, 1] @ [x; 1; |x|_w^2]; the operands are formed in
+    # float64, where every term and sum is an integer below 2^24, so they
+    # reach float32 unrounded
+    A = np.column_stack([-2.0 * w * Ste, (Ste * Ste) @ w,
+                         np.ones(len(Ste))]).astype(np.float32)
+    Bt = np.vstack([Str.T, np.ones(len(Str)),
+                    (Str * Str) @ w]).astype(np.float32)
+    return lambda start, stop: A[start:stop] @ Bt
+
+
+def _scaled_blocks(Xtr, Xte, scale_cols):
+    """Distance blocks of float64 squared distances, the non-binary columns
+    min-max scaled with training statistics: ``block(start, stop)`` gives
+    the (stop - start, training rows) distances of those test rows."""
+    if scale_cols.any():
+        lo = Xtr[:, scale_cols].min(axis=0)
+        rng = Xtr[:, scale_cols].max(axis=0) - lo
+        rng[rng == 0.0] = 1.0
+        Xtr = Xtr.copy()
+        Xte = Xte.copy()
+        Xtr[:, scale_cols] = (Xtr[:, scale_cols] - lo) / rng
+        Xte[:, scale_cols] = (Xte[:, scale_cols] - lo) / rng
+    # scaling by -2 is exact, so each product equals -2 * (T @ Xtr.T)
+    A, te_norm = -2.0 * Xte, (Xte * Xte).sum(axis=1)
+    tr_norm = (Xtr * Xtr).sum(axis=1)
+
+    def block(start, stop):
+        # d2 = |t|^2 - 2 t.x + |x|^2, built in place in the product's buffer
+        d2 = A[start:stop] @ Xtr.T
+        d2 += te_norm[start:stop, None]
+        d2 += tr_norm
+        return np.maximum(d2, 0.0, out=d2)
+
+    return block

@@ -29,6 +29,11 @@ from .rules import KIND_IT2, RuleBase
 
 _AGG_RESOLUTION = 201  # grid for the Mamdani aggregate output curve
 
+# Cell budget of one (rows, rules, features) temporary of the batch firing:
+# 2**16 doubles, 512 KiB.  predict_batch fires its rows in blocks of that
+# size, so the temporaries stay in cache however many rows a batch has.
+FIRING_BLOCK_CELLS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class FiringInterval:
@@ -256,6 +261,17 @@ def _mamdani_crisp(rb: RuleBase, w: np.ndarray) -> float:
     return defuzzify_t1(ys, agg, rb.inference.defuzzifier, rb.inference.yager_w)
 
 
+def _log_firing_blocks(X, means, sigmas) -> np.ndarray:
+    # kernels.log_firing over row blocks of at most FIRING_BLOCK_CELLS cells;
+    # it sums each (row, rule) pair alone, so the blocks change no bit
+    rows = max(1, FIRING_BLOCK_CELLS // sigmas.size)
+    out = np.empty((X.shape[0], sigmas.shape[0]))
+    for start in range(0, X.shape[0], rows):
+        out[start:start + rows] = kernels.log_firing(
+            X[start:start + rows], means, sigmas)
+    return out
+
+
 def predict(rb: RuleBase, x, threshold=None) -> Prediction:
     """Classify one input vector.
 
@@ -311,6 +327,8 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
     """Vectorized predict over a feature matrix; one output row per input.
 
     Raises DataError on a non-finite cell, naming its feature and row.
+    Rows are fired in blocks of at most ``FIRING_BLOCK_CELLS`` (rows x rules
+    x features) cells; the blocks do not change the result.
     """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     if X.shape[1] != rb.n_features:
@@ -325,7 +343,7 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
         return BatchPredictions(empty, empty.copy(), empty.copy(), [],
                                 np.zeros(0, dtype=bool), thr)
 
-    logu = kernels.log_firing(X, rb.means, rb.sigma_upper)
+    logu = _log_firing_blocks(X, rb.means, rb.sigma_upper)
     shift = logu.max(axis=1)
     covered = np.isfinite(shift)
 
@@ -338,7 +356,7 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
         with np.errstate(invalid="ignore"):
             up = np.exp(logu[idx] - shift[idx, None])
         if rb.kind == KIND_IT2:
-            logl = kernels.log_firing(X[idx], rb.means, rb.sigma_lower)
+            logl = _log_firing_blocks(X[idx], rb.means, rb.sigma_lower)
             lo = np.exp(logl - shift[idx, None])
             order = np.argsort(rb.cons_mean, kind="stable")
             yl, yr, _, _ = kernels.km_batch(

@@ -579,7 +579,9 @@ def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
 # length splits them into row and column, and the flat index also picks the
 # candidates' distances out of d2.ravel().  NaN is "not above" anything, so a
 # row with fewer than k non-NaN entries still yields k candidates, sorted
-# last as argsort sorts them.
+# last as argsort sorts them.  d2 may be float64 or float32: the KNN
+# baseline passes float32 blocks of exact integer keys, whose partition,
+# mask and gather move half the bytes.
 
 
 def topk_select(d2, k):

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from it2fis import kernels
+from it2fis import evaluation, kernels
 from it2fis.errors import DataError
 from it2fis.evaluation import (baseline_knn, baseline_nb, calibrate_threshold,
                                compute_metrics, split, take)
@@ -309,6 +309,17 @@ def test_baseline_nb_validation(rng):
 # ---------------------------------------------------------------------------
 
 
+def knn_vote(labels, d2, k):
+    """Label of one test row from its distances to the training rows: the k
+    nearest by (distance, row index), majority vote, nearest on a shared top."""
+    classes = sorted(set(labels))
+    order = sorted(range(len(d2)), key=lambda i: (d2[i], i))[:k]
+    votes = Counter(labels[i] for i in order)
+    top = max(votes.values())
+    winners = [c for c in classes if votes.get(c, 0) == top]
+    return winners[0] if len(winners) == 1 else labels[order[0]]
+
+
 def naive_knn(train, test, k):
     """Sorted-scan KNN oracle: lexicographic (distance, train row index)."""
     Xtr = train.features.astype(float).copy()
@@ -320,16 +331,21 @@ def naive_knn(train, test, k):
         span = hi - lo if hi > lo else 1.0
         Xtr[:, j] = (Xtr[:, j] - lo) / span
         Xte[:, j] = (Xte[:, j] - lo) / span
-    classes = sorted(set(train.labels))
-    out = []
-    for x in Xte:
-        d2 = ((Xtr - x) ** 2).sum(axis=1)
-        order = sorted(range(len(d2)), key=lambda i: (d2[i], i))[:k]
-        votes = Counter(train.labels[i] for i in order)
-        top = max(votes.values())
-        winners = [c for c in classes if votes.get(c, 0) == top]
-        out.append(winners[0] if len(winners) == 1 else train.labels[order[0]])
-    return out
+    return [knn_vote(train.labels, ((Xtr - x) ** 2).sum(axis=1), k)
+            for x in Xte]
+
+
+def exact_keys(train, test):
+    """Exact squared distances of integer features as Python ints, scaled by
+    the lcm of the non-binary columns' squared spans: one list per test row."""
+    Xtr = train.features.astype(int).tolist()
+    cols = list(zip(*Xtr))
+    binary = [set(c) <= {0, 1} for c in cols]
+    span = [max(c) - min(c) or 1 for c in cols]
+    lcm = math.lcm(*(s * s for s, b in zip(span, binary) if not b))
+    w = [lcm if b else lcm // (s * s) for s, b in zip(span, binary)]
+    return [[sum(wj * (a - b) ** 2 for wj, a, b in zip(w, t, x)) for x in Xtr]
+            for t in test.features.astype(int).tolist()]
 
 
 def test_baseline_knn_matches_scalar_oracle(rng):
@@ -380,6 +396,85 @@ def test_baseline_knn_validation(rng):
     bad = Dataset(test.features[:, :2], test.labels, test.feature_names[:2])
     with pytest.raises(DataError, match="feature counts differ"):
         baseline_knn(train, bad)
+
+
+def test_binary_columns_verdicts_match_the_set_form():
+    nan = np.nan
+    # columns: NaN, signed zero, all zero, {0, 1, 2}, all one, 0.5, -1
+    X = np.array([[0.0, -0.0, 0.0, 0.0, 1.0, 0.5, -1.0],
+                  [1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+                  [nan, 0.0, 0.0, 2.0, 1.0, 1.0, 1.0]])
+    set_form = [set(np.unique(X[:, j])) <= {0.0, 1.0}
+                for j in range(X.shape[1])]
+    got = evaluation._binary_columns(X)
+    assert got.tolist() == set_form == [False, True, True, False, True,
+                                        False, False]
+
+
+def covid_like(rng, n, n_flags=32):
+    """Sparse 0/1 flags and an integer age column: many equal distances."""
+    flags = (rng.random((n, n_flags)) < 0.08).astype(float)
+    return np.column_stack([flags, rng.integers(30, 70, n)])
+
+
+def test_baseline_knn_integer_keys_settle_ties_exactly():
+    rng = np.random.default_rng(0)
+    Xtr, Xte = covid_like(rng, 160), covid_like(rng, 40)
+    Xtr[0, -1], Xtr[1, -1] = 0.0, 97.0  # age span 97, not a power of two
+    names = tuple(f"f{j}" for j in range(Xtr.shape[1]))
+    train = Dataset(Xtr, tuple(rng.choice(["a", "b"], 160)), names)
+    test = Dataset(Xte, ("?",) * 40, names)
+    keys = np.array(exact_keys(train, test), dtype=float)  # exact below 2^53
+    assert evaluation._integer_key_blocks(
+        Xtr, Xte, ~evaluation._binary_columns(Xtr)) is not None
+
+    # the float64 expansion of the scaled values picks neighbours at the
+    # right exact distances but misorders some of the ties, which changes
+    # votes at k = 1 and 3
+    S, T = Xtr.copy(), Xte.copy()
+    S[:, -1] /= 97.0
+    T[:, -1] /= 97.0
+    d2 = (-2.0 * T) @ S.T + (T * T).sum(axis=1)[:, None] + (S * S).sum(axis=1)
+    floats = np.argsort(d2, axis=1, kind="stable")[:, :5]
+    exact = np.argsort(keys, axis=1, kind="stable")[:, :5]
+    assert (floats != exact).any()
+    np.testing.assert_array_equal(np.take_along_axis(keys, floats, 1),
+                                  np.take_along_axis(keys, exact, 1))
+
+    changed = 0
+    for k in (1, 3, 5):
+        want = [knn_vote(train.labels, row, k) for row in keys.tolist()]
+        for chunk in (None, 7):
+            assert baseline_knn(train, test, k=k, chunk=chunk) == want
+        changed += want != [knn_vote(train.labels, row, k)
+                            for row in d2.tolist()]
+    assert changed == 2
+
+
+def test_baseline_knn_falls_back_to_float64_distances(rng):
+    # each case leaves the integer key; the levels are multiples of a power
+    # of two, so min-max scaling is exact and the oracle sees the same ties
+    def levels(n, scale=1.0):
+        X = np.column_stack([rng.integers(0, 2, (n, 3)),
+                             rng.integers(0, 5, (n, 2)) * scale])
+        X[0, 3:], X[1, 3:] = 0.0, 4.0 * scale
+        return X
+
+    names = tuple(f"f{j}" for j in range(5))
+    half, missing, wide = levels(50), levels(50), levels(50, 1024.0)
+    half_te, missing_te, wide_te = levels(20), levels(20), levels(20, 1024.0)
+    half_te[4, 3] = 0.5  # not an integer
+    missing_te[6, 0] = np.nan  # not finite
+    # span 4096: 4 * 4096^2 is above 2^24
+    for Xtr, Xte in ((half, half_te), (missing, missing_te), (wide, wide_te)):
+        assert evaluation._integer_key_blocks(
+            Xtr, Xte, ~evaluation._binary_columns(Xtr)) is None
+        train = Dataset(Xtr, tuple(rng.choice(["a", "b"], 50)), names)
+        test = Dataset(Xte, ("?",) * 20, names)
+        for k in (1, 3, 5):
+            want = naive_knn(train, test, k)
+            for chunk in (None, 7):
+                assert baseline_knn(train, test, k=k, chunk=chunk) == want
 
 
 # ---------------------------------------------------------------------------

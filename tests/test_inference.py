@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from it2fis import kernels, load_bundled_model
+from it2fis import inference, kernels, load_bundled_model
 from it2fis.errors import DataError, NoCoverageError
 from it2fis.inference import (FiringInterval, Prediction, defuzzify_t1,
                               fire_it2, fire_t1, km_reduce, predict,
@@ -474,6 +474,31 @@ def test_predict_batch_matches_single(rng):
             if p.interval is not None:
                 assert bp.y_l[i] == pytest.approx(p.interval.y_l, rel=1e-12, abs=1e-12)
                 assert bp.y_r[i] == pytest.approx(p.interval.y_r, rel=1e-12, abs=1e-12)
+
+
+def test_predict_batch_row_blocks_change_no_bit(monkeypatch):
+    # the battery's rows per rule base, underflowing and flagged ones included
+    batches = {}
+    for rb, x in predict_battery():
+        batches.setdefault(id(rb), (rb, []))[1].append(x)
+    calls = []
+    log_firing = kernels.log_firing
+    monkeypatch.setattr(kernels, "log_firing",
+                        lambda x, *a: calls.append(len(x)) or log_firing(x, *a))
+    for rb, rows in batches.values():
+        X = np.array(rows)
+        monkeypatch.setattr(inference, "FIRING_BLOCK_CELLS", 2 ** 40)
+        whole = predict_batch(rb, X)
+        for rows_per_block in (1, 3, 7):
+            cells = rows_per_block * rb.n_rules * rb.n_features
+            monkeypatch.setattr(inference, "FIRING_BLOCK_CELLS", cells)
+            calls.clear()
+            bp = predict_batch(rb, X)
+            assert max(calls) == rows_per_block and sum(calls) >= len(X)
+            for name in ("crisp", "y_l", "y_r", "flagged"):
+                assert getattr(bp, name).tobytes() == \
+                    getattr(whole, name).tobytes()
+            assert bp.labels == whole.labels
 
 
 def test_predict_batch_flags_only_uncovered_rows(rng):
