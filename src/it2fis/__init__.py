@@ -12,8 +12,7 @@ from .clustering import (FuzzyPartition, ValidityScan, fcm, fukuyama_index,
 from .errors import DataError, It2fisError, ModelError, NoCoverageError
 from .evaluation import (MetricsReport, Split, baseline_knn, baseline_nb,
                          calibrate_threshold, compute_metrics, split, take)
-from .inference import (BatchPredictions, FiringInterval, Prediction,
-                        TypeReducedInterval, defuzzify_t1, fire_it2, fire_t1,
+from .inference import (BatchPredictions, Prediction, TypeReducedInterval,
                         km_reduce, predict, predict_batch)
 from .kernels import backend
 from .learning import (TuneConfig, TuneTrace, encode_labels, extract_rules,
@@ -22,25 +21,24 @@ from .model_io import load_bundled_model, load_model, save_model
 from .preprocess import (Dataset, OutlierRule, PreprocessConfig,
                          PreprocessReport, RawTable, load_csv, load_dataset,
                          preprocess, save_dataset)
-from .rules import InferenceConfig, Rule, RuleBase, it2_rule_base, t1_rule_base
+from .rules import Rule, RuleBase, it2_rule_base, t1_rule_base
 from .sets import (GaussianT1Set, IT2GaussianSet, MembershipInterval,
                    it2_membership, set_centroid_interval, t1_membership)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchPredictions", "DataError", "Dataset", "FiringInterval",
-    "FuzzyPartition", "GaussianT1Set", "IT2GaussianSet", "InferenceConfig",
-    "It2fisError", "MembershipInterval", "MetricsReport", "ModelError",
-    "NoCoverageError", "OutlierRule", "Prediction", "PreprocessConfig",
-    "PreprocessReport", "RawTable", "Rule", "RuleBase", "Split", "TuneConfig",
-    "TuneTrace", "TypeReducedInterval", "ValidityScan", "backend",
-    "baseline_knn", "baseline_nb", "calibrate_threshold", "compute_metrics",
-    "defuzzify_t1", "encode_labels", "extract_rules", "fcm", "fire_it2",
-    "fire_t1", "fukuyama_index", "gk", "it2_membership", "it2_rule_base",
-    "km_reduce", "load_bundled_model", "load_csv", "load_dataset",
-    "load_model", "predict", "predict_batch", "preprocess", "save_dataset",
-    "save_model", "select_cluster_count", "set_centroid_interval", "split",
-    "t1_membership", "t1_rule_base", "take", "tune_it2", "tune_t1",
-    "widen_to_it2",
+    "BatchPredictions", "DataError", "Dataset", "FuzzyPartition",
+    "GaussianT1Set", "IT2GaussianSet", "It2fisError", "MembershipInterval",
+    "MetricsReport", "ModelError", "NoCoverageError", "OutlierRule",
+    "Prediction", "PreprocessConfig", "PreprocessReport", "RawTable", "Rule",
+    "RuleBase", "Split", "TuneConfig", "TuneTrace", "TypeReducedInterval",
+    "ValidityScan", "backend", "baseline_knn", "baseline_nb",
+    "calibrate_threshold", "compute_metrics", "encode_labels",
+    "extract_rules", "fcm", "fukuyama_index", "gk", "it2_membership",
+    "it2_rule_base", "km_reduce", "load_bundled_model", "load_csv",
+    "load_dataset", "load_model", "predict", "predict_batch", "preprocess",
+    "save_dataset", "save_model", "select_cluster_count",
+    "set_centroid_interval", "split", "t1_membership", "t1_rule_base",
+    "take", "tune_it2", "tune_t1", "widen_to_it2",
 ]

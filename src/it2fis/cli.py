@@ -140,8 +140,9 @@ def cmd_train(args) -> int:
     })
     seed = args.seed
     with _stage("load_config"):
-        # validate the inference keys now, not after an hour of tuning
-        base_inference = cfgmod.inference_config(cfg)
+        # reject bad values now, not after an hour of tuning
+        tc = cfgmod.tune_config(cfg)
+        cfgmod.check_ranges(cfg, "spread", "train_ratio", "fuzziness")
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
@@ -178,7 +179,6 @@ def cmd_train(args) -> int:
         rb = extract_rules(train_ds, scan.selected, m=m, seed=seed, tol=tol,
                            max_iter=max_iter,
                            gk_regularization=cfg.get_float("gk_regularization"))
-    tc = cfgmod.tune_config(cfg, seed=seed)
     with _stage("tune_t1"):
         rb, trace_t1 = tune_t1(rb, train_ds, tc)
     traces = [("t1", trace_t1)]
@@ -195,7 +195,7 @@ def cmd_train(args) -> int:
             bp.crisp, train_ds.labels, rb.label_low,
             float(rb.cons_mean.min()), float(rb.cons_mean.max()),
             n_points=cfg.get_int("threshold_sweep"))
-        rb = rb.with_inference(dataclasses.replace(base_inference, threshold=thr))
+        rb = dataclasses.replace(rb, threshold=thr)
 
     rb = dataclasses.replace(rb, provenance=rb.provenance + (
         # the file name only: the content is identified by data_sha1, and the
@@ -252,6 +252,8 @@ def cmd_evaluate(args) -> int:
             "--baselines needs a train share; it cannot combine with --test-only"
         )
     cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
+    with _stage("load_config"):
+        cfgmod.check_ranges(cfg, "train_ratio", "knn_k")
     with _stage("load_model"):
         model = load_model(args.model)
     with _stage("load_csv"):
@@ -305,15 +307,12 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect(args) -> int:
     with _stage("load_model"):
         model = load_model(args.model)
-    inf = model.inference
     print(f"kind: {model.kind}")
     print(f"rules: {model.n_rules}")
     print(f"antecedents per rule: {model.n_features}")
     print(f"variables: {', '.join(model.variable_names)}")
     print(f"labels: low={model.label_low} high={model.label_high}")
-    print(f"inference: tnorm={inf.tnorm} defuzzifier={inf.defuzzifier} "
-          f"yager_w={inf.yager_w} aggregation={inf.aggregation} "
-          f"threshold={inf.threshold}")
+    print(f"inference: tnorm=product threshold={model.threshold}")
     for s in range(model.n_rules):
         print(f"rule {s + 1}: consequent mean={model.cons_mean[s]:.6g} "
               f"sigma=[{model.cons_sigma_lower[s]:.6g}, "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import DataError
 from .learning import TuneConfig
 from .preprocess import COVID_CATEGORICAL, OutlierRule, PreprocessConfig
-from .rules import InferenceConfig
 
 DEFAULTS = {
     # data pipeline
@@ -37,13 +36,8 @@ DEFAULTS = {
     "learning_rate": "0.01",
     "epochs": "100",
     "patience": "10",
-    "batch": "full",
     "spread": "0.2",
     "threshold_sweep": "101",
-    # inference
-    "defuzzifier": "centroid",
-    "yager_w": "2.0",
-    "aggregation": "weighted",
     # evaluation
     "train_ratio": "0.7",
     "stratified": "true",
@@ -158,24 +152,30 @@ def preprocess_config(cfg: Config) -> PreprocessConfig:
     )
 
 
-def tune_config(cfg: Config, seed=0) -> TuneConfig:
-    return TuneConfig(
-        learning_rate=cfg.get_float("learning_rate"),
-        epochs=cfg.get_int("epochs"),
-        batch=cfg.get("batch"),
-        patience=cfg.get_int("patience"),
-        seed=seed,
-    )
-
-
-def inference_config(cfg: Config, threshold=None) -> InferenceConfig:
+def tune_config(cfg: Config) -> TuneConfig:
     try:
-        return InferenceConfig(
-            tnorm="product",
-            defuzzifier=cfg.get("defuzzifier"),
-            yager_w=cfg.get_float("yager_w"),
-            aggregation=cfg.get("aggregation"),
-            threshold=threshold,
+        return TuneConfig(
+            learning_rate=cfg.get_float("learning_rate"),
+            epochs=cfg.get_int("epochs"),
+            patience=cfg.get_int("patience"),
         )
     except ValueError as exc:
-        raise DataError(str(exc)) from None
+        raise DataError(f"config {exc}") from None
+
+
+# the range each key's consumer enforces (widen_to_it2, split, fcm and gk,
+# baseline_knn), so a command can reject a bad value before reading any data
+RANGES = {
+    "spread": (float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "train_ratio": (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "fuzziness": (float, lambda v: v > 1.0, "must exceed 1"),
+    "knn_k": (int, lambda v: v >= 1, "must be at least 1"),
+}
+
+
+def check_ranges(cfg: Config, *keys):
+    for key in keys:
+        kind, ok, need = RANGES[key]
+        value = cfg.get_float(key) if kind is float else cfg.get_int(key)
+        if not ok(value):
+            raise DataError(f"config {key} {need}, got {value!r}")

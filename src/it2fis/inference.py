@@ -1,10 +1,9 @@
-"""Mamdani inference engine: firing, type reduction, defuzzification, predict.
+"""Center-of-sets inference engine: firing, type reduction, predict.
 
 Firing uses singleton fuzzification with the product t-norm.  Interval type-2
 outputs go through Karnik-Mendel center-of-sets type reduction; the crisp
 score is the midpoint of [y_l, y_r].  Type-1 bases use the same center-of-sets
-ratio with degenerate intervals, or optionally a sampled Mamdani aggregate
-curve defuzzified by centroid / bisector / Yager.
+ratio with degenerate intervals.
 
 Center-of-sets centroids: a symmetric Gaussian consequent has a centroid
 interval centered exactly on its mean, so the consequent means are used as
@@ -27,25 +26,10 @@ from .errors import DataError, NoCoverageError
 from .preprocess import reject_non_finite
 from .rules import KIND_IT2, RuleBase
 
-_AGG_RESOLUTION = 201  # grid for the Mamdani aggregate output curve
-
 # Cell budget of one (rows, rules, features) temporary of the batch firing:
 # 2**16 doubles, 512 KiB.  predict_batch fires its rows in blocks of that
 # size, so the temporaries stay in cache however many rows a batch has.
 FIRING_BLOCK_CELLS = 2 ** 16
-
-
-@dataclass(frozen=True)
-class FiringInterval:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise ValueError(
-                f"firing interval needs 0 <= lower <= upper <= 1, "
-                f"got [{self.lower}, {self.upper}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,34 +87,6 @@ def _log_fire(x, means, sigmas):
         return -0.5 * (z * z).sum(axis=-1)
 
 
-def fire_t1(rb: RuleBase, x) -> np.ndarray:
-    """Product-t-norm firing strength of every rule for one input vector."""
-    x = _check_input(rb, x)
-    return np.exp(_log_fire(x, rb.means, rb.sigma_upper))
-
-
-def fire_it2(rb: RuleBase, x) -> tuple:
-    """Firing interval of every rule: products of lower and of upper MFs."""
-    x = _check_input(rb, x)
-    lo = np.exp(_log_fire(x, rb.means, rb.sigma_lower))
-    up = np.exp(_log_fire(x, rb.means, rb.sigma_upper))
-    return tuple(FiringInterval(float(l), float(u)) for l, u in zip(lo, up))
-
-
-def _as_firing_array(firings) -> np.ndarray:
-    if isinstance(firings, np.ndarray):
-        fir = np.asarray(firings, dtype=float)
-    else:
-        seq = list(firings)
-        if seq and isinstance(seq[0], FiringInterval):
-            fir = np.array([[fi.lower, fi.upper] for fi in seq], dtype=float)
-        else:
-            fir = np.asarray(seq, dtype=float)
-    if fir.ndim != 2 or fir.shape[1] != 2:
-        raise ValueError("firings must be FiringIntervals or an (n, 2) array")
-    return fir
-
-
 def km_reduce(firings, centroids) -> TypeReducedInterval:
     """Karnik-Mendel center-of-sets type reduction.
 
@@ -142,14 +98,15 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
     ascending-centroid order, how many rules take their upper firing from the
     left (y_l) and how many take their lower firing from the left (y_r).
 
-    `firings` may be a sequence of FiringInterval or an (n, 2) array of
-    [lower, upper] rows.  Raises NoCoverageError when every upper firing is
-    zero (the ratio is undefined: no rule fires).  This is the validating
-    entry for firings from outside the engine (set centroids, API callers);
-    `predict` builds its firings to satisfy these checks and calls the
-    kernel itself.
+    `firings` is an (n, 2) array-like of [lower, upper] rows.  Raises
+    NoCoverageError when every upper firing is zero (the ratio is undefined:
+    no rule fires).  This is the validating entry for firings from outside
+    the engine (set centroids, API callers); `predict` builds its firings to
+    satisfy these checks and calls the kernel itself.
     """
-    fir = _as_firing_array(firings)
+    fir = np.asarray(firings, dtype=float)
+    if fir.ndim != 2 or fir.shape[1] != 2:
+        raise ValueError("firings must be an (n, 2) array of [lower, upper] rows")
     cents = np.asarray(centroids, dtype=float).ravel()
     if fir.shape[0] != cents.size:
         raise ValueError(
@@ -182,64 +139,11 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
     )
 
 
-def defuzzify_t1(ys, mus, method="centroid", yager_w=2.0) -> float:
-    """Defuzzify a sampled output membership curve.
-
-    centroid: sum(y * mu) / sum(mu)
-    yager:    sum(y * mu^w) / sum(mu^w)   (w = 1 reduces to centroid)
-    bisector: the point splitting the trapezoidal area in half; when the
-              half-area level is met along a flat stretch of the cumulative
-              area, the midpoint of that stretch is returned (so a symmetric
-              two-spike curve bisects at its center, not at the first spike).
-    """
-    ys = np.asarray(ys, dtype=float).ravel()
-    mus = np.asarray(mus, dtype=float).ravel()
-    if ys.size != mus.size:
-        raise ValueError("ys and mus must have the same length")
-    if ys.size < 2:
-        raise ValueError("need at least two curve samples")
-    if (mus < 0).any():
-        raise ValueError("membership values must be nonnegative")
-    if not (mus > 0).any():
-        raise NoCoverageError("cannot defuzzify an identically-zero curve")
-
-    if method == "centroid":
-        return float(ys @ mus / mus.sum())
-    if method == "yager":
-        p = mus ** yager_w
-        return float(ys @ p / p.sum())
-    if method == "bisector":
-        seg = 0.5 * (mus[1:] + mus[:-1]) * np.diff(ys)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        half = 0.5 * cum[-1]
-        # snap cumulative values within rounding distance of the half level
-        # onto it, so a flat stretch sitting at half-area (up to float noise)
-        # is recognized as a plateau rather than crossed at one end
-        cum[np.abs(cum - half) <= 1e-9 * cum[-1]] = half
-        left = _area_crossing(ys, cum, half, np.searchsorted(cum, half, side="left"))
-        j = np.searchsorted(cum, half, side="right") - 1
-        if cum[j] == half:
-            right = ys[j]
-        else:
-            right = _area_crossing(ys, cum, half, j + 1)
-        return 0.5 * (left + right)
-    raise ValueError(f"unknown defuzzification method {method!r}")
-
-
-def _area_crossing(ys, cum, half, i):
-    # interpolated point where the cumulative area first reaches `half`,
-    # entering grid segment (i-1, i)
-    if cum[i] == half:
-        return float(ys[i])
-    t = (half - cum[i - 1]) / (cum[i] - cum[i - 1])
-    return float(ys[i - 1] + t * (ys[i] - ys[i - 1]))
-
-
 def _resolve_threshold(rb: RuleBase, threshold) -> float:
     if threshold is not None:
         return float(threshold)
-    if rb.inference.threshold is not None:
-        return float(rb.inference.threshold)
+    if rb.threshold is not None:
+        return float(rb.threshold)
     return 0.5 * float(rb.cons_mean.min() + rb.cons_mean.max())
 
 
@@ -249,16 +153,6 @@ def _fallback(rb: RuleBase, thr: float) -> Prediction:
         crisp=float("nan"), label=rb.label_low, threshold=thr,
         interval=None, flagged=True,
     )
-
-
-def _mamdani_crisp(rb: RuleBase, w: np.ndarray) -> float:
-    """Defuzzify the max-aggregated, firing-scaled consequent curve (T1)."""
-    lo = float((rb.cons_mean - 4.0 * rb.cons_sigma_upper).min())
-    hi = float((rb.cons_mean + 4.0 * rb.cons_sigma_upper).max())
-    ys = np.linspace(lo, hi, _AGG_RESOLUTION)
-    z = (ys[None, :] - rb.cons_mean[:, None]) / rb.cons_sigma_upper[:, None]
-    agg = (w[:, None] * np.exp(-0.5 * z * z)).max(axis=0)
-    return defuzzify_t1(ys, agg, rb.inference.defuzzifier, rb.inference.yager_w)
 
 
 def _log_firing_blocks(X, means, sigmas) -> np.ndarray:
@@ -277,12 +171,11 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
 
     IT2 path: firing intervals -> Karnik-Mendel reduction over consequent
     means -> interval midpoint.  T1 path: the same center-of-sets ratio with
-    degenerate intervals, or a defuzzified Mamdani aggregate curve when the
-    rule base's inference config selects aggregation="mamdani".  Label is the
-    high class exactly when crisp >= threshold.  When no rule fires
-    (vanishing firing after underflow) the prediction falls back to the
-    majority training class (the low label) with flagged=True and a NaN crisp
-    score.  A nan or inf feature raises DataError instead.
+    degenerate intervals.  Label is the high class exactly when crisp >=
+    threshold.  When no rule fires (vanishing firing after underflow) the
+    prediction falls back to the majority training class (the low label)
+    with flagged=True and a NaN crisp score.  A nan or inf feature raises
+    DataError instead.
 
     The lower and upper log firings come from one pass over the stacked
     sigma matrices and are shifted by the upper maximum, so the upper firings
@@ -305,13 +198,6 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
     if not np.isfinite(shift):
         return _fallback(rb, thr)
     fir = np.exp(logf - shift)
-
-    if not it2 and rb.inference.aggregation == "mamdani":
-        crisp = _mamdani_crisp(rb, fir[0])
-        label = rb.label_high if crisp >= thr else rb.label_low
-        return Prediction(crisp=crisp, label=label, threshold=thr,
-                          interval=None, flagged=False)
-
     order = np.argsort(rb.cons_mean, kind="stable")
     fir = fir[:, order, None]
     y_l, y_r, k_l, k_r = kernels.km_batch(fir[0], fir[-1], rb.cons_mean[order])
@@ -363,11 +249,6 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
                 lo.T[order], up.T[order], rb.cons_mean[order])
             y_l[idx], y_r[idx] = yl, yr
             crisp[idx] = 0.5 * (yl + yr)
-        elif rb.inference.aggregation == "mamdani":
-            vals = np.array([_mamdani_crisp(rb, up[i]) for i in range(idx.size)])
-            crisp[idx] = vals
-            y_l[idx] = vals
-            y_r[idx] = vals
         else:
             c = up @ rb.cons_mean / up.sum(axis=1)
             crisp[idx] = c

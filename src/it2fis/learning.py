@@ -33,19 +33,16 @@ SIGMA_FLOOR = 1e-6
 class TuneConfig:
     learning_rate: float = 0.01
     epochs: int = 100
-    batch: str = "full"  # full | per-sample
     patience: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch not in ("full", "per-sample"):
-            raise ValueError(f"unknown batch mode {self.batch!r}")
+            raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
         if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+            raise ValueError(f"patience must be at least 1, got {self.patience!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def widen_to_it2(rb: RuleBase, spread=0.2) -> RuleBase:
         rb.sigma_lower * (1.0 - spread), rb.sigma_upper * (1.0 + spread),
         rb.cons_mean,
         rb.cons_sigma_lower * (1.0 - spread), rb.cons_sigma_upper * (1.0 + spread),
-        variable_names=rb.variable_names, inference=rb.inference,
+        variable_names=rb.variable_names, threshold=rb.threshold,
         label_low=rb.label_low, label_high=rb.label_high,
         provenance=rb.provenance + (("spread", repr(float(spread))),),
     )
@@ -169,15 +166,14 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _bad_sample_message(X, params, start) -> str:
-    """Name the first row of X (row `start` of the training set) whose log
-    firing is non-finite under one of the sigma matrices in params."""
+def _bad_sample_message(X, params) -> str:
+    """Name the first row of X whose log firing is non-finite under one of
+    the sigma matrices in params."""
     means, *sigmas, _ = params
     for sig in sigmas:
         bad = ~np.isfinite(kernels.log_firing(X, means, sig).max(axis=1))
         if bad.any():
-            j = start + int(np.flatnonzero(bad)[0])
-            return f"non-finite gradient at sample {j}"
+            return f"non-finite gradient at sample {int(np.flatnonzero(bad)[0])}"
     return "non-finite gradient"
 
 
@@ -194,23 +190,19 @@ def _train_arrays(rb: RuleBase, train):
 
 
 def _tune(X, y, cfg: TuneConfig, params, kernel, project):
-    """The descent loop of both tuners; returns (best params, trace).
+    """The full-batch descent loop of both tuners; returns (best params, trace).
 
-    The params arrays (means, sigma matrices, consequents) are copied, then
-    stepped by lr times the gradients kernel(kernels.centre(x), y, *params)
-    returns with the batch's mean error, and put back in their legal set by
-    project(*params).  A per-sample epoch is n one-row batches in a seeded
-    shuffled order; a full-batch run centres X once, before its first epoch.
-    An epoch's error is the mean of its batch errors, each taken before that
-    batch's step; its digest and snapshot are of the params it started from.
+    X is centred once, before the first epoch.  The params arrays (means,
+    sigma matrices, consequents) are copied; each epoch calls
+    kernel(centred, y, *params) once, steps the params by lr times the
+    gradients it returns, and puts them back in their legal set with
+    project(*params).  An epoch's error is the mean error that call returns,
+    taken before the step; its digest and snapshot are of the params it
+    started from.
     """
-    n = X.shape[0]
     lr = cfg.learning_rate
-    rng = np.random.default_rng(cfg.seed)
     params = tuple(p.copy() for p in params)
-    full = cfg.batch == "full"
-    if full:
-        centred = kernels.centre(X)
+    centred = kernels.centre(X)
 
     errs, digests = [], []
     best = (np.inf, -1, None)
@@ -218,22 +210,12 @@ def _tune(X, y, cfg: TuneConfig, params, kernel, project):
     for epoch in range(cfg.epochs):
         digests.append(_digest(*params))
         snap_now = tuple(p.copy() for p in params)
-        if full:
-            batches = [slice(None)]
-        else:
-            batches = [slice(j, j + 1) for j in rng.permutation(n)]
-        err = 0.0
-        for rows in batches:
-            data = centred if full else kernels.centre(X[rows])
-            *grads, e = kernel(data, y[rows], *params)
-            if not np.isfinite(e):
-                raise DataError(
-                    _bad_sample_message(X[rows], params, rows.start or 0))
-            for p, g in zip(params, grads):
-                p -= lr * g
-            project(*params)
-            err += e
-        err /= len(batches)
+        *grads, err = kernel(centred, y, *params)
+        if not np.isfinite(err):
+            raise DataError(_bad_sample_message(X, params))
+        for p, g in zip(params, grads):
+            p -= lr * g
+        project(*params)
         errs.append(float(err))
         if err < best[0]:
             best = (err, epoch, snap_now)
@@ -269,10 +251,9 @@ def _it2_epoch(data, y, means, sl, su, cons):
 def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     """Steepest descent on the type-1 system; returns (best base, trace).
 
-    Full-batch mode steps with the mean gradient once per epoch; per-sample
-    mode updates after every sample in a seeded shuffled order.  Sigmas are
-    floored at 1e-6 after every step.  The returned base is the epoch-start
-    snapshot with the lowest recorded mean error.
+    Each epoch steps once with the mean gradient over the whole training
+    set.  Sigmas are floored at 1e-6 after every step.  The returned base is
+    the epoch-start snapshot with the lowest recorded mean error.
     """
     if rb.kind != KIND_T1:
         raise ValueError("tune_t1 expects a type-1 rule base")

@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ModelError
-from .rules import KIND_IT2, KIND_T1, InferenceConfig, RuleBase
+from .rules import KIND_IT2, KIND_T1, RuleBase
 
 FORMAT_VERSION = 1
 BUNDLED_MODEL = "icu_admission.model"
@@ -40,18 +40,18 @@ def rule_base_to_dict(rb: RuleBase) -> dict:
                 "sigma_upper": float(rb.cons_sigma_upper[s]),
             },
         })
-    inf = rb.inference
     return {
         "format_version": FORMAT_VERSION,
         "kind": rb.kind,
         "variable_names": list(rb.variable_names),
         "label": {"low": rb.label_low, "high": rb.label_high},
+        # the constant keys keep the block that version-1 readers expect
         "inference": {
-            "tnorm": inf.tnorm,
-            "defuzzifier": inf.defuzzifier,
-            "yager_w": inf.yager_w,
-            "aggregation": inf.aggregation,
-            "threshold": inf.threshold,
+            "tnorm": "product",
+            "defuzzifier": "centroid",
+            "yager_w": 2.0,
+            "aggregation": "weighted",
+            "threshold": rb.threshold,
         },
         "rules": rules,
         "provenance": dict(rb.provenance),
@@ -144,24 +144,30 @@ def dict_to_rule_base(doc) -> RuleBase:
     if not isinstance(low, str) or not isinstance(high, str) or low == high:
         raise ModelError("label block needs two distinct string codes")
 
+    # defuzzifier and yager_w never changed a center-of-sets or type-2 score,
+    # so they are ignored; a type-1 Mamdani model would score differently
+    # here, so it is refused rather than read as center-of-sets
     inf = doc.get("inference") or {}
+    tnorm = inf.get("tnorm", "product")
+    if tnorm != "product":
+        raise ModelError(
+            f"invalid model parameters: unsupported inference.tnorm {tnorm!r}")
+    aggregation = inf.get("aggregation", "weighted")
+    if kind == KIND_T1 and aggregation != "weighted":
+        raise ModelError(
+            f"unsupported inference.aggregation {aggregation!r}: type-1 "
+            f"models are scored center-of-sets ('weighted') only")
     threshold = inf.get("threshold")
     if threshold is not None and not isinstance(threshold, (int, float)):
         raise ModelError("inference.threshold must be a number or null")
     try:
-        inference = InferenceConfig(
-            tnorm=inf.get("tnorm", "product"),
-            defuzzifier=inf.get("defuzzifier", "centroid"),
-            yager_w=float(inf.get("yager_w", 2.0)),
-            aggregation=inf.get("aggregation", "weighted"),
-            threshold=None if threshold is None else float(threshold),
-        )
         prov = doc.get("provenance") or {}
         return RuleBase(
             kind=kind, variable_names=tuple(names),
             means=means, sigma_lower=sig_lo, sigma_upper=sig_up,
             cons_mean=cons, cons_sigma_lower=cons_lo, cons_sigma_upper=cons_up,
-            inference=inference, label_low=low, label_high=high,
+            threshold=None if threshold is None else float(threshold),
+            label_low=low, label_high=high,
             provenance=tuple((str(k), str(v)) for k, v in prov.items()),
         )
     except ValueError as exc:

@@ -7,7 +7,7 @@ on demand.  Type-1 bases are represented with sigma_lower == sigma_upper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,38 +15,6 @@ from .sets import GaussianT1Set, IT2GaussianSet
 
 KIND_T1 = "type-1"
 KIND_IT2 = "interval-type-2"
-
-
-TNORMS = ("product",)
-DEFUZZIFIERS = ("centroid", "bisector", "yager")
-AGGREGATIONS = ("weighted", "mamdani")
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    tnorm: str = "product"
-    defuzzifier: str = "centroid"  # T1 aggregate path only
-    yager_w: float = 2.0
-    aggregation: str = "weighted"  # weighted (center-of-sets) | mamdani (aggregate curve)
-    threshold: float | None = None
-
-    def __post_init__(self):
-        # reject typos here so a bad config or model file fails on load,
-        # not on the first prediction
-        if self.tnorm not in TNORMS:
-            raise ValueError(f"unsupported tnorm {self.tnorm!r} (choose from {TNORMS})")
-        if self.defuzzifier not in DEFUZZIFIERS:
-            raise ValueError(
-                f"unknown defuzzifier {self.defuzzifier!r} (choose from {DEFUZZIFIERS})"
-            )
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(
-                f"unknown aggregation {self.aggregation!r} (choose from {AGGREGATIONS})"
-            )
-        if not (np.isfinite(self.yager_w) and self.yager_w > 0):
-            raise ValueError(f"yager_w must be a positive number, got {self.yager_w!r}")
-        if self.threshold is not None and not np.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +33,7 @@ class RuleBase:
     cons_mean: np.ndarray    # (D,)
     cons_sigma_lower: np.ndarray
     cons_sigma_upper: np.ndarray
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
+    threshold: float | None = None  # decision threshold on the crisp score
     label_low: str = "1"   # class encoded as 1.0 during tuning
     label_high: str = "2"  # class encoded as 2.0
     provenance: tuple[tuple[str, str], ...] = ()
@@ -97,6 +65,8 @@ class RuleBase:
             raise ValueError("sigma_lower must not exceed sigma_upper")
         if self.kind == KIND_T1 and ((sl != su).any() or (cl != cu).any()):
             raise ValueError("type-1 base requires sigma_lower == sigma_upper")
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
         for arr in (means, sl, su, cm, cl, cu):
             arr.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -155,9 +125,6 @@ class RuleBase:
                 dtype=float,
             ),
         )
-
-    def with_inference(self, inference: InferenceConfig) -> "RuleBase":
-        return replace(self, inference=inference)
 
 
 def t1_rule_base(means, sigmas, cons_mean, cons_sigma, variable_names=None, **kw) -> RuleBase:

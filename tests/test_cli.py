@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from it2fis.cli import main
+from it2fis.config import load_config
+from it2fis.errors import DataError
 
 CONFIG = """\
 label_column = icu
@@ -97,14 +99,15 @@ def test_train_is_deterministic_per_seed(workdir, tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
 
 
-def _train_fresh(root, capsys):
+def _train_fresh(root, capsys, *train_flags):
     """Write the raw CSV and config into `root` and train from them there."""
     root.mkdir(parents=True)
     write_raw(root / "raw.csv")
     (root / "run.cfg").write_text(CONFIG, encoding="utf-8")
     model = root / "fit.model"
     assert main(["--seed", "3", "--config", str(root / "run.cfg"),
-                 "train", str(root / "raw.csv"), "-o", str(model)]) == 0
+                 "train", str(root / "raw.csv"), "-o", str(model),
+                 *train_flags]) == 0
     return model, capsys.readouterr().out
 
 
@@ -127,6 +130,18 @@ def test_train_golden_model_hash(tmp_path, capsys):
     assert "scan runs: 4, 109 iterations, 4 converged, " in out
     digest = hashlib.sha256(model.read_bytes()).hexdigest()
     assert digest == GOLDEN_MODEL_SHA256
+
+
+# the same for a type-1-only train of the same input: it pins the type-1
+# scoring path and the model file's inference block
+GOLDEN_T1_MODEL_SHA256 = (
+    "11bae62875d3336ceff0ab0ecfeee6003760369104287c3b5960d05958d85dd7")
+
+
+def test_train_type1_only_golden_model_hash(tmp_path, capsys):
+    model, _ = _train_fresh(tmp_path / "golden", capsys, "--type1-only")
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == GOLDEN_T1_MODEL_SHA256
 
 
 def test_train_type1_only(workdir, tmp_path, capsys):
@@ -256,6 +271,10 @@ def test_evaluate_baselines_need_a_train_share(workdir, capsys):
 def test_inspect_model(workdir, capsys):
     assert main(["inspect-model", str(workdir["model"])]) == 0
     out = capsys.readouterr().out
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    threshold = doc["inference"]["threshold"]
+    assert isinstance(threshold, float)
+    assert f"inference: tnorm=product threshold={threshold!r}\n" in out
     assert "kind: interval-type-2" in out
     assert "rule 1: consequent mean=" in out
     assert "labels: low=" in out
@@ -296,3 +315,46 @@ def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
                "-o", str(tmp_path / "x.model")])
     assert rc == 2
     assert "epochz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["batch", "defuzzifier", "yager_w",
+                                 "aggregation"])
+def test_removed_config_keys_are_unknown(workdir, tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(CONFIG + f"{key} = x\n", encoding="utf-8")
+    rc = main(["--config", str(cfg), "train", str(workdir["raw"]),
+               "-o", str(tmp_path / "x.model")])
+    assert rc == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    with pytest.raises(DataError, match=f"unknown config key {key!r}"):
+        load_config(overrides={key: "x"})
+
+
+BAD_VALUES = [
+    ("train", ["--epochs", "0"], "", "epochs"),
+    ("train", ["--lr", "-1"], "", "learning_rate"),
+    ("train", [], "patience = 0", "patience"),
+    ("train", ["--spread", "1.5"], "", "spread"),
+    ("train", ["--ratio", "1.5"], "", "train_ratio"),
+    ("train", ["--fuzziness", "1.0"], "", "fuzziness"),
+    ("evaluate", ["--baselines"], "knn_k = 0", "knn_k"),
+]
+
+
+@pytest.mark.parametrize("command, flags, config_line, key", BAD_VALUES,
+                         ids=[case[-1] for case in BAD_VALUES])
+def test_bad_config_value_fails_before_reading_data(
+        workdir, tmp_path, capsys, command, flags, config_line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + config_line + "\n", encoding="utf-8")
+    out = tmp_path / "x.out"
+    if command == "train":
+        args = ["train", str(workdir["raw"]), "-o", str(out)]
+    else:
+        args = ["evaluate", str(workdir["model"]), str(workdir["raw"]),
+                "-o", str(out)]
+    rc = main(["--config", str(cfg), *args, *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"data error: [load_config] config {key}" in captured.err
+    assert "cluster scan" not in captured.out

@@ -1,6 +1,7 @@
 """Inference engine: KM type reduction against a vertex-enumeration oracle,
-defuzzification, prediction paths, and the no-coverage fallback."""
+firing, prediction paths, and the no-coverage fallback."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -9,10 +10,8 @@ import pytest
 
 from it2fis import inference, kernels, load_bundled_model
 from it2fis.errors import DataError, NoCoverageError
-from it2fis.inference import (FiringInterval, Prediction, defuzzify_t1,
-                              fire_it2, fire_t1, km_reduce, predict,
-                              predict_batch)
-from it2fis.rules import InferenceConfig, it2_rule_base, t1_rule_base
+from it2fis.inference import Prediction, km_reduce, predict, predict_batch
+from it2fis.rules import it2_rule_base, t1_rule_base
 
 from conftest import random_it2_base, random_t1_base
 
@@ -200,13 +199,6 @@ def test_km_reduce_switch_points_reconstruct_bounds(rng):
         assert f_r @ c_s / f_r.sum() == pytest.approx(tri.y_r, rel=1e-12, abs=1e-12)
 
 
-def test_km_reduce_accepts_firing_interval_sequence():
-    firs = [FiringInterval(0.2, 0.9), FiringInterval(0.1, 0.4)]
-    tri_seq = km_reduce(firs, [1.0, 2.0])
-    tri_arr = km_reduce(np.array([[0.2, 0.9], [0.1, 0.4]]), [1.0, 2.0])
-    assert tri_seq == tri_arr
-
-
 def test_km_reduce_no_coverage():
     with pytest.raises(NoCoverageError):
         km_reduce(np.zeros((3, 2)), [1.0, 2.0, 3.0])
@@ -226,94 +218,6 @@ def test_km_reduce_validation():
 
 
 # ---------------------------------------------------------------------------
-# defuzzification
-# ---------------------------------------------------------------------------
-
-
-def test_defuzzify_centroid_hand_value():
-    assert defuzzify_t1([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]) == pytest.approx(1.0)
-    assert defuzzify_t1([0.0, 1.0], [0.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_defuzzify_yager_w1_equals_centroid(rng):
-    for _ in range(50):
-        n = int(rng.integers(2, 30))
-        ys = np.sort(rng.uniform(-2, 2, n))
-        mus = rng.uniform(0.0, 1.0, n)
-        mus[rng.integers(0, n)] = 0.5  # keep the curve nonzero
-        c = defuzzify_t1(ys, mus, "centroid")
-        y1 = defuzzify_t1(ys, mus, "yager", yager_w=1.0)
-        assert y1 == pytest.approx(c, rel=1e-12, abs=1e-12)
-
-
-def test_defuzzify_yager_weight_sharpens_toward_peak():
-    ys = np.linspace(0.0, 1.0, 101)
-    mus = np.exp(-0.5 * ((ys - 0.8) / 0.3) ** 2) + 0.3
-    c = defuzzify_t1(ys, mus, "centroid")
-    y4 = defuzzify_t1(ys, mus, "yager", yager_w=4.0)
-    assert abs(y4 - 0.8) < abs(c - 0.8)
-
-
-def test_defuzzify_bisector_symmetric_triangle():
-    ys = np.linspace(-1.0, 1.0, 41)
-    mus = np.maximum(0.0, 1.0 - np.abs(ys))
-    assert defuzzify_t1(ys, mus, "bisector") == pytest.approx(0.0, abs=1e-12)
-
-
-def test_defuzzify_bisector_two_spike_plateau_midpoint():
-    # half the area sits in the first segment and half in the last; the
-    # half-area level is met along the whole flat middle, so the bisector
-    # is the plateau midpoint, not the first spike
-    ys = np.linspace(0.0, 1.0, 21)
-    mus = np.zeros(21)
-    mus[0] = 1.0
-    mus[-1] = 1.0
-    assert defuzzify_t1(ys, mus, "bisector") == pytest.approx(0.5, abs=1e-12)
-
-
-def test_defuzzify_bisector_interpolates_inside_segment():
-    # area 0.5*mu*dy per spike segment: spikes of height 1 and 3 at the ends
-    ys = np.linspace(0.0, 1.0, 21)
-    mus = np.zeros(21)
-    mus[0] = 1.0
-    mus[-1] = 3.0
-    dy = ys[1] - ys[0]
-    total = 0.5 * dy * (1.0 + 3.0)
-    half = 0.5 * total
-    # cumulative area stays at 0.5*dy until the last segment, inside which
-    # it rises to 2*dy; both crossings land at the same interpolated point
-    t = (half - 0.5 * dy) / (2.0 * dy - 0.5 * dy)
-    expect = ys[-2] + t * dy
-    assert defuzzify_t1(ys, mus, "bisector") == pytest.approx(expect, abs=1e-12)
-
-
-def test_defuzzify_bisector_splits_area_in_half(rng):
-    for _ in range(25):
-        n = int(rng.integers(8, 60))
-        ys = np.sort(rng.uniform(-3, 3, n))
-        ys += np.arange(n) * 1e-9  # de-duplicate
-        mus = rng.uniform(0.01, 1.0, n)
-        b = defuzzify_t1(ys, mus, "bisector")
-        seg = 0.5 * (mus[1:] + mus[:-1]) * np.diff(ys)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        left = np.interp(b, ys, cum)
-        assert left == pytest.approx(0.5 * cum[-1], rel=1e-6, abs=1e-9)
-
-
-def test_defuzzify_errors():
-    with pytest.raises(NoCoverageError):
-        defuzzify_t1([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        defuzzify_t1([0.0, 1.0], [0.5])
-    with pytest.raises(ValueError):
-        defuzzify_t1([0.0], [0.5])
-    with pytest.raises(ValueError):
-        defuzzify_t1([0.0, 1.0], [-0.1, 0.5])
-    with pytest.raises(ValueError):
-        defuzzify_t1([0.0, 1.0], [0.5, 0.5], method="nope")
-
-
-# ---------------------------------------------------------------------------
 # firing
 # ---------------------------------------------------------------------------
 
@@ -321,7 +225,7 @@ def test_defuzzify_errors():
 def test_fire_t1_is_product_of_memberships(rng):
     rb = random_t1_base(rng, n_rules=3, n_features=3)
     x = rng.uniform(-2, 2, 3)
-    w = fire_t1(rb, x)
+    w = np.exp(kernels.log_firing(x[None, :], rb.means, rb.sigma_upper))[0]
     for s, rule in enumerate(rb.rules):
         prod = 1.0
         for f, ant in enumerate(rule.antecedents):
@@ -332,17 +236,17 @@ def test_fire_t1_is_product_of_memberships(rng):
 
 def test_fire_it2_bounds_bracket_t1(rng):
     rb = random_it2_base(rng, n_rules=4, n_features=2)
-    x = rng.uniform(-2, 2, 2)
-    firs = fire_it2(rb, x)
-    assert len(firs) == 4
-    for fi in firs:
-        assert 0.0 <= fi.lower <= fi.upper <= 1.0
+    X = rng.uniform(-2, 2, (20, 2))
+    lower = np.exp(kernels.log_firing(X, rb.means, rb.sigma_lower))
+    upper = np.exp(kernels.log_firing(X, rb.means, rb.sigma_upper))
+    assert lower.shape == upper.shape == (20, 4)
+    assert ((0.0 <= lower) & (lower <= upper) & (upper <= 1.0)).all()
 
 
 def test_fire_input_validation(rng):
     rb = random_t1_base(rng, n_rules=2, n_features=3)
     with pytest.raises(DataError, match="has 2 features; rule base expects 3"):
-        fire_t1(rb, [0.0, 1.0])
+        predict(rb, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +266,7 @@ def test_predict_threshold_resolution(rng):
     # no threshold anywhere: midpoint of the consequent range
     assert predict(rb, [0.0]).threshold == pytest.approx(1.5)
     # config threshold wins over the midpoint
-    rb2 = rb.with_inference(InferenceConfig(threshold=1.8))
+    rb2 = dataclasses.replace(rb, threshold=1.8)
     assert predict(rb2, [0.0]).threshold == pytest.approx(1.8)
     # explicit argument wins over everything
     assert predict(rb2, [0.0], threshold=1.2).threshold == pytest.approx(1.2)
@@ -540,33 +444,6 @@ def test_predict_batch_shape_mismatch(rng):
     rb = random_t1_base(rng, n_features=3)
     with pytest.raises(DataError, match="rule base expects 3"):
         predict_batch(rb, np.zeros((4, 2)))
-
-
-def test_predict_mamdani_single_rule_centers_on_consequent(rng):
-    inf = InferenceConfig(aggregation="mamdani")
-    rb = t1_rule_base([[0.0]], [[1.0]], [1.3], [0.2], inference=inf)
-    p = predict(rb, [0.5])
-    # symmetric aggregate over a symmetric grid: centroid sits on the mean
-    assert p.crisp == pytest.approx(1.3, abs=1e-9)
-    assert p.interval is None
-
-
-def test_predict_mamdani_matches_reference_curve(rng):
-    inf = InferenceConfig(aggregation="mamdani", defuzzifier="centroid")
-    rb = t1_rule_base([[0.0], [2.0]], [[1.0], [1.0]], [1.0, 2.0],
-                      [0.3, 0.4], inference=inf)
-    x = np.array([0.7])
-    w = fire_t1(rb, x)
-    lo = float((rb.cons_mean - 4.0 * rb.cons_sigma_upper).min())
-    hi = float((rb.cons_mean + 4.0 * rb.cons_sigma_upper).max())
-    ys = np.linspace(lo, hi, 201)
-    curves = [w[s] * np.exp(-0.5 * ((ys - rb.cons_mean[s]) / rb.cons_sigma_upper[s]) ** 2)
-              for s in range(2)]
-    agg = np.maximum(curves[0], curves[1])
-    expect = float(ys @ agg / agg.sum())
-    assert predict(rb, x).crisp == pytest.approx(expect, rel=1e-12)
-    # batch path goes through the same aggregate curve
-    assert predict_batch(rb, x[None, :]).crisp[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_prediction_is_frozen(rng):

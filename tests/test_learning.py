@@ -248,7 +248,7 @@ def test_tune_t1_returns_best_epoch_snapshot(rng):
 
 def test_tune_trace_records_the_mean_error(rng):
     # epoch 0 of the trace measures the untouched base, so it must equal
-    # 0.5 * mean((f - y)^2) of that base's own predictions, in both modes
+    # 0.5 * mean((f - y)^2) of that base's own predictions, in both tuners
     data = regression_dataset(rng)
     rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
                       label_low="a", label_high="b")
@@ -259,10 +259,6 @@ def test_tune_trace_records_the_mean_error(rng):
     it2 = widen_to_it2(rb, spread=0.0)
     _, trace = tune_it2(it2, data, TuneConfig(learning_rate=0.05, epochs=3))
     assert trace.epoch_error[0] == pytest.approx(want, rel=1e-12)
-    # per-sample epochs average the errors met along the shuffled pass
-    cfg = TuneConfig(learning_rate=1e-12, epochs=2, batch="per-sample")
-    _, trace = tune_t1(rb, data, cfg)
-    assert trace.epoch_error[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_tune_it2_reduces_error_and_keeps_invariants(rng):
@@ -287,23 +283,9 @@ def base_for(tune):
 
 
 @pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
-def test_tune_per_sample_mode(rng, tune):
-    data = regression_dataset(rng)
-    rb = base_for(tune)
-    cfg = TuneConfig(learning_rate=0.01, epochs=15, batch="per-sample", seed=3)
-    tuned, trace = tune(rb, data, cfg)
-    assert trace.epoch_error[trace.best_epoch] < trace.epoch_error[0]
-    assert (tuned.sigma_lower <= tuned.sigma_upper).all()
-    assert (tuned.sigma_lower >= SIGMA_FLOOR).all()
-    # same seed reproduces the shuffled-order trajectory exactly
-    tuned2, trace2 = tune(rb, data, cfg)
-    assert trace.param_digests == trace2.param_digests
-
-
-@pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
 def test_tune_centres_each_batch_once(rng, tune, monkeypatch):
-    # the data terms depend on the batch only: a full-batch run builds them
-    # once, before its first epoch, and per-sample mode once per row step
+    # the data terms depend on the training rows only, so a run builds them
+    # once, before its first epoch
     rows = []
     centre = kernels.centre
     monkeypatch.setattr(kernels, "centre",
@@ -314,10 +296,6 @@ def test_tune_centres_each_batch_once(rng, tune, monkeypatch):
     _, trace = tune(base_for(tune), data, cfg)
     assert len(trace.epoch_error) == 5
     assert rows == [n]
-    rows.clear()
-    cfg = TuneConfig(epochs=2, patience=2, batch="per-sample")
-    _, trace = tune(base_for(tune), data, cfg)
-    assert rows == [1] * (n * len(trace.epoch_error))
 
 
 def test_tune_early_stopping(rng):
@@ -357,16 +335,14 @@ def test_tune_kind_checks(rng):
 def test_tune_rejects_uncovered_sample(rng):
     # 1e180 is finite, but its squared distance to every rule overflows, so
     # each of the row's log firings is -inf and its gradient is NaN; both
-    # tuners name the row in both batch modes
+    # tuners name the row
     data = regression_dataset(rng)
     feats = data.features.copy()
     feats[2, 0] = 1e180
     bad = Dataset(feats, data.labels, data.feature_names)
     for tune in (tune_t1, tune_it2):
-        for batch in ("full", "per-sample"):
-            with pytest.raises(DataError,
-                               match=r"^non-finite gradient at sample 2$"):
-                tune(base_for(tune), bad, TuneConfig(epochs=2, batch=batch))
+        with pytest.raises(DataError, match=r"^non-finite gradient at sample 2$"):
+            tune(base_for(tune), bad, TuneConfig(epochs=2))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +453,9 @@ def test_extract_rules_validation(rng):
 
 
 def test_tune_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="learning_rate"):
         TuneConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs"):
         TuneConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TuneConfig(batch="minibatch")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="patience"):
         TuneConfig(patience=0)

@@ -1,13 +1,14 @@
 """Model-file round trips, structural validation, and the bundled model."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from it2fis.errors import ModelError
-from it2fis.model_io import (FORMAT_VERSION, dict_to_rule_base,
+from it2fis.model_io import (BUNDLED_MODEL, FORMAT_VERSION, dict_to_rule_base,
                              load_bundled_model, load_model,
                              rule_base_to_dict, save_model)
 from it2fis.rules import KIND_IT2, KIND_T1
@@ -43,7 +44,7 @@ def test_roundtrip_it2_bit_exact(tmp_path, rng):
         assert np.array_equal(getattr(back, name), getattr(rb, name)), name
     assert back.label_low == rb.label_low
     assert back.label_high == rb.label_high
-    assert back.inference == rb.inference
+    assert back.threshold == rb.threshold
     assert back.provenance == rb.provenance
 
 
@@ -97,8 +98,7 @@ def test_bundled_model_shape_and_anchors():
     assert (rb.sigma_lower <= rb.sigma_upper).all()
     assert (rb.sigma_lower > 0).all()
     assert rb.label_low == "2" and rb.label_high == "1"
-    assert rb.inference.threshold == 1.115
-    assert rb.inference.defuzzifier == "yager"
+    assert rb.threshold == 1.115
 
 
 def test_bundled_model_roundtrips(tmp_path):
@@ -151,6 +151,9 @@ def test_load_rejects_non_numeric_fields(tmp_path, rng):
     doc["inference"]["threshold"] = "high"
     with pytest.raises(ModelError, match="threshold must be a number"):
         load_model(dump(doc, tmp_path))
+    doc["inference"]["threshold"] = float("inf")
+    with pytest.raises(ModelError, match="threshold must be finite"):
+        load_model(dump(doc, tmp_path))
 
     doc = rule_base_to_dict(random_t1_base(rng))
     doc["rules"][0]["antecedents"][1]["mean"] = None
@@ -177,8 +180,7 @@ def test_load_defaults_for_optional_blocks(tmp_path, rng):
     del doc["provenance"]
     rb = load_model(dump(doc, tmp_path))
     assert (rb.label_low, rb.label_high) == ("1", "2")
-    assert rb.inference.tnorm == "product"
-    assert rb.inference.threshold is None
+    assert rb.threshold is None
     assert rb.provenance == ()
 
 
@@ -212,6 +214,28 @@ def test_load_rejects_invalid_inference_values(tmp_path, rng):
     doc["inference"]["tnorm"] = "lukasiewicz"
     with pytest.raises(ModelError, match="invalid model parameters"):
         load_model(dump(doc, tmp_path))
+
+
+def test_load_rejects_type1_mamdani_model(tmp_path, rng):
+    # center-of-sets would score this file differently from its writer
+    doc = rule_base_to_dict(random_t1_base(rng))
+    doc["inference"]["aggregation"] = "mamdani"
+    with pytest.raises(ModelError, match="inference.aggregation 'mamdani'"):
+        load_model(dump(doc, tmp_path))
+
+
+def test_load_ignores_defuzzifier_keys(tmp_path, rng):
+    # they never changed a center-of-sets or type-2 score; the bundled model
+    # says "yager" and still loads
+    text = (resources.files("it2fis") / BUNDLED_MODEL).read_text("utf-8")
+    assert json.loads(text)["inference"]["defuzzifier"] == "yager"
+    load_bundled_model()
+    rb = random_it2_base(rng)
+    doc = rule_base_to_dict(rb)
+    doc["inference"].update(defuzzifier="bisector", yager_w=-3.0,
+                            aggregation="mamdani")
+    back = load_model(dump(doc, tmp_path))
+    assert np.array_equal(back.means, rb.means)
 
 
 def test_load_io_errors(tmp_path):

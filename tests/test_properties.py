@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from it2fis.clustering import fcm
 from it2fis.config import DEFAULTS, load_config, parse_config_file
 from it2fis.evaluation import compute_metrics, split
-from it2fis.inference import defuzzify_t1, km_reduce
+from it2fis.inference import km_reduce
 from it2fis.learning import encode_labels, targets_for
 from it2fis.model_io import load_model, save_model
 from it2fis.preprocess import Dataset
@@ -122,17 +122,6 @@ def test_label_encoding_roundtrip(labels):
     rb = t1_rule_base([[0.0]], [[1.0]], [1.5], [0.5],
                       label_low=low, label_high=high)
     np.testing.assert_array_equal(targets_for(rb, labels), y)
-
-
-@given(st.integers(5, 60), st.integers(0, 1000))
-def test_yager_weight_one_is_centroid(n, seed):
-    rng = np.random.default_rng(seed)
-    ys = np.sort(rng.uniform(-5.0, 5.0, size=n))
-    mus = rng.uniform(0.0, 1.0, size=n)
-    assume(mus.max() > 1e-9)
-    c = defuzzify_t1(ys, mus, "centroid")
-    y1 = defuzzify_t1(ys, mus, "yager", yager_w=1.0)
-    assert y1 == pytest.approx(c, abs=1e-12)
 
 
 config_value = st.text(
