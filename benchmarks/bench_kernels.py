@@ -25,9 +25,10 @@ iterations.  The epoch kernels take their data as ``kernels.centre``
 returns it, and ``centre`` is timed on its own line: tuning calls it once
 per run, not once per epoch.  ``km_batch`` takes its firings rule-major,
 (rules, rows); the ``km_batch_col`` line times it on one column at a time,
-``{rules}x1``, walking through --calls columns, as single-row ``predict``
-calls it.  The ``predict_row`` line times ``inference.predict`` on the
-bundled model, one call per row of --calls rows drawn around its rules.
+``{rules}x1``, walking through --calls columns, as the inference engine
+calls it for a single-row ``predict``.  The ``predict_row`` line times
+``inference.predict``, a one-row ``predict_batch``, on the bundled model,
+one call per row of --calls rows drawn around its rules.
 Every line times single calls: N = --repeats calls for the full-size
 kernels, N = --calls for the two one-column lines.  OpenBLAS runs one
 thread unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH``
@@ -145,7 +146,7 @@ def build_cases(rows, rules, features, seed, repeats, calls):
     Xc = np.column_stack([rng.random((FCM_ROWS, FCM_BINARY)) < 0.3,
                           rng.random(FCM_ROWS)]).astype(float)
 
-    # one column per call, contiguous (rules, 1) as predict passes it
+    # one column per call, contiguous (rules, 1), as a one-row predict has it
     columns = [(np.ascontiguousarray(lo[:, j:j + 1]),
                 np.ascontiguousarray(up[:, j:j + 1]), cents)
                for j in rng.integers(0, rows, calls)]

@@ -119,7 +119,8 @@ _PREP_FLAGS = {"label_column": "label", "corr_threshold": "corr_threshold"}
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _load_config(args, _PREP_FLAGS)
+    with _stage("load_config"):
+        cfg = _load_config(args, _PREP_FLAGS)
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
@@ -133,13 +134,13 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args, {
-        **_PREP_FLAGS, "c_max": "c_max", "fuzziness": "fuzziness",
-        "learning_rate": "learning_rate", "epochs": "epochs",
-        "spread": "spread", "train_ratio": "train_ratio",
-    })
     seed = args.seed
     with _stage("load_config"):
+        cfg = _load_config(args, {
+            **_PREP_FLAGS, "c_max": "c_max", "fuzziness": "fuzziness",
+            "learning_rate": "learning_rate", "epochs": "epochs",
+            "spread": "spread", "train_ratio": "train_ratio",
+        })
         # reject bad values now, not after an hour of tuning
         tc = cfgmod.tune_config(cfg)
         cfgmod.check_ranges(cfg, "spread", "train_ratio", "fuzziness")
@@ -227,14 +228,15 @@ def cmd_predict(args) -> int:
         model = load_model(args.model)
     with _stage("load_csv"):
         table = load_csv(args.input)
-    if len(table.column_names) != model.n_features:
-        raise DataError(
-            f"feature-count mismatch: expected {model.n_features}, "
-            f"got {len(table.column_names)}"
-        )
     with _stage("parse_features"):
+        if len(table.column_names) != model.n_features:
+            raise DataError(
+                f"feature-count mismatch: expected {model.n_features}, "
+                f"got {len(table.column_names)}"
+            )
         X = feature_matrix(table)
-    bp = predict_batch(model, X)
+    with _stage("predict"):
+        bp = predict_batch(model, X)
     with open(args.output, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["row", "crisp", "y_l", "y_r", "label", "flagged"])
@@ -251,8 +253,8 @@ def cmd_evaluate(args) -> int:
         raise DataError(
             "--baselines needs a train share; it cannot combine with --test-only"
         )
-    cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
     with _stage("load_config"):
+        cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
         cfgmod.check_ranges(cfg, "train_ratio", "knn_k")
     with _stage("load_model"):
         model = load_model(args.model)
@@ -260,11 +262,11 @@ def cmd_evaluate(args) -> int:
         table = load_csv(args.input)
     with _stage("preprocess"):
         ds, _ = preprocess(table, cfgmod.preprocess_config(cfg))
-    if len(ds.feature_names) != model.n_features:
-        raise DataError(
-            f"feature-count mismatch: expected {model.n_features}, "
-            f"got {len(ds.feature_names)}"
-        )
+        if len(ds.feature_names) != model.n_features:
+            raise DataError(
+                f"feature-count mismatch: expected {model.n_features}, "
+                f"got {len(ds.feature_names)}"
+            )
 
     if args.test_only:
         train_ds, test_ds = None, ds

@@ -1,18 +1,21 @@
 """Center-of-sets inference engine: firing, type reduction, predict.
 
-Firing uses singleton fuzzification with the product t-norm.  Interval type-2
-outputs go through Karnik-Mendel center-of-sets type reduction; the crisp
-score is the midpoint of [y_l, y_r].  Type-1 bases use the same center-of-sets
-ratio with degenerate intervals.
+Firing uses singleton fuzzification with the product t-norm.  Outputs go
+through Karnik-Mendel center-of-sets type reduction; the crisp score is the
+midpoint of [y_l, y_r].  A type-1 base is the same system with zero-width
+intervals: its firings are passed as both bounds, so its interval is
+degenerate and no reduction of its own exists.
 
 Center-of-sets centroids: a symmetric Gaussian consequent has a centroid
 interval centered exactly on its mean, so the consequent means are used as
 the rule centroids directly (no discretization error).
 
-Batch paths work on log firing strengths shifted by the per-sample maximum
-before exponentiation.  The crisp score and the type-reduced interval are
-ratios of firing strengths, hence invariant to that positive rescaling, so
-the shift changes nothing except that 27-feature products no longer underflow.
+There is one engine, ``_score``: ``predict_batch`` runs it on a matrix and
+``predict`` on one row, so the two agree bit for bit.  It works on log
+firing strengths shifted by each row's maximum upper log firing before
+exponentiation.  The crisp score and the type-reduced interval are ratios
+of firing strengths, hence invariant to that positive rescaling, so the
+shift changes nothing except that 27-feature products no longer underflow.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import numpy as np
 from . import kernels
 from .errors import DataError, NoCoverageError
 from .preprocess import reject_non_finite
-from .rules import KIND_IT2, RuleBase
+from .rules import RuleBase
 
-# Cell budget of one (rows, rules, features) temporary of the batch firing:
-# 2**16 doubles, 512 KiB.  predict_batch fires its rows in blocks of that
-# size, so the temporaries stay in cache however many rows a batch has.
+# Cell budget of one (rows, stacked rules, features) temporary of the
+# firing: 2**16 doubles, 512 KiB.  The engine fires its rows in blocks of
+# that size, so the temporaries stay in cache however many rows a batch has.
 FIRING_BLOCK_CELLS = 2 ** 16
 
 
@@ -65,28 +68,6 @@ class BatchPredictions:
     threshold: float
 
 
-def _check_input(rb: RuleBase, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != rb.n_features:
-        raise DataError(
-            f"input vector has {x.size} features; rule base expects {rb.n_features}"
-        )
-    # nan/inf cannot be scored; "flagged" is kept for finite inputs whose
-    # firing overflows or underflows
-    reject_non_finite(x[None, :], rb.variable_names)
-    return x
-
-
-def _log_fire(x, means, sigmas):
-    # log of the product-t-norm firing: -1/2 sum_f ((x_f - m)/sigma)^2,
-    # one sum per rule (sigmas may stack several (rules, features) matrices;
-    # each row is summed alone, so stacking changes no bit); an overflowing
-    # square is deliberate (it marks the sample uncovered)
-    with np.errstate(over="ignore"):
-        z = (x[None, :] - means) / sigmas
-        return -0.5 * (z * z).sum(axis=-1)
-
-
 def km_reduce(firings, centroids) -> TypeReducedInterval:
     """Karnik-Mendel center-of-sets type reduction.
 
@@ -101,8 +82,8 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
     `firings` is an (n, 2) array-like of [lower, upper] rows.  Raises
     NoCoverageError when every upper firing is zero (the ratio is undefined:
     no rule fires).  This is the validating entry for firings from outside
-    the engine (set centroids, API callers); `predict` builds its firings to
-    satisfy these checks and calls the kernel itself.
+    the engine (set centroids, API callers); the engine's own firings meet
+    these checks by construction and go to the kernel directly.
     """
     fir = np.asarray(firings, dtype=float)
     if fir.ndim != 2 or fir.shape[1] != 2:
@@ -147,60 +128,69 @@ def _resolve_threshold(rb: RuleBase, threshold) -> float:
     return 0.5 * float(rb.cons_mean.min() + rb.cons_mean.max())
 
 
-def _fallback(rb: RuleBase, thr: float) -> Prediction:
-    # no rule fires (underflow): majority training class, flagged
-    return Prediction(
-        crisp=float("nan"), label=rb.label_low, threshold=thr,
-        interval=None, flagged=True,
-    )
+def _checked(rb: RuleBase, X) -> np.ndarray:
+    # the one input check of predict and predict_batch: X is (rows, features)
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[1] != rb.n_features:
+        raise DataError(
+            f"input has {X.shape[1]} features; rule base expects {rb.n_features}"
+        )
+    # nan/inf cannot be scored; "flagged" is kept for finite inputs whose
+    # firing overflows or underflows
+    reject_non_finite(X, rb.variable_names)
+    return X
 
 
-def _log_firing_blocks(X, means, sigmas) -> np.ndarray:
-    # kernels.log_firing over row blocks of at most FIRING_BLOCK_CELLS cells;
-    # it sums each (row, rule) pair alone, so the blocks change no bit
+def _score(rb: RuleBase, X):
+    """Fire and reduce the checked (rows, features) matrix X.
+
+    Returns (y_l, y_r, k_l, k_r, covered), one entry per row.  The firing
+    takes ``rb.firing_stack``: a type-2 base fires its lower over its upper
+    sigmas in one ``kernels.log_firing`` pass per block of at most
+    ``FIRING_BLOCK_CELLS`` cells, and a type-1 base passes its one set of
+    firings as both bounds.  Each row is shifted by its upper maximum.  A
+    row that no rule fires on (every upper square overflows) is uncovered:
+    it is shifted by 0, so it fires nothing, and its bounds are NaN.
+    """
+    means, sigmas, cents = rb.firing_stack
+    n, r = X.shape[0], cents.size
     rows = max(1, FIRING_BLOCK_CELLS // sigmas.size)
-    out = np.empty((X.shape[0], sigmas.shape[0]))
-    for start in range(0, X.shape[0], rows):
-        out[start:start + rows] = kernels.log_firing(
-            X[start:start + rows], means, sigmas)
-    return out
+    if n <= rows:
+        logf = kernels.log_firing(X, means, sigmas)
+    else:  # log_firing sums each (row, rule) pair alone: blocks change no bit
+        logf = np.empty((n, sigmas.shape[0]))
+        for start in range(0, n, rows):
+            logf[start:start + rows] = kernels.log_firing(
+                X[start:start + rows], means, sigmas)
+    shift = logf[:, -r:].max(axis=1)
+    covered = np.isfinite(shift)
+    all_covered = covered.all()
+    if not all_covered:
+        shift[~covered] = 0.0  # exp(-inf - 0) = 0
+    fir = np.exp(logf.T - shift)
+    y_l, y_r, k_l, k_r = kernels.km_batch(fir[:r], fir[-r:], cents)
+    if not all_covered:
+        y_l[~covered] = np.nan
+        y_r[~covered] = np.nan
+    return y_l, y_r, k_l, k_r, covered
 
 
 def predict(rb: RuleBase, x, threshold=None) -> Prediction:
-    """Classify one input vector.
+    """Classify one input vector: ``predict_batch`` on one row, bit for bit.
 
-    IT2 path: firing intervals -> Karnik-Mendel reduction over consequent
-    means -> interval midpoint.  T1 path: the same center-of-sets ratio with
-    degenerate intervals.  Label is the high class exactly when crisp >=
-    threshold.  When no rule fires (vanishing firing after underflow) the
-    prediction falls back to the majority training class (the low label)
-    with flagged=True and a NaN crisp score.  A nan or inf feature raises
-    DataError instead.
-
-    The lower and upper log firings come from one pass over the stacked
-    sigma matrices and are shifted by the upper maximum, so the upper firings
-    peak at exactly 1.  The reduction calls ``kernels.km_batch`` on one
-    column directly: ``km_reduce``'s checks (finite firings, 0 <= lower <=
-    upper, some upper firing positive) hold here by construction, and its
-    result is the same bit for bit.
+    The crisp score is the midpoint of the Karnik-Mendel interval [y_l, y_r]
+    (degenerate for a type-1 base), returned with its switch points.  Label
+    is the high class exactly when crisp >= threshold.  When no rule fires
+    (vanishing firing after underflow) the prediction falls back to the
+    majority training class (the low label) with flagged=True, a NaN crisp
+    score and no interval.  A nan or inf feature raises DataError instead.
     """
-    x = _check_input(rb, x)
+    X = _checked(rb, np.asarray(x, dtype=float).reshape(1, -1))
     thr = _resolve_threshold(rb, threshold)
-
-    it2 = rb.kind == KIND_IT2
-    if it2:  # lower over upper
-        sig = np.concatenate((rb.sigma_lower, rb.sigma_upper))
-        sig = sig.reshape(2, rb.n_rules, rb.n_features)
-    else:
-        sig = rb.sigma_upper[None]
-    logf = _log_fire(x, rb.means, sig)
-    shift = logf[-1].max()
-    if not np.isfinite(shift):
-        return _fallback(rb, thr)
-    fir = np.exp(logf - shift)
-    order = np.argsort(rb.cons_mean, kind="stable")
-    fir = fir[:, order, None]
-    y_l, y_r, k_l, k_r = kernels.km_batch(fir[0], fir[-1], rb.cons_mean[order])
+    y_l, y_r, k_l, k_r, covered = _score(rb, X)
+    if not covered[0]:
+        return Prediction(crisp=float("nan"), label=rb.label_low,
+                          threshold=thr, interval=None, flagged=True)
     y_l, y_r = float(y_l[0]), float(y_r[0])
     tri = TypeReducedInterval(y_l=y_l, y_r=y_r, crisp=0.5 * (y_l + y_r),
                               switch_points=(int(k_l[0]), int(k_r[0])))
@@ -210,53 +200,16 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
 
 
 def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
-    """Vectorized predict over a feature matrix; one output row per input.
+    """``predict`` over the rows of a feature matrix; one output row per input.
 
-    Raises DataError on a non-finite cell, naming its feature and row.
-    Rows are fired in blocks of at most ``FIRING_BLOCK_CELLS`` (rows x rules
-    x features) cells; the blocks do not change the result.
+    Raises DataError on a non-finite cell, naming its feature and row.  The
+    outputs equal single-row ``predict`` bit for bit (``_score`` is the one
+    firing and reduction path); the switch points are dropped.
     """
-    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
-    if X.shape[1] != rb.n_features:
-        raise DataError(
-            f"input rows have {X.shape[1]} features; rule base expects {rb.n_features}"
-        )
-    reject_non_finite(X, rb.variable_names)
+    X = _checked(rb, np.atleast_2d(X))
     thr = _resolve_threshold(rb, threshold)
-    n = X.shape[0]
-    if n == 0:
-        empty = np.empty(0)
-        return BatchPredictions(empty, empty.copy(), empty.copy(), [],
-                                np.zeros(0, dtype=bool), thr)
-
-    logu = _log_firing_blocks(X, rb.means, rb.sigma_upper)
-    shift = logu.max(axis=1)
-    covered = np.isfinite(shift)
-
-    crisp = np.full(n, np.nan)
-    y_l = np.full(n, np.nan)
-    y_r = np.full(n, np.nan)
-
-    if covered.any():
-        idx = np.flatnonzero(covered)
-        with np.errstate(invalid="ignore"):
-            up = np.exp(logu[idx] - shift[idx, None])
-        if rb.kind == KIND_IT2:
-            logl = _log_firing_blocks(X[idx], rb.means, rb.sigma_lower)
-            lo = np.exp(logl - shift[idx, None])
-            order = np.argsort(rb.cons_mean, kind="stable")
-            yl, yr, _, _ = kernels.km_batch(
-                lo.T[order], up.T[order], rb.cons_mean[order])
-            y_l[idx], y_r[idx] = yl, yr
-            crisp[idx] = 0.5 * (yl + yr)
-        else:
-            c = up @ rb.cons_mean / up.sum(axis=1)
-            crisp[idx] = c
-            y_l[idx] = c
-            y_r[idx] = c
-
-    with np.errstate(invalid="ignore"):
-        high = crisp >= thr
-    labels = [rb.label_high if h else rb.label_low for h in high]
+    y_l, y_r, _, _, covered = _score(rb, X)
+    crisp = 0.5 * (y_l + y_r)
+    labels = [rb.label_high if h else rb.label_low for h in crisp >= thr]
     return BatchPredictions(crisp=crisp, y_l=y_l, y_r=y_r, labels=labels,
                             flagged=~covered, threshold=thr)

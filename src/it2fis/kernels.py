@@ -14,9 +14,11 @@ kernels are rule-major in the same way: ``t1_epoch``, ``it2_epoch`` and
 ``km_batch`` hold firings as (n_rules, n_samples), so every step and every
 sum over the few rules runs along rows of n_samples, not as a length-n_rules
 inner loop per sample.  ``log_firing`` stays sample-major, (n_samples,
-n_rules): it scores rows for ``predict_batch``, whose outputs must equal
-single-row ``predict`` bit for bit, so it sums each row's terms by itself in
-an einsum, and its callers take per-row maxima and pick out rows.
+n_rules): it scores rows for the inference engine, which serves
+``predict_batch`` and single-row ``predict`` alike, so it sums each (row,
+rule) pair's terms by itself in an einsum: a row's score does not depend on
+the batch or block it comes in, nor on the rules stacked beside it, and the
+engine takes per-row maxima over its columns.
 
 The epoch kernels never form an (n_samples, n_rules, n_features)
 array: firing and gradients are BLAS products in a centred form.  Each

@@ -71,6 +71,17 @@ def _num(block, key, where):
     return float(v)
 
 
+def _block(doc, key) -> dict:
+    # an optional block: absent or null reads as empty, anything else but a
+    # JSON object is malformed
+    block = doc.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ModelError(f"{key} block must be a JSON object")
+    return block
+
+
 def _check_sigmas(where, sl, su, kind):
     if sl <= 0:
         raise ModelError(f"{where}: sigma_lower must be positive, got {sl!r}")
@@ -138,7 +149,7 @@ def dict_to_rule_base(doc) -> RuleBase:
         _check_sigmas(where, csl, csu, kind)
         cons[s], cons_lo[s], cons_up[s] = cm, csl, csu
 
-    label = doc.get("label") or {}
+    label = _block(doc, "label")
     low = label.get("low", "1")
     high = label.get("high", "2")
     if not isinstance(low, str) or not isinstance(high, str) or low == high:
@@ -147,7 +158,7 @@ def dict_to_rule_base(doc) -> RuleBase:
     # defuzzifier and yager_w never changed a center-of-sets or type-2 score,
     # so they are ignored; a type-1 Mamdani model would score differently
     # here, so it is refused rather than read as center-of-sets
-    inf = doc.get("inference") or {}
+    inf = _block(doc, "inference")
     tnorm = inf.get("tnorm", "product")
     if tnorm != "product":
         raise ModelError(
@@ -158,10 +169,11 @@ def dict_to_rule_base(doc) -> RuleBase:
             f"unsupported inference.aggregation {aggregation!r}: type-1 "
             f"models are scored center-of-sets ('weighted') only")
     threshold = inf.get("threshold")
-    if threshold is not None and not isinstance(threshold, (int, float)):
+    if threshold is not None and (not isinstance(threshold, (int, float))
+                                  or isinstance(threshold, bool)):
         raise ModelError("inference.threshold must be a number or null")
+    prov = _block(doc, "provenance")
     try:
-        prov = doc.get("provenance") or {}
         return RuleBase(
             kind=kind, variable_names=tuple(names),
             means=means, sigma_lower=sig_lo, sigma_upper=sig_up,

@@ -8,6 +8,7 @@ on demand.  Type-1 bases are represented with sigma_lower == sigma_upper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,26 @@ class RuleBase:
     @property
     def n_features(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def firing_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(means, sigmas, centroids) as the inference engine fires them.
+
+        Rules come in ascending consequent-mean order (a stable sort), the
+        order Karnik-Mendel reduction takes.  A type-2 base stacks its lower
+        over its upper sigmas, (2 rules, features), beside the means twice;
+        a type-1 base has one copy.  Built on first use; the parameter
+        arrays are read-only, so it cannot go stale.
+        """
+        order = np.argsort(self.cons_mean, kind="stable")
+        means, sigmas = self.means[order], self.sigma_upper[order]
+        if self.kind == KIND_IT2:
+            sigmas = np.concatenate((self.sigma_lower[order], sigmas))
+            means = np.concatenate((means, means))
+        stack = (means, sigmas, self.cons_mean[order])
+        for arr in stack:
+            arr.setflags(write=False)
+        return stack
 
     @property
     def rules(self) -> tuple[Rule, ...]:

@@ -1,13 +1,17 @@
-"""The package names the benchmark's tracer wraps, checked in tier-1.
+"""The package names the benchmark's tracer wraps, checked in tier-1, and
+smoke runs of the timing scripts in `benchmarks/`.
 
 `perfbench/layers.py` patches package functions from outside, by module
-attribute name.  A kernel that is renamed, removed or inlined into its
-caller would only show up as a failing traced benchmark run; these tests
-make it fail here instead.
+attribute name, and the scripts in `benchmarks/` call kernels and engine
+functions by name.  A kernel that is renamed, removed or inlined into its
+caller would only show up as a failing benchmark run; these tests make it
+fail here instead.
 """
 
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -15,7 +19,14 @@ import pytest
 
 from it2fis import cli, clustering, inference, kernels, learning
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# the lines bench_kernels.py prints, one per timed kernel or call
+KERNEL_LINES = ("sq_distances", "fcm_memberships", "fcm", "log_firing",
+                "km_batch", "centre", "t1_epoch", "it2_epoch", "topk_select",
+                "knn_chunk_exact", "knn_chunk_f64", "km_batch_col",
+                "predict_row")
 
 
 def _perfbench_module(name):
@@ -59,3 +70,28 @@ def test_fcm_runs_through_the_traced_kernels(layers):
     assert names.count("kernels.fcm_memberships") == 4
     assert all(s.parent == 0 for s in tracer.spans[1:])
     assert {name: getattr(kernels, name) for name in layers.KERNELS} == originals
+
+
+def _run_benchmark(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / script), *args],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_bench_kernels_runs_every_line():
+    run = _run_benchmark("bench_kernels.py", "--rows", "400", "--rules", "3",
+                         "--features", "6", "--repeats", "1", "--calls", "20")
+    assert run.returncode == 0, run.stderr
+    printed = {line.split()[0] for line in run.stdout.splitlines() if line}
+    assert set(KERNEL_LINES) <= printed
+
+
+def test_bench_scan_runs(tmp_path):
+    out = tmp_path / "scan.json"
+    run = _run_benchmark("bench_scan.py", "--rows", "200", "--c-max", "3",
+                         "--seeds", "2", "--repeats", "1", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    assert out.exists()

@@ -206,7 +206,25 @@ def test_predict_feature_count_mismatch(workdir, tmp_path, capsys):
                "-o", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"feature-count mismatch: expected {n}, got {n - 1}" in err
+    assert (f"data error: [parse_features] feature-count mismatch: "
+            f"expected {n}, got {n - 1}") in err
+
+
+def test_evaluate_feature_count_mismatch_names_the_stage(workdir, tmp_path,
+                                                         capsys):
+    # a model one input short of the cleaned data
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    doc["variable_names"].pop()
+    for rule in doc["rules"]:
+        rule["antecedents"].pop()
+    short = tmp_path / "short.model"
+    short.write_text(json.dumps(doc), encoding="utf-8")
+    n = len(doc["variable_names"])
+    rc = main(["--config", str(workdir["cfg"]), "evaluate", str(short),
+               str(workdir["raw"])])
+    assert rc == 2
+    assert (f"data error: [preprocess] feature-count mismatch: "
+            f"expected {n}, got {n + 1}") in capsys.readouterr().err
 
 
 def test_predict_rejects_non_finite_cells(workdir, tmp_path, capsys):
@@ -308,13 +326,36 @@ def test_broken_model_exits_3(workdir, tmp_path, capsys):
     assert "model error: [load_model] cannot parse model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, value, message", [
+    ("label", ["x"], "label block must be a JSON object"),
+    ("inference", ["x"], "inference block must be a JSON object"),
+    ("provenance", ["x"], "provenance block must be a JSON object"),
+    ("threshold", True, "inference.threshold must be a number or null"),
+], ids=["label", "inference", "provenance", "threshold"])
+def test_malformed_model_block_exits_3(workdir, tmp_path, capsys, block,
+                                       value, message):
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    if block == "threshold":
+        doc["inference"]["threshold"] = value
+    else:
+        doc[block] = value
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["inspect-model", str(bad)]) == 3
+    assert f"model error: [load_model] {message}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("epochz = 5\n", encoding="utf-8")
-    rc = main(["--config", str(cfg), "train", str(workdir["raw"]),
-               "-o", str(tmp_path / "x.model")])
-    assert rc == 2
-    assert "epochz" in capsys.readouterr().err
+    out = str(tmp_path / "x.out")
+    for args in (["preprocess", str(workdir["raw"]), "-o", out],
+                 ["train", str(workdir["raw"]), "-o", out],
+                 ["evaluate", str(workdir["model"]), str(workdir["raw"])]):
+        rc = main(["--config", str(cfg), *args])
+        assert rc == 2
+        assert ("data error: [load_config] unknown config key 'epochz'"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key", ["batch", "defuzzifier", "yager_w",
@@ -325,7 +366,8 @@ def test_removed_config_keys_are_unknown(workdir, tmp_path, capsys, key):
     rc = main(["--config", str(cfg), "train", str(workdir["raw"]),
                "-o", str(tmp_path / "x.model")])
     assert rc == 2
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert (f"data error: [load_config] unknown config key {key!r}"
+            in capsys.readouterr().err)
     with pytest.raises(DataError, match=f"unknown config key {key!r}"):
         load_config(overrides={key: "x"})
 

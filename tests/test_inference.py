@@ -11,7 +11,7 @@ import pytest
 from it2fis import inference, kernels, load_bundled_model
 from it2fis.errors import DataError, NoCoverageError
 from it2fis.inference import Prediction, km_reduce, predict, predict_batch
-from it2fis.rules import it2_rule_base, t1_rule_base
+from it2fis.rules import KIND_IT2, it2_rule_base, t1_rule_base
 
 from conftest import random_it2_base, random_t1_base
 
@@ -281,16 +281,21 @@ def test_predict_label_assignment():
 
 
 def test_predict_zero_spread_it2_matches_t1(rng):
+    # a type-1 base is the type-2 one with equal sigmas, scored the same way
     for _ in range(10):
         t1 = random_t1_base(rng, n_rules=4, n_features=3)
         it2 = it2_rule_base(t1.means, t1.sigma_lower, t1.sigma_upper,
                             t1.cons_mean, t1.cons_sigma_lower,
                             t1.cons_sigma_upper)
-        for x in rng.uniform(-2, 2, (10, 3)):
+        X = rng.uniform(-2, 2, (10, 3))
+        for x in X:
             a = predict(t1, x)
             b = predict(it2, x)
-            assert b.crisp == pytest.approx(a.crisp, rel=1e-12, abs=1e-12)
+            assert a == b
             assert b.interval.y_l == pytest.approx(b.interval.y_r, abs=1e-12)
+        a, b = predict_batch(t1, X), predict_batch(it2, X)
+        for name in ("crisp", "y_l", "y_r", "flagged"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_predict_it2_interval_brackets_crisp(rng):
@@ -353,6 +358,9 @@ def predict_battery():
 
 
 def test_predict_is_pinned_bit_for_bit():
+    # re-recorded when predict became a one-row predict_batch: 25 of the 180
+    # scored rows moved (crisp, a bound or a switch point), by at most
+    # 3.2e-16 relative
     lines = []
     for rb, x in predict_battery():
         p = predict(rb, x)
@@ -362,26 +370,50 @@ def test_predict_is_pinned_bit_for_bit():
         lines.append(f"{p.crisp.hex()} {tri} {p.label} {p.flagged}")
     assert sum(line.endswith("True") for line in lines) == 20
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "4c40ac8beea654f56b7f64ea52ac784ef3294b70bf221cf4029c8cc53e2ed5e6")
+        "c9d72454b7fa75aa6201974120b567a885662b967ee9cae8341fddb6d16ac227")
 
 
-def test_predict_batch_matches_single(rng):
-    for maker in (random_t1_base, random_it2_base):
-        rb = maker(rng, n_rules=4, n_features=3)
-        X = rng.uniform(-2, 2, (40, 3))
-        bp = predict_batch(rb, X)
-        for i in range(40):
-            p = predict(rb, X[i])
-            assert bp.crisp[i] == pytest.approx(p.crisp, rel=1e-12, abs=1e-12)
-            assert bp.labels[i] == p.label
-            assert not bp.flagged[i]
-            if p.interval is not None:
-                assert bp.y_l[i] == pytest.approx(p.interval.y_l, rel=1e-12, abs=1e-12)
-                assert bp.y_r[i] == pytest.approx(p.interval.y_r, rel=1e-12, abs=1e-12)
+def test_predict_batch_is_pinned_bit_for_bit():
+    # one batch per type-2 member of the battery (the bundled model and the
+    # random type-2 base); the digest was recorded before predict and
+    # predict_batch came to share one firing and reduction path
+    batches = {}
+    for rb, x in predict_battery():
+        if rb.kind == KIND_IT2:
+            batches.setdefault(id(rb), (rb, []))[1].append(x)
+    digest = hashlib.sha256()
+    for rb, rows in batches.values():
+        bp = predict_batch(rb, np.array(rows))
+        for name in ("crisp", "y_l", "y_r", "flagged"):
+            digest.update(getattr(bp, name).tobytes())
+        digest.update(" ".join(bp.labels).encode())
+    assert digest.hexdigest() == (
+        "158f301ce599e2840603213f9a8660d21d8ef3b920fc241895579ee47277e76e")
+
+
+def test_predict_batch_matches_single():
+    # predict is predict_batch on one row: every output bit agrees, over the
+    # battery's underflowing and flagged rows too
+    batches = {}
+    for rb, x in predict_battery():
+        batches.setdefault(id(rb), (rb, []))[1].append(x)
+    for rb, rows in batches.values():
+        bp = predict_batch(rb, np.array(rows))
+        for i, x in enumerate(rows):
+            p = predict(rb, x)
+            assert np.float64(p.crisp).tobytes() == bp.crisp[i].tobytes()
+            assert p.label == bp.labels[i]
+            assert p.flagged == bp.flagged[i]
+            if p.interval is None:
+                assert np.isnan(bp.y_l[i]) and np.isnan(bp.y_r[i])
+            else:
+                assert np.float64(p.interval.y_l).tobytes() == bp.y_l[i].tobytes()
+                assert np.float64(p.interval.y_r).tobytes() == bp.y_r[i].tobytes()
 
 
 def test_predict_batch_row_blocks_change_no_bit(monkeypatch):
-    # the battery's rows per rule base, underflowing and flagged ones included
+    # the battery's rows per rule base, underflowing and flagged ones
+    # included; a type-2 base fires its two sigma matrices stacked
     batches = {}
     for rb, x in predict_battery():
         batches.setdefault(id(rb), (rb, []))[1].append(x)
@@ -394,7 +426,8 @@ def test_predict_batch_row_blocks_change_no_bit(monkeypatch):
         monkeypatch.setattr(inference, "FIRING_BLOCK_CELLS", 2 ** 40)
         whole = predict_batch(rb, X)
         for rows_per_block in (1, 3, 7):
-            cells = rows_per_block * rb.n_rules * rb.n_features
+            stacked = rb.n_rules * (2 if rb.kind == KIND_IT2 else 1)
+            cells = rows_per_block * stacked * rb.n_features
             monkeypatch.setattr(inference, "FIRING_BLOCK_CELLS", cells)
             calls.clear()
             bp = predict_batch(rb, X)
