@@ -4,10 +4,10 @@ Runs each hot kernel on representative shapes (ICU-model sized rule bases,
 tens of thousands of rows) and prints, over N timed calls, the best time
 beside the median and the quartiles: on a shared host the best alone moves
 by tens of percent between runs of one tree.  ``topk_select`` runs on one
-KNN chunk as ``evaluation.baseline_knn`` cuts it, ``KNN_BLOCK_CELLS //
-rows`` query rows against all rows, on integer-rounded distances so that
-ties are common; its result is first checked against a stable ``argsort``.
-``--rows 85569`` gives the 49 x 85,569 chunk of a full-size KNN baseline.
+KNN block as ``evaluation.baseline_knn`` cuts it, ``knn_block_rows(rows)``
+query rows against all rows, on integer-rounded distances so that ties are
+common; its result is first checked against a stable ``argsort``.
+``--rows 85569`` gives the 48 x 85,569 block of a full-size KNN baseline.
 The two ``knn_chunk`` lines time one such chunk of the baseline itself,
 the distance block plus ``topk_select``, on covid-like integer data:
 --features - 1 sparse 0/1 flags and an integer age in 0..100.
@@ -55,7 +55,7 @@ import numpy as np
 from bench_scan import git_sha
 from it2fis import clustering, evaluation, inference, kernels, \
     load_bundled_model
-from it2fis.evaluation import KNN_BLOCK_CELLS
+from it2fis.evaluation import knn_block_rows
 
 # the fcm line's fixed shape and run
 FCM_ROWS, FCM_BINARY, FCM_CLUSTERS, FCM_ITERS = 2080, 34, 6, 50
@@ -90,7 +90,7 @@ def knn_chunk(block, rows, k):
 
 def knn_chunk_cases(rng, rows, features, k=5):
     """The exact and float64 KNN chunk lines, checked against exact keys."""
-    n_query = max(1, KNN_BLOCK_CELLS // rows)  # baseline_knn's chunk rows
+    n_query = knn_block_rows(rows)  # baseline_knn's block rows
     Xtr, Xq = covid_like(rng, rows, features), covid_like(rng, n_query, features)
     Xtr[0, -1], Xtr[1, -1] = 0.0, 100.0
     span2 = 100.0 ** 2
@@ -138,7 +138,7 @@ def build_cases(rows, rules, features, seed, repeats, calls):
     xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
     centers = rng.normal(size=(8, features))
     d2 = kernels.sq_distances(centers, xt, xx)
-    n_query = max(1, KNN_BLOCK_CELLS // rows)  # baseline_knn's chunk rows
+    n_query = knn_block_rows(rows)  # baseline_knn's block rows
     queries = rng.normal(size=(n_query, features))
     # rounded to integers so that distances tie, also at the k-th place
     qd2 = np.round(kernels.sq_distances(queries, xt, xx))

@@ -249,10 +249,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.baselines and args.test_only:
-        raise DataError(
-            "--baselines needs a train share; it cannot combine with --test-only"
-        )
     with _stage("load_config"):
         cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
         cfgmod.check_ranges(cfg, "train_ratio", "knn_k")
@@ -325,7 +321,11 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "evaluate" and args.baselines and args.test_only:
+        parser.error("--baselines needs a train share; "
+                     "it cannot combine with --test-only")
     try:
         return args.func(args)
     except ModelError as exc:

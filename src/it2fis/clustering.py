@@ -12,14 +12,11 @@ Cluster counts are scored with the Fukuyama-Sugeno validity index
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 from .errors import DataError
 
 
@@ -289,38 +286,6 @@ def _scan_count(X, m, tol, max_iter, seeds, c):
     return tuple(runs), best
 
 
-# (X, m, tol, max_iter, seeds) of a pool worker's scan, set only inside the
-# forked workers by the pool's initializer; `fork` hands the initializer's
-# arguments down without pickling, so X is not pickled with every task.
-_worker_scan = None
-
-
-def _init_worker(*scan):
-    global _worker_scan
-    _worker_scan = scan
-
-
-def _worker_count(c):
-    return _scan_count(*_worker_scan, c)
-
-
-def _scan_workers(n_tasks: int) -> int:
-    """One worker per CPU this process may run on, at most one per task.
-
-    A forked child gets only the forking thread, so a lock another thread
-    holds at the fork stays locked in it: with other threads running, or
-    without `fork`, the scan stays in-process.
-    """
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return 1
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, n_tasks))
-
-
 def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
                          tol=1e-6, max_iter=300) -> ValidityScan:
     """Pick the cluster count in [2, c_max] minimizing the Fukuyama index.
@@ -351,22 +316,9 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     # largest counts run longest, so they start first and no worker is left
     # with a long run at the end
     tasks = candidates[::-1]
-    workers = _scan_workers(len(tasks))
-    if workers == 1:
-        results = list(map(
-            functools.partial(_scan_count, X, m, tol, max_iter, seeds), tasks))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a killed worker raises BrokenProcessPool here instead of hanging
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(X, m, tol, max_iter, seeds))
-        try:
-            results = list(pool.map(_worker_count, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    workers = parallel.workers(len(tasks))
+    results = parallel.fork_map(_scan_count, (X, m, tol, max_iter, seeds),
+                                tasks, workers)
     done = dict(zip(tasks, results))
 
     runs = tuple(r for c in candidates for r in done[c][0])

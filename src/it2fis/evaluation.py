@@ -20,15 +20,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 from .errors import DataError
 from .preprocess import Dataset
 
-# Cell budget of one KNN distance block: 2**22 cells, 16 MiB of float32 keys
-# or 32 MiB of doubles.  The block and the selection's temporaries (a
-# partitioned copy, a mask) then stay within a small multiple of it, however
-# many test rows there are.
-KNN_BLOCK_CELLS = 2 ** 22
+# The KNN baseline scores its test rows in blocks of at least
+# `knn_block_rows(training rows)` rows.  KNN_BLOCK_CELLS keeps a block's
+# float32 keys (1 MiB) and the selection's partitioned copy of them within a
+# 2 MiB L2 cache; KNN_MIN_ROWS keeps the rows per block from falling so low
+# on wide training sets that repacking the whole (features + 2, training
+# rows) key operand for every block's product dominates.  At 85,569 training
+# rows on a 2-vCPU host, 48-row blocks cost 0.53 ms per test row, 8-row
+# ones 0.92 ms.
+KNN_BLOCK_CELLS = 2 ** 18
+KNN_MIN_ROWS = 48
+
+# KNN forks over every CPU (`parallel.fork_map`) only beyond this many
+# (test row, training row) pairs.  On a 2-vCPU host a fork pool's round
+# trip costs 14-18 ms and in-process KNN 6-11 ns a pair, so the pool pays
+# for itself from about 3M pairs; forking starts ten times above that.
+KNN_FORK_PAIRS = 2 ** 25
 
 # Every integer of magnitude up to 2**24 is a float32; the exact KNN key and
 # all its partial sums stay within this.
@@ -297,9 +308,15 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     values, whose rounding can order two mathematically equal distances
     either way, so float rounding settles such ties.
 
-    Test rows are scored in chunks whose (rows x training rows) distance block
-    holds at most ``KNN_BLOCK_CELLS`` cells; ``chunk``, when given, further
-    caps the rows per chunk.  Chunking does not change the result.
+    The n test rows are scored in max(1, n // rows) blocks whose sizes
+    differ by at most one row, so every block has at least ``rows =
+    knn_block_rows(training rows)`` rows, or all n when n is smaller;
+    ``chunk``, when given, replaces that ``rows``.  Beyond ``KNN_FORK_PAIRS`` (test x training) pairs,
+    contiguous ranges of whole blocks are spread over forked workers, one
+    per CPU, through ``parallel.fork_map``.  The workers score the same
+    blocks, so they do not change the result; nor does the block height on
+    the exact integer-key path.  On the float64 path a BLAS product can
+    round a row differently at another block height, which can move a tie.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -317,20 +334,40 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     classes = sorted(set(train.labels))
     code = {c: i for i, c in enumerate(classes)}
     ytr = np.array([code[l] for l in train.labels], dtype=np.int64)
-    class_ids = np.arange(len(classes))
 
-    rows = max(1, KNN_BLOCK_CELLS // Xtr.shape[0])
-    if chunk is not None:
-        rows = min(rows, chunk)
-    winner = np.empty(Xte.shape[0], dtype=np.int64)
-    for start in range(0, Xte.shape[0], rows):
+    n = Xte.shape[0]
+    rows = knn_block_rows(Xtr.shape[0]) if chunk is None else chunk
+    n_blocks = max(1, n // rows)
+    edges = [i * n // n_blocks for i in range(n_blocks + 1)]
+    workers = (parallel.workers(n_blocks)
+               if n * Xtr.shape[0] > KNN_FORK_PAIRS else 1)
+    # a few ranges per worker, so that one slowed worker holds up little
+    per = -(-n_blocks // (4 * workers))
+    ranges = [tuple(edges[i:i + per + 1]) for i in range(0, n_blocks, per)]
+    winners = parallel.fork_map(_knn_winners, (block, ytr, k, len(classes)),
+                                ranges, workers)
+    return [classes[i] for i in np.concatenate(winners)]
+
+
+def knn_block_rows(n_train: int) -> int:
+    """Test rows per KNN block against `n_train` training rows: as many as
+    keep the block within ``KNN_BLOCK_CELLS``, but at least
+    ``KNN_MIN_ROWS``."""
+    return max(KNN_MIN_ROWS, KNN_BLOCK_CELLS // n_train)
+
+
+def _knn_winners(block, ytr, k, n_classes, edges):
+    """Winning class codes (int64) of the test rows edges[0]:edges[-1],
+    one distance block per pair of consecutive edges."""
+    class_ids = np.arange(n_classes)
+    out = []
+    for start, stop in zip(edges[:-1], edges[1:]):
         # (rows, k) class codes of the nearest training rows, nearest first
-        votes = ytr[kernels.topk_select(block(start, start + rows), k)]
+        votes = ytr[kernels.topk_select(block(start, stop), k)]
         counts = (votes[:, :, None] == class_ids).sum(axis=1)
         unique = (counts == counts.max(axis=1)[:, None]).sum(axis=1) == 1
-        winner[start:start + rows] = np.where(unique, counts.argmax(axis=1),
-                                              votes[:, 0])
-    return [classes[i] for i in winner]
+        out.append(np.where(unique, counts.argmax(axis=1), votes[:, 0]))
+    return np.concatenate(out)
 
 
 def _integer_key_blocks(Xtr, Xte, scale_cols):

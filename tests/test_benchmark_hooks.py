@@ -9,6 +9,7 @@ fail here instead.
 """
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -95,3 +96,13 @@ def test_bench_scan_runs(tmp_path):
                          "--seeds", "2", "--repeats", "1", "--out", str(out))
     assert run.returncode == 0, run.stderr
     assert out.exists()
+
+
+def test_bench_knn_runs(tmp_path):
+    out = tmp_path / "knn.json"
+    run = _run_benchmark("bench_knn.py", "--raw-rows", "1500",
+                         "--test-rows", "60", "--repeats", "1",
+                         "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["test_rows"] == 60 and result["labels_equal"]

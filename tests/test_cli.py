@@ -279,10 +279,11 @@ def test_evaluate_test_only_scores_every_row(workdir, tmp_path):
 
 
 def test_evaluate_baselines_need_a_train_share(workdir, capsys):
-    rc = main(["--config", str(workdir["cfg"]), "evaluate",
-               str(workdir["model"]), str(workdir["raw"]),
-               "--baselines", "--test-only"])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(workdir["cfg"]), "evaluate",
+              str(workdir["model"]), str(workdir["raw"]),
+              "--baselines", "--test-only"])
+    assert exc.value.code == 1
     assert "cannot combine with --test-only" in capsys.readouterr().err
 
 

@@ -11,7 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from it2fis import clustering
+from it2fis import clustering, parallel
 from it2fis.clustering import (FuzzyPartition, ValidityScan, fcm,
                                fukuyama_index, gk, select_cluster_count)
 from it2fis.clustering import _init_membership
@@ -353,11 +353,9 @@ def test_select_cluster_count_is_pinned():
             for c in scan.candidates} == n_iter
 
 
-def test_select_cluster_count_runs_are_pinned_bit_for_bit():
-    # seeds that converge to one partition differ in objective by rounding
-    # only, so a rounding change inside FCM can move the Fukuyama values
-    # while the selected count stays: pin every recorded run's objective and
-    # index to the bit
+def _pinned_scan_digest():
+    """SHA-256 of every run of a scan of seeded binary-and-continuous data,
+    objectives and indices to the bit."""
     rng = np.random.default_rng(7)
     group = rng.integers(0, 3, 150)
     X = np.column_stack([rng.random((150, 6)) < rng.random((3, 6))[group],
@@ -365,13 +363,24 @@ def test_select_cluster_count_runs_are_pinned_bit_for_bit():
     scan = select_cluster_count(X, c_max=5, seeds=(0, 1, 2))
     text = "\n".join(f"{c} {s} {n_iter} {converged} {obj.hex()} {idx.hex()}"
                      for c, s, n_iter, converged, obj, idx in scan.runs)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "83556e42db90f4fa8828da9c184b57534389eea40c787acf13b0d9f171ac02d3")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED_SCAN_DIGEST = (
+    "83556e42db90f4fa8828da9c184b57534389eea40c787acf13b0d9f171ac02d3")
+
+
+def test_select_cluster_count_runs_are_pinned_bit_for_bit():
+    # seeds that converge to one partition differ in objective by rounding
+    # only, so a rounding change inside FCM can move the Fukuyama values
+    # while the selected count stays: pin every recorded run's objective and
+    # index to the bit
+    assert _pinned_scan_digest() == PINNED_SCAN_DIGEST
 
 
 def _affinity(monkeypatch, cpus):
     # raising=False: the call exists on Linux only
-    monkeypatch.setattr(clustering.os, "sched_getaffinity",
+    monkeypatch.setattr(parallel.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
 
 
@@ -398,7 +407,25 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
             part.n_iter, part.converged, part.objective)
         assert index == fukuyama_index(X, part)
     # the scan data reach only the workers, never a slot of the caller's
-    assert clustering._worker_scan is None
+    assert parallel._worker is None
+
+
+@needs_fork
+def test_select_cluster_count_digest_forked_and_in_process(monkeypatch):
+    # the scan reaches the pool through parallel.fork_map: one CPU keeps it
+    # in-process, two fork it, and both give the pinned runs
+    pools = []
+    real = parallel.fork_map
+
+    def recording(fn, shared, tasks, n_workers):
+        pools.append(n_workers)
+        return real(fn, shared, tasks, n_workers)
+
+    monkeypatch.setattr(parallel, "fork_map", recording)
+    for cpus in (1, 2):
+        _affinity(monkeypatch, cpus)
+        assert _pinned_scan_digest() == PINNED_SCAN_DIGEST
+    assert pools == [1, 2]
 
 
 def test_select_cluster_count_ties_go_to_the_first_seed(monkeypatch):
@@ -519,11 +546,11 @@ def test_select_cluster_count_concurrent_threads_keep_their_data():
 
 @needs_fork
 def test_select_cluster_count_without_affinity_counts_cpus(monkeypatch):
-    monkeypatch.delattr(clustering.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(clustering.os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     X = np.random.default_rng(0).random((40, 2))
     assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 2
-    monkeypatch.setattr(clustering.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
     assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 1
 
 

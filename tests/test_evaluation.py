@@ -6,12 +6,14 @@ in the library shows up as a label mismatch.
 """
 
 import math
+import multiprocessing
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from it2fis import evaluation, kernels
+from it2fis import evaluation, kernels, parallel
 from it2fis.errors import DataError
 from it2fis.evaluation import (baseline_knn, baseline_nb, calibrate_threshold,
                                compute_metrics, split, take)
@@ -475,6 +477,81 @@ def test_baseline_knn_falls_back_to_float64_distances(rng):
             want = naive_knn(train, test, k)
             for chunk in (None, 7):
                 assert baseline_knn(train, test, k=k, chunk=chunk) == want
+
+
+def covid_split(rng, n_train, n_test, n_flags=33):
+    Xtr, Xte = covid_like(rng, n_train, n_flags), covid_like(rng, n_test, n_flags)
+    names = tuple(f"f{j}" for j in range(Xtr.shape[1]))
+    labels = tuple(np.where(rng.random(n_train) < 0.1, "1", "2"))
+    return (Dataset(Xtr, labels, names),
+            Dataset(Xte, ("?",) * n_test, names))
+
+
+def test_baseline_knn_blocks_stay_cache_sized():
+    # the pipeline benchmark's shape: 2,080 x 892 test rows x 34 features;
+    # one 892-row block took 16.4 MB at its peak
+    train, test = covid_split(np.random.default_rng(3), 2080, 892)
+    assert evaluation.knn_block_rows(2080) == 126
+    baseline_knn(train, test)  # warm-up: numpy's own lazy allocations
+    tracemalloc.start()
+    try:
+        baseline_knn(train, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_baseline_knn_blocks_keep_the_row_floor(rng, monkeypatch):
+    # 2^18 cells would be 32 rows against 8,000 training rows
+    train, test = covid_split(rng, 8000, 130)
+    rows = []
+    real = kernels.topk_select
+
+    def recording(d2, k):
+        rows.append(d2.shape[0])
+        return real(d2, k)
+
+    monkeypatch.setattr(kernels, "topk_select", recording)
+    labels = baseline_knn(train, test)
+    assert evaluation.knn_block_rows(8000) == evaluation.KNN_MIN_ROWS == 48
+    assert rows == [65, 65]  # two blocks of at least 48 rows, equal in size
+    monkeypatch.setattr(kernels, "topk_select", real)
+    assert labels == baseline_knn(train, test, chunk=130)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the worker pool needs the fork start method")
+def test_baseline_knn_forked_equals_in_process(rng, monkeypatch):
+    train, test = covid_split(rng, 6000, 200)  # four 50-row blocks
+    # a half-integer age leaves the integer keys for float64 distances
+    ftest = Dataset(test.features + np.r_[np.zeros(33), 0.5], test.labels,
+                    test.feature_names)
+    assert evaluation._integer_key_blocks(
+        train.features, test.features,
+        ~evaluation._binary_columns(train.features)) is not None
+    assert evaluation._integer_key_blocks(
+        train.features, ftest.features,
+        ~evaluation._binary_columns(train.features)) is None
+    cases = [(t, k, chunk) for t in (test, ftest) for k in (1, 5)
+             for chunk in (None, 7)]
+    alone = [baseline_knn(train, t, k=k, chunk=chunk) for t, k, chunk in cases]
+
+    pools = []
+    real = parallel.fork_map
+
+    def recording(fn, shared, tasks, n_workers):
+        pools.append(n_workers)
+        return real(fn, shared, tasks, n_workers)
+
+    monkeypatch.setattr(evaluation, "KNN_FORK_PAIRS", 0)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(parallel, "fork_map", recording)
+    forked = [baseline_knn(train, t, k=k, chunk=chunk) for t, k, chunk in cases]
+    assert pools == [2] * len(cases)
+    assert forked == alone
+    assert parallel._worker is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """CSV ingestion, cleaning order, one-hot encoding, correlation pruning."""
 
+import csv
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2fis.errors import DataError
 from it2fis.preprocess import (Dataset, OutlierRule, PreprocessConfig,
                                feature_matrix, load_csv, load_dataset,
                                preprocess, save_dataset)
+from it2fis.preprocess import _parse_numbers
 
 
 def write(tmp_path, name, text):
@@ -170,6 +175,119 @@ def test_preprocess_errors(tmp_path):
         preprocess(t, cfg(categorical_columns=(), outlier_rules=()))
 
 
+def rowwise_preprocess(table, config):
+    """Oracle: the cleaning done one row and one cell at a time, without
+    correlation pruning.  Returns (features, labels, names, report fields)
+    or raises the DataError preprocess raises."""
+    idx = {c: i for i, c in enumerate(table.column_names)}
+    label_i = idx[config.label_column]
+    kept = [r for r in table.rows if r[label_i] not in config.missing_codes]
+    counts, skipped = [], []
+    for rule in config.outlier_rules:
+        absent = [c for c, _ in rule.conditions if c not in idx]
+        if absent:
+            skipped.append((rule.name, f"column {absent[0]!r} absent"))
+            continue
+        before = len(kept)
+        kept = [r for r in kept
+                if not all(r[idx[c]] == v for c, v in rule.conditions)]
+        counts.append((rule.name, before - len(kept)))
+    if not kept:
+        raise DataError("all rows dropped during preprocessing")
+    feats = [c for c in table.column_names
+             if c not in config.drop_columns and c != config.label_column]
+    cats = {c: sorted({r[idx[c]] for r in kept})
+            for c in feats if c in config.categorical_columns}
+    names = [n for c in feats
+             for n in ([f"{c}={v}" for v in cats[c]] if c in cats else [c])]
+    rows = []
+    for j, r in enumerate(kept):
+        row = []
+        for c in feats:
+            v = r[idx[c]]
+            if c in cats:
+                row.extend(float(v == cat) for cat in cats[c])
+                continue
+            try:
+                row.append(float(v))
+            except ValueError:
+                raise DataError(f"column {c!r}, data row {j + 1}: "
+                                f"cannot parse {v!r} as a number") from None
+        rows.append(row)
+    X = np.array(rows).reshape(len(kept), len(names))
+    for k, c in enumerate(names):
+        bad = np.flatnonzero(~np.isfinite(X[:, k]))
+        if bad.size:
+            raise DataError(f"column {c!r}, data row {bad[0] + 1}: "
+                            f"non-finite value")
+    labels = tuple(r[label_i] for r in kept)
+    if len(set(labels)) != 2:
+        raise DataError(f"label must have exactly two codes after cleaning, "
+                        f"found {sorted(set(labels))}")
+    onehot = tuple((c, tuple(f"{c}={v}" for v in cats[c])) for c in cats)
+    numeric = tuple(c for c in feats if c not in cats)
+    report = (len(table.rows) - len(kept) - sum(n for _, n in counts),
+              tuple(counts), tuple(skipped), len(kept), onehot, numeric)
+    return X, labels, tuple(names), report
+
+
+# label cells with the missing codes; quoted cells with separators, quotes
+# and line breaks; an age column with bad and non-finite cells now and then
+_ROW = st.tuples(
+    st.sampled_from(["1", "2"]),
+    st.sampled_from(["1", "2", "97"]),
+    st.sampled_from([str(a) for a in range(0, 100, 7)] * 3 + ["90"] * 3
+                    + ["x", "1,5", "", "inf"]),
+    st.sampled_from(["a,b", 'q"r', "line\nbreak", " s ", "plain"]),
+    st.sampled_from(["1.5", "2", "-0", "1e3"]),
+    st.sampled_from(["1", "2", "1", "2", "97", "99", ""]),
+)
+_RULES = {
+    "male_pregnancy": (("sex", "2"), ("pregnancy", "1")),
+    "old": (("age", "90"),),                      # a single condition
+    "ghost": (("sex", "1"), ("ghost", "1")),      # on an absent column
+    "quoted": (("note", "a,b"),),
+    "none_such": (("note", "never seen"),),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=25),
+       rules=st.lists(st.sampled_from(sorted(_RULES)), unique=True))
+def test_preprocess_matches_rowwise_oracle(tmp_path_factory, rows, rules):
+    path = tmp_path_factory.mktemp("oracle") / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(["sex", "pregnancy", "age", "note", "weight", "icu"])
+        w.writerows(rows)
+    table = load_csv(path)
+    # "unseen" is listed as categorical but absent from the table
+    config = cfg(corr_threshold=1.0, drop_columns=(),
+                 categorical_columns=("sex", "pregnancy", "note", "unseen"),
+                 outlier_rules=tuple(OutlierRule(r, _RULES[r])
+                                     for r in rules))
+    try:
+        want = rowwise_preprocess(table, config)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            preprocess(table, config)
+        assert str(got.value) == str(exc)
+        return
+    ds, report = preprocess(table, config)
+    X, labels, names, fields = want
+    assert ds.features.tobytes() == X.tobytes()
+    assert (ds.labels, ds.feature_names) == (labels, names)
+    assert (report.missing_label_rows, report.outlier_rows,
+            report.skipped_rules, report.kept_rows, report.onehot,
+            report.numeric_columns) == fields
+    assert report.pruned == ()
+
+
+def test_outlier_rule_needs_a_condition():
+    with pytest.raises(ValueError, match="has no conditions"):
+        OutlierRule("empty", ())
+
+
 def test_preprocess_report_text_is_readable(tmp_path):
     table = load_csv(write(tmp_path, "raw.csv", RAW))
     _, report = preprocess(table, cfg())
@@ -233,6 +351,49 @@ def test_feature_matrix_parses_or_raises(tmp_path):
     bad = write(tmp_path, "g.csv", "a,b\n1,x\n")
     with pytest.raises(DataError, match="column 'b', data row 1"):
         feature_matrix(load_csv(bad))
+
+
+# strings numpy and float() both parse, with the same bits, or both reject
+PARSE_EDGES = ("1_0", " 12 ", "\xa012", "\u0663.\u0665", "infinity",
+               "1e-400", "-0", "1e500", "4.9e-324", "9007199254740993",
+               "", "0x1p3", "1,5", "1__0", "_1", "1e", " ")
+
+
+@pytest.mark.parametrize("cell", PARSE_EDGES)
+def test_parse_numbers_agrees_with_float(cell):
+    grid = [["1", "2"], ["3", cell]]
+    try:
+        want = float(cell)
+    except ValueError:
+        want = "cannot parse .* as a number"
+    else:
+        if not math.isfinite(want):
+            want = "non-finite value"
+    if isinstance(want, str):
+        with pytest.raises(DataError,
+                           match=f"^column 'b', data row 2: {want}$"):
+            _parse_numbers(grid, ("a", "b"))
+        return
+    X = _parse_numbers(grid, ("a", "b"))
+    assert X.shape == (2, 2)
+    assert X[1, 1].tobytes() == np.float64(want).tobytes()
+
+
+def test_parse_numbers_names_the_first_bad_cell():
+    grid = [["1", "2", "3"], ["4", "5", "y"], ["x", "7", "8"]]
+    with pytest.raises(DataError, match="^column 'c', data row 2: "
+                                        "cannot parse 'y' as a number$"):
+        _parse_numbers(grid, ("a", "b", "c"))
+    assert _parse_numbers([], ("a", "b")).shape == (0, 2)
+    # numpy parses the rows in blocks: a cell past the first block
+    rows = [[str(j), repr(j / 7)] for j in range(5000)]
+    X = _parse_numbers(rows, ("a", "b"))
+    assert X.tolist() == [[float(j), j / 7] for j in range(5000)]
+    rows[4321][1] = "1,5"
+    with pytest.raises(DataError, match="^column 'b', data row 4322: "):
+        _parse_numbers(rows, ("a", "b"))
+    # one column given as its cells alone
+    assert _parse_numbers(("1", "2.5"), ("a",)).tolist() == [[1.0], [2.5]]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
