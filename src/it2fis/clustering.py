@@ -8,6 +8,9 @@ diagonal of the global covariance to survive near-categorical columns.
 
 Cluster counts are scored with the Fukuyama-Sugeno validity index
 (compactness minus separation); lower is better, argmin over [2, c_max].
+The scan needs only each run's objective and index, so its FCM runs also
+stop once the objective has settled (SETTLE_RTOL); a partition that becomes
+a rule base is fitted without that stop.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ class ValidityScan:
     """Result of a cluster-count scan.
 
     `runs` holds one (c, seed, n_iter, converged, objective, index) tuple per
-    FCM run that actually ran, in (c, seed) order.  A count stops at the
-    first run that agrees with its best so far, so the number of runs varies
-    from count to count.  `workers` is the number of processes that ran
-    them, which does not take part in comparisons.
+    FCM run that actually ran, in (c, seed) order; `converged` is true when
+    the run stopped before the iteration cap, on a small membership change
+    or a settled objective.  A count stops at the first run that agrees with
+    its best so far, so the number of runs varies from count to count.
+    `workers` is the number of processes that ran them, which does not take
+    part in comparisons.
     """
 
     candidates: tuple
@@ -108,16 +113,24 @@ def _prototypes(X, w, v_old=None):
     return v
 
 
-def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
+def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
+        settle_rtol=0.0) -> FuzzyPartition:
     """Fuzzy c-means by alternating optimization.
 
     Stops when the largest membership change drops below tol or after
-    max_iter iterations.  The recorded objective is computed after each
-    joint prototype+membership update, so the trace is non-increasing.
+    max_iter iterations.  With settle_rtol > 0 it also stops at the first
+    iteration that lowers the objective by at most settle_rtol times the
+    new objective; a rise, which only rounding can cause, counts as settled.
+    `converged` says that either test stopped the run before max_iter.  The
+    recorded objective is computed after each joint prototype+membership
+    update, so the trace is non-increasing up to rounding.
     """
     X = _as_data(X)
     n, _ = X.shape
     _check_cm(n, c, m)
+    if not 0.0 <= settle_rtol < np.inf:
+        raise ValueError(
+            f"settle_rtol must be finite and non-negative, got {settle_rtol}")
 
     xt, xx = _data_terms(X)
     u = _init_membership(n, c, seed)
@@ -138,7 +151,9 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0) -> FuzzyPartition:
         np.subtract(u_new, u, out=u)
         delta = float(np.abs(u, out=u).max())
         u = u_new
-        if delta < tol:
+        settled = (settle_rtol and len(obj_trace) > 1 and
+                   obj_trace[-2] - obj_trace[-1] <= settle_rtol * obj_trace[-1])
+        if delta < tol or settled:
             converged = True
             break
 
@@ -261,21 +276,29 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
 # have reached the same partition: seeds that converge together differ only
 # by rounding, about 1e-14 relative.
 AGREE_RTOL = 1e-6
+# A scan run stops once an iteration lowers its objective by at most this
+# share.  A hundredth of AGREE_RTOL, so that runs settled on one partition
+# still agree: at ten times this, one full-size synthetic scan needed 21
+# runs instead of 18, because settled seeds no longer agreed.
+SETTLE_RTOL = AGREE_RTOL / 100
 
 
 def _scan_count(X, m, tol, max_iter, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
 
-    Runs the seeds in order and stops at the first run whose objective
-    agrees with the best so far to AGREE_RTOL; that run is recorded but the
-    best stays, so agreeing runs go to the earlier seed.  A run lower by
-    more than that becomes the best.  Returns the runs made, as (c, seed,
-    n_iter, converged, objective, index) tuples, and the best of them:
-    scalars only, so no membership matrix crosses a pipe.
+    Each run stops at a membership change below tol, at an objective settled
+    to SETTLE_RTOL, or after max_iter iterations.  Runs the seeds in order
+    and stops at the first run whose objective agrees with the best so far
+    to AGREE_RTOL; that run is recorded but the best stays, so agreeing runs
+    go to the earlier seed.  A run lower by more than that becomes the best.
+    Returns the runs made, as (c, seed, n_iter, converged, objective, index)
+    tuples, and the best of them: scalars only, so no membership matrix
+    crosses a pipe.
     """
     runs, best = [], None
     for seed in seeds:
-        part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
+        part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed,
+                   settle_rtol=SETTLE_RTOL)
         run = (c, seed, part.n_iter, part.converged, part.objective,
                fukuyama_index(X, part))
         runs.append(run)
@@ -293,9 +316,10 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     Each candidate count runs FCM from the seeds in order until a run's
     objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
     out, and scores its lowest-objective run, the earlier seed among runs
-    that agree.  So `seeds` bounds the runs per count, and a count makes
-    at least two unless only one seed is given.  Ties on the index go to the
-    smallest count.
+    that agree.  Each run stops at a membership change below tol, at an
+    objective settled to SETTLE_RTOL, or after max_iter iterations.  So
+    `seeds` bounds the runs per count, and a count makes at least two unless
+    only one seed is given.  Ties on the index go to the smallest count.
 
     The counts are independent, so they are spread over one forked worker
     per CPU the process may use (`taskset` limits that set); with one CPU,

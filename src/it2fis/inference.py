@@ -40,7 +40,10 @@ class TypeReducedInterval:
     y_l: float
     y_r: float
     crisp: float
-    switch_points: tuple[int, int]
+    # None from `predict` on a type-1 base (or a type-2 one of zero spread):
+    # its intervals are degenerate, every split gives the same bounds, and
+    # the splits KM picks are rounding noise
+    switch_points: tuple[int, int] | None
 
     def __post_init__(self):
         if not (self.y_l <= self.crisp <= self.y_r):
@@ -178,8 +181,9 @@ def _score(rb: RuleBase, X):
 def predict(rb: RuleBase, x, threshold=None) -> Prediction:
     """Classify one input vector: ``predict_batch`` on one row, bit for bit.
 
-    The crisp score is the midpoint of the Karnik-Mendel interval [y_l, y_r]
-    (degenerate for a type-1 base), returned with its switch points.  Label
+    The crisp score is the midpoint of the Karnik-Mendel interval [y_l, y_r],
+    returned with its switch points.  A type-1 base (or a type-2 one of zero
+    spread) has a degenerate interval and no switch points (None).  Label
     is the high class exactly when crisp >= threshold.  When no rule fires
     (vanishing firing after underflow) the prediction falls back to the
     majority training class (the low label) with flagged=True, a NaN crisp
@@ -192,8 +196,9 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
         return Prediction(crisp=float("nan"), label=rb.label_low,
                           threshold=thr, interval=None, flagged=True)
     y_l, y_r = float(y_l[0]), float(y_r[0])
+    switch = None if rb.zero_width else (int(k_l[0]), int(k_r[0]))
     tri = TypeReducedInterval(y_l=y_l, y_r=y_r, crisp=0.5 * (y_l + y_r),
-                              switch_points=(int(k_l[0]), int(k_r[0])))
+                              switch_points=switch)
     label = rb.label_high if tri.crisp >= thr else rb.label_low
     return Prediction(crisp=tri.crisp, label=label, threshold=thr,
                       interval=tri, flagged=False)

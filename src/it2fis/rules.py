@@ -105,6 +105,12 @@ class RuleBase:
             arr.setflags(write=False)
         return stack
 
+    @cached_property
+    def zero_width(self) -> bool:
+        """Every antecedent interval has zero width, as in a type-1 base: each
+        rule's lower and upper firings are equal."""
+        return bool(np.array_equal(self.sigma_lower, self.sigma_upper))
+
     @property
     def rules(self) -> tuple[Rule, ...]:
         out = []

@@ -127,7 +127,9 @@ GOLDEN_MODEL_SHA256 = (
 
 def test_train_golden_model_hash(tmp_path, capsys):
     model, out = _train_fresh(tmp_path / "golden", capsys)
-    assert "scan runs: 4, 109 iterations, 4 converged, " in out
+    # the scan's runs stop once their objectives settle: 109 iterations
+    # before that stop, and the same model
+    assert "scan runs: 4, 78 iterations, 4 converged, " in out
     digest = hashlib.sha256(model.read_bytes()).hexdigest()
     assert digest == GOLDEN_MODEL_SHA256
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from it2fis import clustering, parallel
-from it2fis.clustering import (FuzzyPartition, ValidityScan, fcm,
-                               fukuyama_index, gk, select_cluster_count)
+from it2fis.clustering import (SETTLE_RTOL, FuzzyPartition, ValidityScan,
+                               fcm, fukuyama_index, gk, select_cluster_count)
 from it2fis.clustering import _init_membership
 from it2fis.errors import DataError
 from it2fis import kernels
@@ -107,6 +107,64 @@ def test_fcm_converges_and_stops_early(rng):
     d2 = kernels.sq_distances(part.V, X.T.copy(), (X * X).sum(axis=1))
     u2 = kernels.fcm_memberships(d2, 2.0)
     assert np.abs(u2 - part.U).max() < 1e-6
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def test_fcm_settle_stop_is_a_prefix_of_the_free_run():
+    # with settle_rtol > 0 a run ends at the first iteration whose decrease
+    # is at most settle_rtol times its objective, and is then the free run
+    # cut there, bit for bit
+    X = np.random.default_rng(4).random((60, 2))
+    free = fcm(X, 3, seed=4, tol=0.0, max_iter=200)
+    trace = free.objective_trace
+    stops = []
+    for rtol in (1e-3, 1e-6, SETTLE_RTOL, 5e-324):
+        part = fcm(X, 3, seed=4, tol=0.0, max_iter=200, settle_rtol=rtol)
+        n = part.n_iter
+        assert part.converged and n < 200
+        drops = trace[:n - 1] - trace[1:n]
+        assert drops[-1] <= rtol * trace[n - 1]
+        assert (drops[:-1] > rtol * trace[1:n - 1]).all()
+        head = fcm(X, 3, seed=4, tol=0.0, max_iter=n)
+        assert _bits(part.U) == _bits(head.U)
+        assert _bits(part.V) == _bits(head.V)
+        assert _bits(part.objective_trace) == _bits(trace[:n])
+        assert _bits(part.colsum_error_trace) == _bits(
+            free.colsum_error_trace[:n])
+        # the same run capped one iteration earlier has not settled
+        assert not fcm(X, 3, seed=4, tol=0.0, max_iter=n - 1,
+                       settle_rtol=rtol).converged
+        stops.append(n)
+    assert stops == sorted(set(stops))
+    # the smallest positive tolerance stops at the first rounding rise
+    assert trace[stops[-1] - 1] > trace[stops[-1] - 2]
+    # the membership test still stops a run that has not settled
+    part = fcm(X, 3, seed=4, tol=1e-3, settle_rtol=5e-324)
+    assert part.converged and part.n_iter < stops[-1]
+    assert part.n_iter == fcm(X, 3, seed=4, tol=1e-3).n_iter
+
+
+def test_fcm_without_settle_rtol_runs_through_rounding_rises():
+    # settle_rtol = 0 (the default) never stops on the objective, not even
+    # where rounding makes it rise or repeat
+    X = np.random.default_rng(4).random((60, 2))
+    part = fcm(X, 3, seed=4, tol=0.0, max_iter=200, settle_rtol=0.0)
+    drops = -np.diff(part.objective_trace)
+    assert (drops[:150] < 0).any() and (drops[:150] == 0).any()
+    assert part.n_iter == 200 and not part.converged
+    default = fcm(X, 3, seed=4, tol=0.0, max_iter=200)
+    assert _bits(part.U) == _bits(default.U)
+    assert _bits(part.objective_trace) == _bits(default.objective_trace)
+
+
+@pytest.mark.parametrize("rtol", [-1e-9, -np.inf, np.inf, np.nan])
+def test_fcm_settle_rtol_must_be_finite_and_non_negative(rtol):
+    X = np.random.default_rng(0).random((20, 2))
+    with pytest.raises(ValueError, match="settle_rtol"):
+        fcm(X, 2, settle_rtol=rtol)
 
 
 def test_fcm_membership_kernel_splits_zero_distances():
@@ -332,7 +390,8 @@ def test_fukuyama_index_validation(rng):
 def test_select_cluster_count_is_pinned():
     # a rewrite of the FCM iteration may move U by rounding, but must keep
     # the selected count, the best seeds, the seeds each count runs and
-    # every run's iteration count
+    # every run's iteration count (the iteration counts were re-recorded
+    # when scan runs came to stop at a settled objective; the rest held)
     rng = np.random.default_rng(2024)
     X = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(3, 1, (30, 3)),
                    rng.uniform(-2, 5, (20, 3))])
@@ -344,10 +403,11 @@ def test_select_cluster_count_is_pinned():
     runs = {2: (0, 1), 3: (0, 1), 4: (0, 1, 2), 5: (0, 1)}
     assert [r[:2] for r in scan.runs] == [(c, s) for c in scan.candidates
                                           for s in runs[c]]
-    n_iter = {c: tuple(fcm(X, c, seed=s).n_iter for s in runs[c])
+    n_iter = {c: tuple(fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL).n_iter
+                       for s in runs[c])
               for c in scan.candidates}
-    assert n_iter == {2: (15, 14), 3: (50, 38), 4: (167, 180, 123),
-                      5: (105, 106)}
+    assert n_iter == {2: (11, 11), 3: (34, 24), 4: (107, 105, 63),
+                      5: (64, 65)}
     # the scan's own run record gives the same counts
     assert {c: tuple(r[2] for r in scan.runs if r[0] == c)
             for c in scan.candidates} == n_iter
@@ -366,8 +426,10 @@ def _pinned_scan_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# re-recorded when scan runs came to stop at a settled objective: the same
+# nine runs, fewer iterations each
 PINNED_SCAN_DIGEST = (
-    "83556e42db90f4fa8828da9c184b57534389eea40c787acf13b0d9f171ac02d3")
+    "42eb5f811e71a91123a6dd18f4899656cbfd35e73013acfa4c6a070540803895")
 
 
 def test_select_cluster_count_runs_are_pinned_bit_for_bit():
@@ -402,7 +464,7 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
     # c = 2 and 4 stop at their second seed; at c = 3 seed 1 ends elsewhere
     assert pooled.runs == serial.runs and len(pooled.runs) == 7
     for c, s, n_iter, converged, objective, index in serial.runs:
-        part = fcm(X, c, seed=s)
+        part = fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL)
         assert (n_iter, converged, objective) == (
             part.n_iter, part.converged, part.objective)
         assert index == fukuyama_index(X, part)

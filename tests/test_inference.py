@@ -298,6 +298,18 @@ def test_predict_zero_spread_it2_matches_t1(rng):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def test_predict_switch_points_none_for_zero_width_base(rng):
+    # a type-1 base's interval is degenerate: every split gives the same
+    # bounds, so it reports no switch points; a type-2 base does
+    t1 = random_t1_base(rng, n_rules=4, n_features=3)
+    it2 = random_it2_base(rng, n_rules=4, n_features=3)
+    assert t1.zero_width and not it2.zero_width
+    for x in rng.uniform(-2, 2, (10, 3)):
+        assert predict(t1, x).interval.switch_points is None
+        kl, kr = predict(it2, x).interval.switch_points
+        assert 0 <= kl <= 4 and 0 <= kr <= 4
+
+
 def test_predict_it2_interval_brackets_crisp(rng):
     rb = random_it2_base(rng, n_rules=4, n_features=2)
     for x in rng.uniform(-2, 2, (25, 2)):
@@ -360,7 +372,8 @@ def predict_battery():
 def test_predict_is_pinned_bit_for_bit():
     # re-recorded when predict became a one-row predict_batch: 25 of the 180
     # scored rows moved (crisp, a bound or a switch point), by at most
-    # 3.2e-16 relative
+    # 3.2e-16 relative; and when type-1 rows lost their switch points: the
+    # 54 scored type-1 lines changed only there
     lines = []
     for rb, x in predict_battery():
         p = predict(rb, x)
@@ -370,7 +383,7 @@ def test_predict_is_pinned_bit_for_bit():
         lines.append(f"{p.crisp.hex()} {tri} {p.label} {p.flagged}")
     assert sum(line.endswith("True") for line in lines) == 20
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "c9d72454b7fa75aa6201974120b567a885662b967ee9cae8341fddb6d16ac227")
+        "78301e31ee78a04efd36d13fd9b3193c972bea71fff0b7671211aa5f71905e09")
 
 
 def test_predict_batch_is_pinned_bit_for_bit():
