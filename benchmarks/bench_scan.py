@@ -2,8 +2,9 @@
 
 Builds a seeded joint matrix shaped like the scan input of the benchmark's
 `pipeline` train sets (2,080 rows: unscaled age, 28 flags coded 1/2, 5 rare
-0/1 sentinel columns and the 1/2 label; about 2,100 FCM iterations in 18
-runs, as there), then times `select_cluster_count` with the default grid
+0/1 sentinel columns and the 1/2 label; 18 runs, as there, which take
+about 630 FCM membership evaluations with SQUAREM steps, against 2,120
+with plain steps), then times `select_cluster_count` with the default grid
 (c = 2..10, at most 5 seeds per count) twice per repeat: once on every CPU
 the process may use, and once after pinning this process to a single CPU
 with `os.sched_setaffinity` (Linux only), which makes the scan run

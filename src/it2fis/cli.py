@@ -263,6 +263,13 @@ def cmd_evaluate(args) -> int:
                 f"feature-count mismatch: expected {model.n_features}, "
                 f"got {len(ds.feature_names)}"
             )
+        # one-hot levels or pruning can give the same count but other columns
+        for i, (want, got) in enumerate(zip(model.variable_names,
+                                            ds.feature_names), start=1):
+            if want != got:
+                raise DataError(
+                    f"feature mismatch at column {i}: model expects "
+                    f"{want!r}, data has {got!r}")
 
     if args.test_only:
         train_ds, test_ds = None, ds

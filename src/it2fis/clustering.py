@@ -8,9 +8,10 @@ diagonal of the global covariance to survive near-categorical columns.
 
 Cluster counts are scored with the Fukuyama-Sugeno validity index
 (compactness minus separation); lower is better, argmin over [2, c_max].
-The scan needs only each run's objective and index, so its FCM runs also
-stop once the objective has settled (SETTLE_RTOL); a partition that becomes
-a rule base is fitted without that stop.
+The scan needs only each run's objective and index, so its FCM runs take
+SQUAREM-accelerated steps and also stop once the objective has settled
+(SETTLE_RTOL); a partition that becomes a rule base is fitted with plain
+steps and without that stop.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ class ValidityScan:
     """Result of a cluster-count scan.
 
     `runs` holds one (c, seed, n_iter, converged, objective, index) tuple per
-    FCM run that actually ran, in (c, seed) order; `converged` is true when
-    the run stopped before the iteration cap, on a small membership change
-    or a settled objective.  A count stops at the first run that agrees with
-    its best so far, so the number of runs varies from count to count.
+    FCM run that actually ran, in (c, seed) order; n_iter counts the run's
+    membership evaluations, each the cost of one plain FCM iteration, and
+    `converged` is true when the run stopped before the cap on them, on a
+    small membership change or a settled objective.  A count stops at the
+    first run that agrees with its best so far, so the number of runs varies
+    from count to count.
     `workers` is the number of processes that ran them, which does not take
     part in comparisons.
     """
@@ -113,17 +116,60 @@ def _prototypes(X, w, v_old=None):
     return v
 
 
-def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
-        settle_rtol=0.0) -> FuzzyPartition:
+def _evaluate(xt, xx, v, m):
+    """Memberships U(v) of the prototypes v, their weights u^m, the
+    objective sum(u^m * d^2) there and the worst column-sum error of U(v)."""
+    d2 = kernels.sq_distances(v, xt, xx)
+    u = kernels.fcm_memberships(d2, m)
+    # u^m serves this objective and the next prototypes
+    w = kernels.fuzzy_weights(u, m)
+    # d2 is dead after its last use here, so the objective's terms are
+    # formed in its buffer
+    obj = float(np.multiply(w, d2, out=d2).sum())
+    return u, w, obj, float(np.abs(u.sum(axis=0) - 1.0).max())
+
+
+def _extrapolate(v0, v1, v2):
+    """SQUAREM's point from three plain FCM steps v0 -> v1 -> v2.
+
+    With r = v1 - v0, q = v2 - 2 v1 + v0 and alpha = min(-|r|/|q|, -1) it is
+    v0 - 2 alpha r + alpha^2 q.  Returns None where that is v2 itself
+    (alpha = -1) or not finite.
+    """
+    r = v1 - v0
+    q = v2 - 2.0 * v1 + v0
+    nr, nq = np.linalg.norm(r), np.linalg.norm(q)
+    if nr <= nq:
+        return None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = -nr / nq
+        v = v0 - (2.0 * alpha) * r + (alpha * alpha) * q
+    return v if np.isfinite(v).all() else None
+
+
+def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, settle_rtol=0.0, *,
+        accelerate=False) -> FuzzyPartition:
     """Fuzzy c-means by alternating optimization.
 
-    Stops when the largest membership change drops below tol or after
-    max_iter iterations.  With settle_rtol > 0 it also stops at the first
-    iteration that lowers the objective by at most settle_rtol times the
-    new objective; a rise, which only rounding can cause, counts as settled.
-    `converged` says that either test stopped the run before max_iter.  The
-    recorded objective is computed after each joint prototype+membership
-    update, so the trace is non-increasing up to rounding.
+    Each iteration evaluates the memberships of the current prototypes V and
+    moves V to the weighted means under them, V <- F(V).  Stops when the
+    largest membership change drops below tol or after max_iter membership
+    evaluations.  With settle_rtol > 0 it also stops at the first step that
+    lowers the objective by at most settle_rtol times the new objective; a
+    rise, which only rounding can cause, counts as settled.  `converged` says
+    that either test stopped the run before max_iter.  The recorded
+    objective is computed after each joint prototype+membership update, so
+    the trace is non-increasing up to rounding.
+
+    With `accelerate`, the steps come in SQUAREM cycles (Varadhan & Roland,
+    Scand. J. Statist. 35(2), 2008): two plain steps V0 -> V1 -> V2, then an
+    evaluation at the extrapolated point V' (see `_extrapolate`), which is
+    kept, and followed by V' <- F(V'), only if its objective is no higher
+    than at V1; otherwise the cycle goes on from V2 as plain steps would.  A
+    rejected point's evaluation counts in `n_iter` and `max_iter` but not in
+    the traces, so the objective trace still never rises beyond rounding and
+    n_iter can exceed its length.  The stopping tests compare consecutive
+    kept evaluations, and U is always the memberships of the returned V.
     """
     X = _as_data(X)
     n, _ = X.shape
@@ -134,20 +180,28 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
 
     xt, xx = _data_terms(X)
     u = _init_membership(n, c, seed)
-    w = kernels.fuzzy_weights(u, m)
-    v = None
+    v, v_next = None, _prototypes(X, kernels.fuzzy_weights(u, m))
+    cycle = [v_next]  # this SQUAREM cycle's plain steps so far
+    fallback = None  # V2, while an extrapolated point is on trial
     obj_trace, colsum_trace = [], []
+    n_iter = 0
     converged = False
-    for _ in range(max_iter):
-        v = _prototypes(X, w, v)
-        d2 = kernels.sq_distances(v, xt, xx)
-        u_new = kernels.fcm_memberships(d2, m)
-        # u^m serves this iteration's objective and the next prototypes
-        w = kernels.fuzzy_weights(u_new, m)
-        # d2 and u are dead after their last use here, so the objective's
-        # terms and |u_new - u| are formed in their buffers
-        obj_trace.append(float(np.multiply(w, d2, out=d2).sum()))
-        colsum_trace.append(float(np.abs(u_new.sum(axis=0) - 1.0).max()))
+    while n_iter < max_iter:
+        n_iter += 1
+        if fallback is None:
+            u_new, w, obj, colsum = _evaluate(xt, xx, v_next, m)
+        else:
+            # a point far out only fails the objective test
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_new, w, obj, colsum = _evaluate(xt, xx, v_next, m)
+            if not obj <= obj_trace[-1]:
+                v_next, fallback = fallback, None
+                continue
+            fallback = None
+        v = v_next
+        obj_trace.append(obj)
+        colsum_trace.append(colsum)
+        # u is dead once replaced, so |u_new - u| is formed in its buffer
         np.subtract(u_new, u, out=u)
         delta = float(np.abs(u, out=u).max())
         u = u_new
@@ -156,10 +210,20 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
         if delta < tol or settled:
             converged = True
             break
+        if n_iter == max_iter:
+            break
+        v_next = _prototypes(X, w, v)
+        if accelerate:
+            cycle.append(v_next)
+            if len(cycle) == 3:
+                point = _extrapolate(*cycle)
+                if point is not None:
+                    v_next, fallback = point, v_next
+                cycle = []
 
     return FuzzyPartition(
         U=u, V=v, m=float(m),
-        objective=obj_trace[-1], n_iter=len(obj_trace), converged=converged,
+        objective=obj_trace[-1], n_iter=n_iter, converged=converged,
         objective_trace=np.array(obj_trace),
         colsum_error_trace=np.array(colsum_trace),
     )
@@ -276,21 +340,22 @@ def fukuyama_index(X, p: FuzzyPartition) -> float:
 # have reached the same partition: seeds that converge together differ only
 # by rounding, about 1e-14 relative.
 AGREE_RTOL = 1e-6
-# A scan run stops once an iteration lowers its objective by at most this
-# share.  A hundredth of AGREE_RTOL, so that runs settled on one partition
-# still agree: at ten times this, one full-size synthetic scan needed 21
-# runs instead of 18, because settled seeds no longer agreed.
+# A scan run stops once a step lowers its objective by at most this share.
+# A hundredth of AGREE_RTOL, so that runs settled on one partition still
+# agree: at ten times this, one full-size synthetic scan needed 21 runs
+# instead of 18, because settled seeds no longer agreed.
 SETTLE_RTOL = AGREE_RTOL / 100
 
 
 def _scan_count(X, m, tol, max_iter, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
 
-    Each run stops at a membership change below tol, at an objective settled
-    to SETTLE_RTOL, or after max_iter iterations.  Runs the seeds in order
-    and stops at the first run whose objective agrees with the best so far
-    to AGREE_RTOL; that run is recorded but the best stays, so agreeing runs
-    go to the earlier seed.  A run lower by more than that becomes the best.
+    Each run takes SQUAREM steps (`fcm(accelerate=True)`) and stops at a
+    membership change below tol, at an objective settled to SETTLE_RTOL, or
+    after max_iter membership evaluations, which n_iter counts.  Runs the
+    seeds in order and stops at the first run whose objective agrees with
+    the best so far to AGREE_RTOL; that run is recorded but the best stays,
+    so agreeing runs go to the earlier seed.  A run lower by more than that becomes the best.
     Returns the runs made, as (c, seed, n_iter, converged, objective, index)
     tuples, and the best of them: scalars only, so no membership matrix
     crosses a pipe.
@@ -298,7 +363,7 @@ def _scan_count(X, m, tol, max_iter, seeds, c):
     runs, best = [], None
     for seed in seeds:
         part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed,
-                   settle_rtol=SETTLE_RTOL)
+                   settle_rtol=SETTLE_RTOL, accelerate=True)
         run = (c, seed, part.n_iter, part.converged, part.objective,
                fukuyama_index(X, part))
         runs.append(run)
@@ -316,10 +381,11 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     Each candidate count runs FCM from the seeds in order until a run's
     objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
     out, and scores its lowest-objective run, the earlier seed among runs
-    that agree.  Each run stops at a membership change below tol, at an
-    objective settled to SETTLE_RTOL, or after max_iter iterations.  So
-    `seeds` bounds the runs per count, and a count makes at least two unless
-    only one seed is given.  Ties on the index go to the smallest count.
+    that agree.  Each run takes SQUAREM steps and stops at a membership
+    change below tol, at an objective settled to SETTLE_RTOL, or after
+    max_iter membership evaluations.  So `seeds` bounds the runs per count,
+    and a count makes at least two unless only one seed is given.  Ties on
+    the index go to the smallest count.
 
     The counts are independent, so they are spread over one forked worker
     per CPU the process may use (`taskset` limits that set); with one CPU,

@@ -151,15 +151,16 @@ def load_csv(path) -> RawTable:
         if name in seen:
             raise DataError(f"duplicate column name {name!r}")
         seen.add(name)
-    data = []
-    for i, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"row {i} has {len(row)} cells; expected {len(header)}"
-            )
-        data.append(row)
+    width = len(header)
+    data = rows[1:]
+    # one C-level pass over the row lengths; the rows are walked only when
+    # some row is empty, to skip it, or bad, to name the first such row
+    if set(map(len, data)) - {width}:
+        for i, row in enumerate(data, start=1):
+            if row and len(row) != width:
+                raise DataError(
+                    f"row {i} has {len(row)} cells; expected {width}")
+        data = [row for row in data if row]
     return RawTable(header, data)
 
 

@@ -127,9 +127,10 @@ GOLDEN_MODEL_SHA256 = (
 
 def test_train_golden_model_hash(tmp_path, capsys):
     model, out = _train_fresh(tmp_path / "golden", capsys)
-    # the scan's runs stop once their objectives settle: 109 iterations
-    # before that stop, and the same model
-    assert "scan runs: 4, 78 iterations, 4 converged, " in out
+    # the scan's runs stop once their objectives settle and take SQUAREM
+    # steps: 109 iterations before the stop, 78 before SQUAREM, and the
+    # same model each time
+    assert "scan runs: 4, 54 iterations, 4 converged, " in out
     digest = hashlib.sha256(model.read_bytes()).hexdigest()
     assert digest == GOLDEN_MODEL_SHA256
 
@@ -227,6 +228,22 @@ def test_evaluate_feature_count_mismatch_names_the_stage(workdir, tmp_path,
     assert rc == 2
     assert (f"data error: [preprocess] feature-count mismatch: "
             f"expected {n}, got {n + 1}") in capsys.readouterr().err
+
+
+def test_evaluate_names_the_first_renamed_feature(workdir, tmp_path, capsys):
+    # the same feature count with other columns must not be scored
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    names = doc["variable_names"]
+    original = names[2]
+    names[2], names[4] = "renamed", "also_renamed"
+    renamed = tmp_path / "renamed.model"
+    renamed.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["--config", str(workdir["cfg"]), "evaluate", str(renamed),
+               str(workdir["raw"])])
+    assert rc == 2
+    assert (f"data error: [preprocess] feature mismatch at column 3: model "
+            f"expects 'renamed', data has {original!r}"
+            ) in capsys.readouterr().err
 
 
 def test_predict_rejects_non_finite_cells(workdir, tmp_path, capsys):

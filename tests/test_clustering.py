@@ -167,6 +167,94 @@ def test_fcm_settle_rtol_must_be_finite_and_non_negative(rtol):
         fcm(X, 2, settle_rtol=rtol)
 
 
+def _memberships_of(X, part):
+    d2 = kernels.sq_distances(part.V, X.T.copy(), (X * X).sum(axis=1))
+    return kernels.fcm_memberships(d2, part.m)
+
+
+def test_fcm_accelerated_objective_never_rises_and_u_is_v_memberships():
+    for seed in range(8):
+        X = np.random.default_rng(seed).random((60, 2)) * 4.0
+        for c in (2, 3, 5):
+            for rtol in (0.0, SETTLE_RTOL):
+                part = fcm(X, c, seed=seed, settle_rtol=rtol, accelerate=True)
+                trace = part.objective_trace
+                assert (np.diff(trace) <= trace[:-1] * 1e-12).all()
+                assert part.objective == trace[-1]
+                assert part.n_iter >= len(trace)
+                np.testing.assert_allclose(part.U.sum(axis=0), 1.0,
+                                           atol=1e-12)
+                assert part.colsum_error_trace.max() <= 1e-12
+                assert _bits(part.U) == _bits(_memberships_of(X, part))
+
+
+def test_fcm_accelerated_reaches_the_plain_minimum_in_fewer_evaluations():
+    X = np.random.default_rng(0).random((60, 2)) * 4.0
+    evaluations = []
+    for c in (3, 4, 5):
+        plain = fcm(X, c, seed=0)
+        fast = fcm(X, c, seed=0, accelerate=True)
+        assert plain.converged and fast.converged
+        assert fast.n_iter < plain.n_iter
+        assert fast.objective == pytest.approx(plain.objective, rel=1e-10)
+        evaluations.append((plain.n_iter, fast.n_iter))
+    plain_total, fast_total = map(sum, zip(*evaluations))
+    assert fast_total < plain_total / 2
+    # at c = 5 some extrapolated point is rejected on its own
+    assert fast.n_iter > len(fast.objective_trace)
+
+
+def test_fcm_accelerated_overshoot_takes_the_plain_double_step(monkeypatch):
+    # every extrapolated point is far off the data, so each is evaluated,
+    # rejected, and the run goes on from the plain double step: the kept
+    # evaluations are the plain run's, bit for bit
+    real = clustering._extrapolate
+    tried = []
+
+    def overshoot(v0, v1, v2):
+        point = real(v0, v1, v2)
+        if point is not None:
+            tried.append(point)
+            point = point + 1e6
+        return point
+
+    monkeypatch.setattr(clustering, "_extrapolate", overshoot)
+    X = np.random.default_rng(3).random((60, 2)) * 4.0
+    part = fcm(X, 4, seed=3, tol=0.0, max_iter=60, accelerate=True)
+    kept = len(part.objective_trace)
+    assert tried and part.n_iter == 60 == kept + len(tried)
+    plain = fcm(X, 4, seed=3, tol=0.0, max_iter=kept)
+    assert _bits(part.objective_trace) == _bits(plain.objective_trace)
+    assert _bits(part.colsum_error_trace) == _bits(plain.colsum_error_trace)
+    assert _bits(part.U) == _bits(plain.U)
+    assert _bits(part.V) == _bits(plain.V)
+
+
+def test_fcm_accelerated_max_iter_caps_the_evaluations():
+    X = np.random.default_rng(5).random((60, 2)) * 4.0
+    for cap in range(1, 16):
+        part = fcm(X, 4, seed=5, tol=0.0, max_iter=cap, accelerate=True)
+        assert part.n_iter == cap and not part.converged
+        assert 1 <= len(part.objective_trace) <= cap
+        assert _bits(part.U) == _bits(_memberships_of(X, part))
+    # the first two evaluations of a cycle are the plain run's
+    for cap in (1, 2):
+        assert _bits(fcm(X, 4, seed=5, tol=0.0, max_iter=cap,
+                         accelerate=True).V) == _bits(
+            fcm(X, 4, seed=5, tol=0.0, max_iter=cap).V)
+
+
+def test_fcm_accelerated_determinism():
+    X = np.random.default_rng(6).random((80, 3))
+    a = fcm(X, 4, seed=42, accelerate=True)
+    b = fcm(X, 4, seed=42, accelerate=True)
+    for f in ("U", "V", "objective_trace", "colsum_error_trace"):
+        assert _bits(getattr(a, f)) == _bits(getattr(b, f))
+    assert (a.n_iter, a.converged) == (b.n_iter, b.converged)
+    assert not np.array_equal(
+        a.U, fcm(X, 4, seed=43, accelerate=True).U)
+
+
 def test_fcm_membership_kernel_splits_zero_distances():
     d2 = np.array([[0.0, 0.0, 1.0],  # (c, n): one column per sample
                    [2.0, 0.0, 4.0],
@@ -391,23 +479,25 @@ def test_select_cluster_count_is_pinned():
     # a rewrite of the FCM iteration may move U by rounding, but must keep
     # the selected count, the best seeds, the seeds each count runs and
     # every run's iteration count (the iteration counts were re-recorded
-    # when scan runs came to stop at a settled objective; the rest held)
+    # when scan runs came to stop at a settled objective, and again with the
+    # seeds run when they came to take SQUAREM steps; the rest held)
     rng = np.random.default_rng(2024)
     X = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(3, 1, (30, 3)),
                    rng.uniform(-2, 5, (20, 3))])
     scan = select_cluster_count(X, c_max=5, seeds=(0, 1, 2))
     assert scan.selected == 5
     assert scan.best_seeds == (0, 0, 0, 0)
-    # each count runs a prefix of the seeds, in (c, seed) order: at c = 4
-    # seed 1 ends elsewhere, and seed 2 agrees with seed 0
-    runs = {2: (0, 1), 3: (0, 1), 4: (0, 1, 2), 5: (0, 1)}
+    # each count runs a prefix of the seeds, in (c, seed) order; here every
+    # count's seed 1 agrees with seed 0 (plain steps took c = 4's seed 1 to a
+    # higher partition, 145.609 against 145.516, so seed 2 ran too)
+    runs = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1)}
     assert [r[:2] for r in scan.runs] == [(c, s) for c in scan.candidates
                                           for s in runs[c]]
-    n_iter = {c: tuple(fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL).n_iter
+    n_iter = {c: tuple(fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL,
+                           accelerate=True).n_iter
                        for s in runs[c])
               for c in scan.candidates}
-    assert n_iter == {2: (11, 11), 3: (34, 24), 4: (107, 105, 63),
-                      5: (64, 65)}
+    assert n_iter == {2: (10, 9), 3: (20, 14), 4: (37, 25), 5: (22, 26)}
     # the scan's own run record gives the same counts
     assert {c: tuple(r[2] for r in scan.runs if r[0] == c)
             for c in scan.candidates} == n_iter
@@ -426,10 +516,11 @@ def _pinned_scan_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# re-recorded when scan runs came to stop at a settled objective: the same
-# nine runs, fewer iterations each
+# re-recorded when scan runs came to stop at a settled objective, and again
+# when they came to take SQUAREM steps: the same nine runs each time, fewer
+# membership evaluations each
 PINNED_SCAN_DIGEST = (
-    "42eb5f811e71a91123a6dd18f4899656cbfd35e73013acfa4c6a070540803895")
+    "f90a8c17d5a0941394cb773fe84059d4d77766cb88651521c32ef5cc83b62f9a")
 
 
 def test_select_cluster_count_runs_are_pinned_bit_for_bit():
@@ -464,7 +555,7 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
     # c = 2 and 4 stop at their second seed; at c = 3 seed 1 ends elsewhere
     assert pooled.runs == serial.runs and len(pooled.runs) == 7
     for c, s, n_iter, converged, objective, index in serial.runs:
-        part = fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL)
+        part = fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL, accelerate=True)
         assert (n_iter, converged, objective) == (
             part.n_iter, part.converged, part.objective)
         assert index == fukuyama_index(X, part)

@@ -78,6 +78,9 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "d.csv", "a,a\n1,2\n"))
     with pytest.raises(DataError, match="row 2 has 3 cells; expected 2"):
         load_csv(write(tmp_path, "r.csv", "a,b\n1,2\n1,2,3\n"))
+    # blank lines count in the row number; the first bad row is named
+    with pytest.raises(DataError, match="row 3 has 1 cells; expected 2"):
+        load_csv(write(tmp_path, "b.csv", "a,b\n1,2\n\n1\n1,2,3\n"))
 
 
 # ---------------------------------------------------------------------------

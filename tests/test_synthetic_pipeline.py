@@ -3,8 +3,9 @@
 
 No accuracy bands (the synthetic label is not the real one); the checks are
 the exit codes, criterion 8's confusion and majority accounting in the
-`.kv` report, and that the scan's settled-objective stop leaves the selected
-cluster count and the model file as they are without it.
+`.kv` report, and that the scan's SQUAREM steps and settled-objective stop
+leave the selected cluster count and the model file as they are without
+them.
 """
 
 import importlib
@@ -67,10 +68,19 @@ def test_synthetic_train_and_evaluate(synth_covid, seed, tmp_path, capsys,
         assert float(kv[f"{name}.accuracy"]) == pytest.approx(
             (tp + tn) / n, abs=1e-12)
 
-    # without the settled-objective stop the scan runs longer but picks the
-    # same count, so extract_rules and the model file do not change
+    # with plain steps in place of SQUAREM's, and then also without the
+    # settled-objective stop, the scan runs longer but picks the same count,
+    # so extract_rules and the model file do not change
+    real_fcm = clustering.fcm
+    monkeypatch.setattr(clustering, "fcm", lambda X, c, **kw: real_fcm(
+        X, c, **{**kw, "accelerate": False}))
+    plain = tmp_path / "plain.model"
+    plain_selected, plain_iters = _train(raw, plain, seed, capsys)
+    assert plain_selected == selected and plain_iters > iters
+    assert plain.read_bytes() == model.read_bytes()
+
     monkeypatch.setattr(clustering, "SETTLE_RTOL", 0.0)
     free = tmp_path / "free.model"
     free_selected, free_iters = _train(raw, free, seed, capsys)
-    assert free_selected == selected and free_iters > iters
+    assert free_selected == selected and free_iters > plain_iters
     assert free.read_bytes() == model.read_bytes()
