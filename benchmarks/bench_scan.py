@@ -3,12 +3,13 @@
 Builds a seeded joint matrix shaped like the scan input of the benchmark's
 `pipeline` train sets (2,080 rows: unscaled age, 28 flags coded 1/2, 5 rare
 0/1 sentinel columns and the 1/2 label; 18 runs, as there, which take
-about 630 FCM membership evaluations with SQUAREM steps, against 2,120
-with plain steps), then times `select_cluster_count` with the default grid
-(c = 2..10, at most 5 seeds per count) twice per repeat: once on every CPU
-the process may use, and once after pinning this process to a single CPU
-with `os.sched_setaffinity` (Linux only), which makes the scan run
-in-process.  The two `ValidityScan`s must be equal, run records included.
+about 630 FCM membership evaluations; the 2,120 of plain steps, measured
+before FCM took SQUAREM steps, has no switch that brings it back), then
+times `select_cluster_count` with the default grid (c = 2..10, at most 5
+seeds per count) twice per repeat: once on every CPU the process may use,
+and once after pinning this process to a single CPU with
+`os.sched_setaffinity` (Linux only), which makes the scan run in-process.
+The two `ValidityScan`s must be equal, run records included.
 Best-of-N seconds, the CPU count, the kernel backend, the workers' peak RSS
 and the git SHA go to `BENCH_scan.json`.  OpenBLAS runs one thread unless
 `OPENBLAS_NUM_THREADS` says otherwise.

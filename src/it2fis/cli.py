@@ -46,6 +46,23 @@ def _stage(name):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
+def _check_features(model, names):
+    """Raise DataError unless the feature names are the model's inputs, in
+    order: one-hot levels, pruning or a reordered CSV can give the same
+    count but other columns."""
+    if len(names) != model.n_features:
+        raise DataError(
+            f"feature-count mismatch: expected {model.n_features}, "
+            f"got {len(names)}"
+        )
+    for i, (want, got) in enumerate(zip(model.variable_names, names),
+                                    start=1):
+        if want != got:
+            raise DataError(
+                f"feature mismatch at column {i}: model expects "
+                f"{want!r}, data has {got!r}")
+
+
 def _load_config(args, flag_keys) -> cfgmod.Config:
     overrides = {key: getattr(args, attr) for key, attr in flag_keys.items()}
     return cfgmod.load_config(args.config, overrides)
@@ -121,10 +138,11 @@ _PREP_FLAGS = {"label_column": "label", "corr_threshold": "corr_threshold"}
 def cmd_preprocess(args) -> int:
     with _stage("load_config"):
         cfg = _load_config(args, _PREP_FLAGS)
+        prep = cfgmod.preprocess_config(cfg)
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
-        ds, report = preprocess(table, cfgmod.preprocess_config(cfg))
+        ds, report = preprocess(table, prep)
     save_dataset(ds, args.output)
     with open(args.output + ".report.txt", "w", encoding="utf-8") as f:
         f.write(report.text())
@@ -142,12 +160,15 @@ def cmd_train(args) -> int:
             "spread": "spread", "train_ratio": "train_ratio",
         })
         # reject bad values now, not after an hour of tuning
+        prep = cfgmod.preprocess_config(cfg)
         tc = cfgmod.tune_config(cfg)
-        cfgmod.check_ranges(cfg, "spread", "train_ratio", "fuzziness")
+        cfgmod.check_ranges(cfg, "spread", "train_ratio", "fuzziness",
+                            "c_max", "cluster_max_iter", "selection_seeds",
+                            "gk_regularization", "cluster_scan_subsample")
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
-        ds, _ = preprocess(table, cfgmod.preprocess_config(cfg))
+        ds, _ = preprocess(table, prep)
     with _stage("split"):
         sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed,
                    stratified=cfg.get_bool("stratified"))
@@ -229,11 +250,7 @@ def cmd_predict(args) -> int:
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("parse_features"):
-        if len(table.column_names) != model.n_features:
-            raise DataError(
-                f"feature-count mismatch: expected {model.n_features}, "
-                f"got {len(table.column_names)}"
-            )
+        _check_features(model, table.column_names)
         X = feature_matrix(table)
     with _stage("predict"):
         bp = predict_batch(model, X)
@@ -252,24 +269,14 @@ def cmd_evaluate(args) -> int:
     with _stage("load_config"):
         cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
         cfgmod.check_ranges(cfg, "train_ratio", "knn_k")
+        prep = cfgmod.preprocess_config(cfg)
     with _stage("load_model"):
         model = load_model(args.model)
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
-        ds, _ = preprocess(table, cfgmod.preprocess_config(cfg))
-        if len(ds.feature_names) != model.n_features:
-            raise DataError(
-                f"feature-count mismatch: expected {model.n_features}, "
-                f"got {len(ds.feature_names)}"
-            )
-        # one-hot levels or pruning can give the same count but other columns
-        for i, (want, got) in enumerate(zip(model.variable_names,
-                                            ds.feature_names), start=1):
-            if want != got:
-                raise DataError(
-                    f"feature mismatch at column {i}: model expects "
-                    f"{want!r}, data has {got!r}")
+        ds, _ = preprocess(table, prep)
+        _check_features(model, ds.feature_names)
 
     if args.test_only:
         train_ds, test_ds = None, ds

@@ -8,10 +8,12 @@ diagonal of the global covariance to survive near-categorical columns.
 
 Cluster counts are scored with the Fukuyama-Sugeno validity index
 (compactness minus separation); lower is better, argmin over [2, c_max].
-The scan needs only each run's objective and index, so its FCM runs take
-SQUAREM-accelerated steps and also stop once the objective has settled
-(SETTLE_RTOL); a partition that becomes a rule base is fitted with plain
-steps and without that stop.
+FCM takes SQUAREM steps: every two plain steps are followed by a trial of
+the point extrapolated from them, kept only if its objective is no higher
+than after the first of the two.  The scan needs only each run's objective
+and index, so its runs also stop once the objective has settled
+(SETTLE_RTOL); a partition that becomes a rule base runs on until its
+memberships change by less than tol.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ class FuzzyPartition:
     """Result of a fuzzy clustering run.
 
     U is (c, N): u[i, j] is the degree of belonging of sample j to cluster i;
-    every column sums to 1.  The traces record, for each iteration, the
-    objective sum(u^m * d^2) and the worst column-sum deviation from 1.
+    every column sums to 1.  The traces record, for each iteration (each
+    kept evaluation, in FCM), the objective sum(u^m * d^2) and the worst
+    column-sum deviation from 1.
     """
 
     U: np.ndarray
@@ -50,7 +53,7 @@ class ValidityScan:
 
     `runs` holds one (c, seed, n_iter, converged, objective, index) tuple per
     FCM run that actually ran, in (c, seed) order; n_iter counts the run's
-    membership evaluations, each the cost of one plain FCM iteration, and
+    membership evaluations (`fcm`), rejected SQUAREM points included, and
     `converged` is true when the run stopped before the cap on them, on a
     small membership change or a settled objective.  A count stops at the
     first run that agrees with its best so far, so the number of runs varies
@@ -147,29 +150,29 @@ def _extrapolate(v0, v1, v2):
     return v if np.isfinite(v).all() else None
 
 
-def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, settle_rtol=0.0, *,
-        accelerate=False) -> FuzzyPartition:
-    """Fuzzy c-means by alternating optimization.
+def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
+        settle_rtol=0.0) -> FuzzyPartition:
+    """Fuzzy c-means by alternating optimization with SQUAREM steps.
 
-    Each iteration evaluates the memberships of the current prototypes V and
-    moves V to the weighted means under them, V <- F(V).  Stops when the
-    largest membership change drops below tol or after max_iter membership
-    evaluations.  With settle_rtol > 0 it also stops at the first step that
-    lowers the objective by at most settle_rtol times the new objective; a
-    rise, which only rounding can cause, counts as settled.  `converged` says
-    that either test stopped the run before max_iter.  The recorded
-    objective is computed after each joint prototype+membership update, so
-    the trace is non-increasing up to rounding.
+    A plain step evaluates the memberships of the prototypes V and moves V
+    to the weighted means under them, V <- F(V).  The steps come in SQUAREM
+    cycles (Varadhan & Roland, Scand. J. Statist. 35(2), 2008): two plain
+    steps V0 -> V1 -> V2, then an evaluation at the extrapolated point V'
+    (see `_extrapolate`), which is kept, and followed by V' <- F(V'), only
+    if its objective is no higher than at V1; otherwise the cycle goes on
+    from V2 as plain steps would.  `n_iter` counts membership evaluations,
+    rejected points included, and max_iter caps them; the traces record the
+    objective sum(u^m * d^2) and the worst column-sum error of the kept
+    evaluations only, so the objective trace never rises beyond rounding
+    and n_iter can exceed its length.
 
-    With `accelerate`, the steps come in SQUAREM cycles (Varadhan & Roland,
-    Scand. J. Statist. 35(2), 2008): two plain steps V0 -> V1 -> V2, then an
-    evaluation at the extrapolated point V' (see `_extrapolate`), which is
-    kept, and followed by V' <- F(V'), only if its objective is no higher
-    than at V1; otherwise the cycle goes on from V2 as plain steps would.  A
-    rejected point's evaluation counts in `n_iter` and `max_iter` but not in
-    the traces, so the objective trace still never rises beyond rounding and
-    n_iter can exceed its length.  The stopping tests compare consecutive
-    kept evaluations, and U is always the memberships of the returned V.
+    Stops when the largest membership change between consecutive kept
+    evaluations drops below tol or after max_iter evaluations.  With
+    settle_rtol > 0 it also stops at the first kept evaluation that lowers
+    the objective by at most settle_rtol times the new objective; a rise,
+    which only rounding can cause, counts as settled.  `converged` says that
+    either test stopped the run before max_iter.  U is always the
+    memberships of the returned V.
     """
     X = _as_data(X)
     n, _ = X.shape
@@ -213,13 +216,12 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, settle_rtol=0.0, *,
         if n_iter == max_iter:
             break
         v_next = _prototypes(X, w, v)
-        if accelerate:
-            cycle.append(v_next)
-            if len(cycle) == 3:
-                point = _extrapolate(*cycle)
-                if point is not None:
-                    v_next, fallback = point, v_next
-                cycle = []
+        cycle.append(v_next)
+        if len(cycle) == 3:
+            point = _extrapolate(*cycle)
+            if point is not None:
+                v_next, fallback = point, v_next
+            cycle = []
 
     return FuzzyPartition(
         U=u, V=v, m=float(m),
@@ -350,12 +352,12 @@ SETTLE_RTOL = AGREE_RTOL / 100
 def _scan_count(X, m, tol, max_iter, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
 
-    Each run takes SQUAREM steps (`fcm(accelerate=True)`) and stops at a
-    membership change below tol, at an objective settled to SETTLE_RTOL, or
-    after max_iter membership evaluations, which n_iter counts.  Runs the
-    seeds in order and stops at the first run whose objective agrees with
-    the best so far to AGREE_RTOL; that run is recorded but the best stays,
-    so agreeing runs go to the earlier seed.  A run lower by more than that becomes the best.
+    Each run stops at a membership change below tol, at an objective settled
+    to SETTLE_RTOL, or after max_iter membership evaluations, which n_iter
+    counts.  Runs the seeds in order and stops at the first run whose
+    objective agrees with the best so far to AGREE_RTOL; that run is
+    recorded but the best stays, so agreeing runs go to the earlier seed.  A
+    run lower by more than that becomes the best.
     Returns the runs made, as (c, seed, n_iter, converged, objective, index)
     tuples, and the best of them: scalars only, so no membership matrix
     crosses a pipe.
@@ -363,7 +365,7 @@ def _scan_count(X, m, tol, max_iter, seeds, c):
     runs, best = [], None
     for seed in seeds:
         part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed,
-                   settle_rtol=SETTLE_RTOL, accelerate=True)
+                   settle_rtol=SETTLE_RTOL)
         run = (c, seed, part.n_iter, part.converged, part.objective,
                fukuyama_index(X, part))
         runs.append(run)
@@ -381,11 +383,11 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     Each candidate count runs FCM from the seeds in order until a run's
     objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
     out, and scores its lowest-objective run, the earlier seed among runs
-    that agree.  Each run takes SQUAREM steps and stops at a membership
-    change below tol, at an objective settled to SETTLE_RTOL, or after
-    max_iter membership evaluations.  So `seeds` bounds the runs per count,
-    and a count makes at least two unless only one seed is given.  Ties on
-    the index go to the smallest count.
+    that agree.  Each run stops at a membership change below tol, at an
+    objective settled to SETTLE_RTOL, or after max_iter membership
+    evaluations.  So `seeds` bounds the runs per count, and a count makes at
+    least two unless only one seed is given.  Ties on the index go to the
+    smallest count.
 
     The counts are independent, so they are spread over one forked worker
     per CPU the process may use (`taskset` limits that set); with one CPU,

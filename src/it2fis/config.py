@@ -142,14 +142,17 @@ def load_config(path=None, overrides=None) -> Config:
 
 def preprocess_config(cfg: Config) -> PreprocessConfig:
     missing = cfg.get_list("missing_codes") + ("",)  # empty cell always missing
-    return PreprocessConfig(
-        label_column=cfg.get("label_column"),
-        corr_threshold=cfg.get_float("corr_threshold"),
-        missing_codes=missing,
-        drop_columns=cfg.get_list("drop_columns"),
-        categorical_columns=cfg.get_list("categorical_columns"),
-        outlier_rules=cfg.outlier_rules(),
-    )
+    try:
+        return PreprocessConfig(
+            label_column=cfg.get("label_column"),
+            corr_threshold=cfg.get_float("corr_threshold"),
+            missing_codes=missing,
+            drop_columns=cfg.get_list("drop_columns"),
+            categorical_columns=cfg.get_list("categorical_columns"),
+            outlier_rules=cfg.outlier_rules(),
+        )
+    except ValueError as exc:
+        raise DataError(f"config {exc}") from None
 
 
 def tune_config(cfg: Config) -> TuneConfig:
@@ -163,12 +166,20 @@ def tune_config(cfg: Config) -> TuneConfig:
         raise DataError(f"config {exc}") from None
 
 
-# the range each key's consumer enforces (widen_to_it2, split, fcm and gk,
-# baseline_knn), so a command can reject a bad value before reading any data
+# the range each key's consumer needs (widen_to_it2, split, the cluster scan,
+# fcm and gk, baseline_knn), so a command can reject a bad value before
+# reading any data
 RANGES = {
     "spread": (float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "train_ratio": (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "fuzziness": (float, lambda v: v > 1.0, "must exceed 1"),
+    "c_max": (int, lambda v: v >= 2, "must be at least 2"),
+    "cluster_max_iter": (int, lambda v: v >= 1, "must be at least 1"),
+    "selection_seeds": (int, lambda v: v >= 1, "must be at least 1"),
+    "gk_regularization": (float, lambda v: 0.0 <= v <= 1.0,
+                          "must lie in [0, 1]"),
+    # 0 scans every row
+    "cluster_scan_subsample": (int, lambda v: v >= 0, "must not be negative"),
     "knn_k": (int, lambda v: v >= 1, "must be at least 1"),
 }
 

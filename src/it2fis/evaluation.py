@@ -291,7 +291,7 @@ def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
     return [classes[i] for i in best]
 
 
-def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
+def baseline_knn(train: Dataset, test: Dataset, k=5) -> list:
     """k-nearest-neighbor vote over Euclidean distance.
 
     Non-binary columns are min-max scaled to [0, 1] with training statistics.
@@ -310,13 +310,13 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
 
     The n test rows are scored in max(1, n // rows) blocks whose sizes
     differ by at most one row, so every block has at least ``rows =
-    knn_block_rows(training rows)`` rows, or all n when n is smaller;
-    ``chunk``, when given, replaces that ``rows``.  Beyond ``KNN_FORK_PAIRS`` (test x training) pairs,
-    contiguous ranges of whole blocks are spread over forked workers, one
-    per CPU, through ``parallel.fork_map``.  The workers score the same
-    blocks, so they do not change the result; nor does the block height on
-    the exact integer-key path.  On the float64 path a BLAS product can
-    round a row differently at another block height, which can move a tie.
+    knn_block_rows(training rows)`` rows, or all n when n is smaller.
+    Beyond ``KNN_FORK_PAIRS`` (test x training) pairs, contiguous ranges of
+    whole blocks are spread over forked workers, one per CPU, through
+    ``parallel.fork_map``.  The workers score the same blocks, so they do
+    not change the result; nor does the block height on the exact
+    integer-key path.  On the float64 path a BLAS product can round a row
+    differently at another block height, which can move a tie.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -336,8 +336,7 @@ def baseline_knn(train: Dataset, test: Dataset, k=5, chunk=None) -> list:
     ytr = np.array([code[l] for l in train.labels], dtype=np.int64)
 
     n = Xte.shape[0]
-    rows = knn_block_rows(Xtr.shape[0]) if chunk is None else chunk
-    n_blocks = max(1, n // rows)
+    n_blocks = max(1, n // knn_block_rows(Xtr.shape[0]))
     edges = [i * n // n_blocks for i in range(n_blocks + 1)]
     workers = (parallel.workers(n_blocks)
                if n * Xtr.shape[0] > KNN_FORK_PAIRS else 1)

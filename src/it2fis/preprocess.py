@@ -86,7 +86,8 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if not (0.0 < self.corr_threshold <= 1.0):
-            raise ValueError("correlation threshold must lie in (0, 1]")
+            raise ValueError("corr_threshold must lie in (0, 1], got "
+                             f"{self.corr_threshold!r}")
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,21 @@ def manual_partition(rng, c, n, d, m=2.0):
 # ---------------------------------------------------------------------------
 
 
-def test_fcm_matches_naive_alternating_optimization(rng):
+@pytest.fixture
+def plain_steps(monkeypatch):
+    """`fcm` without SQUAREM: `_extrapolate` declines every point, which
+    leaves the plain alternating-optimization map, bit for bit."""
+    def plain_fcm(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_extrapolate", lambda v0, v1, v2: None)
+            return fcm(*args, **kwargs)
+    return plain_fcm
+
+
+def test_fcm_matches_naive_alternating_optimization(rng, plain_steps):
     X = blobs(rng, [[0.0, 0.0], [4.0, 1.0], [-2.0, 5.0]], n_per=30)
     for iters in (1, 3, 7):
-        part = fcm(X, 3, m=2.0, seed=7, max_iter=iters, tol=0.0)
+        part = plain_steps(X, 3, m=2.0, seed=7, max_iter=iters, tol=0.0)
         u_ref, v_ref = naive_fcm_run(X, 3, 2.0, 7, iters)
         assert part.n_iter == iters
         np.testing.assert_allclose(part.U, u_ref.T, rtol=1e-12, atol=1e-12)
@@ -113,49 +124,51 @@ def _bits(a):
     return np.asarray(a).tobytes()
 
 
-def test_fcm_settle_stop_is_a_prefix_of_the_free_run():
+def test_fcm_settle_stop_is_a_prefix_of_the_free_run(plain_steps):
     # with settle_rtol > 0 a run ends at the first iteration whose decrease
     # is at most settle_rtol times its objective, and is then the free run
-    # cut there, bit for bit
+    # cut there, bit for bit; plain steps keep every evaluation, so the
+    # trace indexes the iterations
     X = np.random.default_rng(4).random((60, 2))
-    free = fcm(X, 3, seed=4, tol=0.0, max_iter=200)
+    free = plain_steps(X, 3, seed=4, tol=0.0, max_iter=200)
     trace = free.objective_trace
     stops = []
     for rtol in (1e-3, 1e-6, SETTLE_RTOL, 5e-324):
-        part = fcm(X, 3, seed=4, tol=0.0, max_iter=200, settle_rtol=rtol)
+        part = plain_steps(X, 3, seed=4, tol=0.0, max_iter=200,
+                           settle_rtol=rtol)
         n = part.n_iter
         assert part.converged and n < 200
         drops = trace[:n - 1] - trace[1:n]
         assert drops[-1] <= rtol * trace[n - 1]
         assert (drops[:-1] > rtol * trace[1:n - 1]).all()
-        head = fcm(X, 3, seed=4, tol=0.0, max_iter=n)
+        head = plain_steps(X, 3, seed=4, tol=0.0, max_iter=n)
         assert _bits(part.U) == _bits(head.U)
         assert _bits(part.V) == _bits(head.V)
         assert _bits(part.objective_trace) == _bits(trace[:n])
         assert _bits(part.colsum_error_trace) == _bits(
             free.colsum_error_trace[:n])
         # the same run capped one iteration earlier has not settled
-        assert not fcm(X, 3, seed=4, tol=0.0, max_iter=n - 1,
-                       settle_rtol=rtol).converged
+        assert not plain_steps(X, 3, seed=4, tol=0.0, max_iter=n - 1,
+                               settle_rtol=rtol).converged
         stops.append(n)
     assert stops == sorted(set(stops))
     # the smallest positive tolerance stops at the first rounding rise
     assert trace[stops[-1] - 1] > trace[stops[-1] - 2]
     # the membership test still stops a run that has not settled
-    part = fcm(X, 3, seed=4, tol=1e-3, settle_rtol=5e-324)
+    part = plain_steps(X, 3, seed=4, tol=1e-3, settle_rtol=5e-324)
     assert part.converged and part.n_iter < stops[-1]
-    assert part.n_iter == fcm(X, 3, seed=4, tol=1e-3).n_iter
+    assert part.n_iter == plain_steps(X, 3, seed=4, tol=1e-3).n_iter
 
 
-def test_fcm_without_settle_rtol_runs_through_rounding_rises():
+def test_fcm_without_settle_rtol_runs_through_rounding_rises(plain_steps):
     # settle_rtol = 0 (the default) never stops on the objective, not even
     # where rounding makes it rise or repeat
     X = np.random.default_rng(4).random((60, 2))
-    part = fcm(X, 3, seed=4, tol=0.0, max_iter=200, settle_rtol=0.0)
+    part = plain_steps(X, 3, seed=4, tol=0.0, max_iter=200, settle_rtol=0.0)
     drops = -np.diff(part.objective_trace)
     assert (drops[:150] < 0).any() and (drops[:150] == 0).any()
     assert part.n_iter == 200 and not part.converged
-    default = fcm(X, 3, seed=4, tol=0.0, max_iter=200)
+    default = plain_steps(X, 3, seed=4, tol=0.0, max_iter=200)
     assert _bits(part.U) == _bits(default.U)
     assert _bits(part.objective_trace) == _bits(default.objective_trace)
 
@@ -172,12 +185,12 @@ def _memberships_of(X, part):
     return kernels.fcm_memberships(d2, part.m)
 
 
-def test_fcm_accelerated_objective_never_rises_and_u_is_v_memberships():
+def test_fcm_squarem_objective_never_rises_and_u_is_v_memberships():
     for seed in range(8):
         X = np.random.default_rng(seed).random((60, 2)) * 4.0
         for c in (2, 3, 5):
             for rtol in (0.0, SETTLE_RTOL):
-                part = fcm(X, c, seed=seed, settle_rtol=rtol, accelerate=True)
+                part = fcm(X, c, seed=seed, settle_rtol=rtol)
                 trace = part.objective_trace
                 assert (np.diff(trace) <= trace[:-1] * 1e-12).all()
                 assert part.objective == trace[-1]
@@ -188,12 +201,13 @@ def test_fcm_accelerated_objective_never_rises_and_u_is_v_memberships():
                 assert _bits(part.U) == _bits(_memberships_of(X, part))
 
 
-def test_fcm_accelerated_reaches_the_plain_minimum_in_fewer_evaluations():
+def test_fcm_squarem_reaches_the_plain_minimum_in_fewer_evaluations(
+        plain_steps):
     X = np.random.default_rng(0).random((60, 2)) * 4.0
     evaluations = []
     for c in (3, 4, 5):
-        plain = fcm(X, c, seed=0)
-        fast = fcm(X, c, seed=0, accelerate=True)
+        plain = plain_steps(X, c, seed=0)
+        fast = fcm(X, c, seed=0)
         assert plain.converged and fast.converged
         assert fast.n_iter < plain.n_iter
         assert fast.objective == pytest.approx(plain.objective, rel=1e-10)
@@ -204,7 +218,8 @@ def test_fcm_accelerated_reaches_the_plain_minimum_in_fewer_evaluations():
     assert fast.n_iter > len(fast.objective_trace)
 
 
-def test_fcm_accelerated_overshoot_takes_the_plain_double_step(monkeypatch):
+def test_fcm_squarem_overshoot_takes_the_plain_double_step(monkeypatch,
+                                                         plain_steps):
     # every extrapolated point is far off the data, so each is evaluated,
     # rejected, and the run goes on from the plain double step: the kept
     # evaluations are the plain run's, bit for bit
@@ -220,39 +235,27 @@ def test_fcm_accelerated_overshoot_takes_the_plain_double_step(monkeypatch):
 
     monkeypatch.setattr(clustering, "_extrapolate", overshoot)
     X = np.random.default_rng(3).random((60, 2)) * 4.0
-    part = fcm(X, 4, seed=3, tol=0.0, max_iter=60, accelerate=True)
+    part = fcm(X, 4, seed=3, tol=0.0, max_iter=60)
     kept = len(part.objective_trace)
     assert tried and part.n_iter == 60 == kept + len(tried)
-    plain = fcm(X, 4, seed=3, tol=0.0, max_iter=kept)
+    plain = plain_steps(X, 4, seed=3, tol=0.0, max_iter=kept)
     assert _bits(part.objective_trace) == _bits(plain.objective_trace)
     assert _bits(part.colsum_error_trace) == _bits(plain.colsum_error_trace)
     assert _bits(part.U) == _bits(plain.U)
     assert _bits(part.V) == _bits(plain.V)
 
 
-def test_fcm_accelerated_max_iter_caps_the_evaluations():
+def test_fcm_squarem_max_iter_caps_the_evaluations(plain_steps):
     X = np.random.default_rng(5).random((60, 2)) * 4.0
     for cap in range(1, 16):
-        part = fcm(X, 4, seed=5, tol=0.0, max_iter=cap, accelerate=True)
+        part = fcm(X, 4, seed=5, tol=0.0, max_iter=cap)
         assert part.n_iter == cap and not part.converged
         assert 1 <= len(part.objective_trace) <= cap
         assert _bits(part.U) == _bits(_memberships_of(X, part))
     # the first two evaluations of a cycle are the plain run's
     for cap in (1, 2):
-        assert _bits(fcm(X, 4, seed=5, tol=0.0, max_iter=cap,
-                         accelerate=True).V) == _bits(
-            fcm(X, 4, seed=5, tol=0.0, max_iter=cap).V)
-
-
-def test_fcm_accelerated_determinism():
-    X = np.random.default_rng(6).random((80, 3))
-    a = fcm(X, 4, seed=42, accelerate=True)
-    b = fcm(X, 4, seed=42, accelerate=True)
-    for f in ("U", "V", "objective_trace", "colsum_error_trace"):
-        assert _bits(getattr(a, f)) == _bits(getattr(b, f))
-    assert (a.n_iter, a.converged) == (b.n_iter, b.converged)
-    assert not np.array_equal(
-        a.U, fcm(X, 4, seed=43, accelerate=True).U)
+        assert _bits(fcm(X, 4, seed=5, tol=0.0, max_iter=cap).V) == _bits(
+            plain_steps(X, 4, seed=5, tol=0.0, max_iter=cap).V)
 
 
 def test_fcm_membership_kernel_splits_zero_distances():
@@ -266,12 +269,14 @@ def test_fcm_membership_kernel_splits_zero_distances():
 
 
 def test_fcm_determinism(rng):
-    X = rng.random((50, 2))
-    a = fcm(X, 3, seed=42)
-    b = fcm(X, 3, seed=42)
-    assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
-    c = fcm(X, 3, seed=43)
-    assert not np.array_equal(a.U, c.U)
+    for X, c in ((rng.random((50, 2)), 3),
+                 (np.random.default_rng(6).random((80, 3)), 4)):
+        a = fcm(X, c, seed=42)
+        b = fcm(X, c, seed=42)
+        for f in ("U", "V", "objective_trace", "colsum_error_trace"):
+            assert _bits(getattr(a, f)) == _bits(getattr(b, f))
+        assert (a.n_iter, a.converged) == (b.n_iter, b.converged)
+        assert not np.array_equal(a.U, fcm(X, c, seed=43).U)
 
 
 def test_fcm_validation(rng):
@@ -493,8 +498,7 @@ def test_select_cluster_count_is_pinned():
     runs = {2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0, 1)}
     assert [r[:2] for r in scan.runs] == [(c, s) for c in scan.candidates
                                           for s in runs[c]]
-    n_iter = {c: tuple(fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL,
-                           accelerate=True).n_iter
+    n_iter = {c: tuple(fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL).n_iter
                        for s in runs[c])
               for c in scan.candidates}
     assert n_iter == {2: (10, 9), 3: (20, 14), 4: (37, 25), 5: (22, 26)}
@@ -555,7 +559,7 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
     # c = 2 and 4 stop at their second seed; at c = 3 seed 1 ends elsewhere
     assert pooled.runs == serial.runs and len(pooled.runs) == 7
     for c, s, n_iter, converged, objective, index in serial.runs:
-        part = fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL, accelerate=True)
+        part = fcm(X, c, seed=s, settle_rtol=SETTLE_RTOL)
         assert (n_iter, converged, objective) == (
             part.n_iter, part.converged, part.objective)
         assert index == fukuyama_index(X, part)

@@ -350,15 +350,28 @@ def exact_keys(train, test):
             for t in test.features.astype(int).tolist()]
 
 
+@pytest.fixture
+def knn_in_blocks(monkeypatch):
+    """`baseline_knn` with blocks of at least `rows` test rows, set through
+    `evaluation.knn_block_rows` for the one call; None keeps its height."""
+    def knn(train, test, k=5, rows=None):
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(evaluation, "knn_block_rows",
+                              lambda n_train: rows)
+            return baseline_knn(train, test, k=k)
+    return knn
+
+
 def test_baseline_knn_matches_scalar_oracle(rng):
     for k in (1, 3, 5):
         train, test = mixed_data(rng)
         assert baseline_knn(train, test, k=k) == naive_knn(train, test, k)
 
 
-def test_baseline_knn_chunking_is_invisible(rng):
+def test_baseline_knn_chunking_is_invisible(rng, knn_in_blocks):
     train, test = mixed_data(rng)
-    assert baseline_knn(train, test, k=3, chunk=7) == baseline_knn(
+    assert knn_in_blocks(train, test, k=3, rows=7) == baseline_knn(
         train, test, k=3)
 
 
@@ -419,7 +432,7 @@ def covid_like(rng, n, n_flags=32):
     return np.column_stack([flags, rng.integers(30, 70, n)])
 
 
-def test_baseline_knn_integer_keys_settle_ties_exactly():
+def test_baseline_knn_integer_keys_settle_ties_exactly(knn_in_blocks):
     rng = np.random.default_rng(0)
     Xtr, Xte = covid_like(rng, 160), covid_like(rng, 40)
     Xtr[0, -1], Xtr[1, -1] = 0.0, 97.0  # age span 97, not a power of two
@@ -446,14 +459,14 @@ def test_baseline_knn_integer_keys_settle_ties_exactly():
     changed = 0
     for k in (1, 3, 5):
         want = [knn_vote(train.labels, row, k) for row in keys.tolist()]
-        for chunk in (None, 7):
-            assert baseline_knn(train, test, k=k, chunk=chunk) == want
+        for rows in (None, 7):
+            assert knn_in_blocks(train, test, k=k, rows=rows) == want
         changed += want != [knn_vote(train.labels, row, k)
                             for row in d2.tolist()]
     assert changed == 2
 
 
-def test_baseline_knn_falls_back_to_float64_distances(rng):
+def test_baseline_knn_falls_back_to_float64_distances(rng, knn_in_blocks):
     # each case leaves the integer key; the levels are multiples of a power
     # of two, so min-max scaling is exact and the oracle sees the same ties
     def levels(n, scale=1.0):
@@ -475,8 +488,8 @@ def test_baseline_knn_falls_back_to_float64_distances(rng):
         test = Dataset(Xte, ("?",) * 20, names)
         for k in (1, 3, 5):
             want = naive_knn(train, test, k)
-            for chunk in (None, 7):
-                assert baseline_knn(train, test, k=k, chunk=chunk) == want
+            for rows in (None, 7):
+                assert knn_in_blocks(train, test, k=k, rows=rows) == want
 
 
 def covid_split(rng, n_train, n_test, n_flags=33):
@@ -502,7 +515,8 @@ def test_baseline_knn_blocks_stay_cache_sized():
     assert peak < 4e6
 
 
-def test_baseline_knn_blocks_keep_the_row_floor(rng, monkeypatch):
+def test_baseline_knn_blocks_keep_the_row_floor(rng, monkeypatch,
+                                               knn_in_blocks):
     # 2^18 cells would be 32 rows against 8,000 training rows
     train, test = covid_split(rng, 8000, 130)
     rows = []
@@ -517,12 +531,13 @@ def test_baseline_knn_blocks_keep_the_row_floor(rng, monkeypatch):
     assert evaluation.knn_block_rows(8000) == evaluation.KNN_MIN_ROWS == 48
     assert rows == [65, 65]  # two blocks of at least 48 rows, equal in size
     monkeypatch.setattr(kernels, "topk_select", real)
-    assert labels == baseline_knn(train, test, chunk=130)
+    assert labels == knn_in_blocks(train, test, rows=130)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the worker pool needs the fork start method")
-def test_baseline_knn_forked_equals_in_process(rng, monkeypatch):
+def test_baseline_knn_forked_equals_in_process(rng, monkeypatch,
+                                              knn_in_blocks):
     train, test = covid_split(rng, 6000, 200)  # four 50-row blocks
     # a half-integer age leaves the integer keys for float64 distances
     ftest = Dataset(test.features + np.r_[np.zeros(33), 0.5], test.labels,
@@ -533,9 +548,9 @@ def test_baseline_knn_forked_equals_in_process(rng, monkeypatch):
     assert evaluation._integer_key_blocks(
         train.features, ftest.features,
         ~evaluation._binary_columns(train.features)) is None
-    cases = [(t, k, chunk) for t in (test, ftest) for k in (1, 5)
-             for chunk in (None, 7)]
-    alone = [baseline_knn(train, t, k=k, chunk=chunk) for t, k, chunk in cases]
+    cases = [(t, k, rows) for t in (test, ftest) for k in (1, 5)
+             for rows in (None, 7)]
+    alone = [knn_in_blocks(train, t, k, rows) for t, k, rows in cases]
 
     pools = []
     real = parallel.fork_map
@@ -548,7 +563,7 @@ def test_baseline_knn_forked_equals_in_process(rng, monkeypatch):
     monkeypatch.setattr(parallel.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(parallel, "fork_map", recording)
-    forked = [baseline_knn(train, t, k=k, chunk=chunk) for t, k, chunk in cases]
+    forked = [knn_in_blocks(train, t, k, rows) for t, k, rows in cases]
     assert pools == [2] * len(cases)
     assert forked == alone
     assert parallel._worker is None
@@ -605,7 +620,7 @@ def test_topk_select_loop_twin_matches_stable_argsort():
             np.argsort(d2, axis=1, kind="stable")[:, :k])
 
 
-def test_baseline_knn_three_classes_on_tied_distances(rng):
+def test_baseline_knn_three_classes_on_tied_distances(rng, knn_in_blocks):
     # integer levels 0..4 with both ends present: min-max scaling divides by
     # 4, so every distance is exact in both the library and the oracle, and
     # many neighbours tie; random labels give even and three-way votes
@@ -619,5 +634,5 @@ def test_baseline_knn_three_classes_on_tied_distances(rng):
     test = Dataset(codes(40), ("?",) * 40, names)
     for k in (4, 5):
         want = naive_knn(train, test, k)
-        for chunk in (None, 3):
-            assert baseline_knn(train, test, k=k, chunk=chunk) == want
+        for rows in (None, 3):
+            assert knn_in_blocks(train, test, k=k, rows=rows) == want
