@@ -47,8 +47,7 @@ def knn_split(raw_rows, seed, test_rows):
         path = os.path.join(tmp, "raw.csv")
         synth_covid.write_csv(path, synth_covid.generate(raw_rows, seed))
         ds, _ = preprocess(load_csv(path), cfgmod.preprocess_config(cfg))
-    sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed,
-               stratified=cfg.get_bool("stratified"))
+    sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
     return (take(ds, sp.train_indices),
             take(ds, sp.test_indices[:test_rows]), cfg.get_int("knn_k"))
 

@@ -170,8 +170,7 @@ def cmd_train(args) -> int:
     with _stage("preprocess"):
         ds, _ = preprocess(table, prep)
     with _stage("split"):
-        sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed,
-                   stratified=cfg.get_bool("stratified"))
+        sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
         train_ds = take(ds, sp.train_indices)
 
     m = cfg.get_float("fuzziness")
@@ -213,10 +212,7 @@ def cmd_train(args) -> int:
 
     with _stage("calibrate_threshold"):
         bp = predict_batch(rb, train_ds.features)
-        thr = calibrate_threshold(
-            bp.crisp, train_ds.labels, rb.label_low,
-            float(rb.cons_mean.min()), float(rb.cons_mean.max()),
-            n_points=cfg.get_int("threshold_sweep"))
+        thr = calibrate_threshold(bp.crisp, train_ds.labels, rb.label_low)
         rb = dataclasses.replace(rb, threshold=thr)
 
     rb = dataclasses.replace(rb, provenance=rb.provenance + (
@@ -282,8 +278,7 @@ def cmd_evaluate(args) -> int:
         train_ds, test_ds = None, ds
     else:
         with _stage("split"):
-            sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=args.seed,
-                       stratified=cfg.get_bool("stratified"))
+            sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=args.seed)
             train_ds, test_ds = take(ds, sp.train_indices), take(ds, sp.test_indices)
 
     with _stage("predict"):

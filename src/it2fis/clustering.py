@@ -81,11 +81,13 @@ def _as_data(X) -> np.ndarray:
     return X
 
 
-def _check_cm(n: int, c: int, m: float):
+def _check_run(n: int, c: int, m: float, max_iter: int):
     if int(c) != c or c < 1:
         raise ValueError(f"cluster count must be a positive integer, got {c}")
     if not m > 1:
         raise ValueError(f"fuzziness degree must exceed 1, got {m}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if c > n:
         raise DataError(f"cannot fit {c} clusters to {n} samples")
 
@@ -176,7 +178,7 @@ def fcm(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0,
     """
     X = _as_data(X)
     n, _ = X.shape
-    _check_cm(n, c, m)
+    _check_run(n, c, m, max_iter)
     if not 0.0 <= settle_rtol < np.inf:
         raise ValueError(
             f"settle_rtol must be finite and non-negative, got {settle_rtol}")
@@ -245,7 +247,7 @@ def gk(X, c, m=2.0, tol=1e-6, max_iter=300, seed=0, regularization=1e-3,
     """
     X = _as_data(X)
     n, d = X.shape
-    _check_cm(n, c, m)
+    _check_run(n, c, m, max_iter)
     if regularization < 0 or regularization > 1:
         raise ValueError("regularization must lie in [0, 1]")
 

@@ -37,10 +37,8 @@ DEFAULTS = {
     "epochs": "100",
     "patience": "10",
     "spread": "0.2",
-    "threshold_sweep": "101",
     # evaluation
     "train_ratio": "0.7",
-    "stratified": "true",
     "knn_k": "5",
     "nb_alpha": "1.0",
 }
@@ -80,14 +78,6 @@ class Config:
             raise DataError(
                 f"config {key}={self.values[key]!r} is not an integer"
             ) from None
-
-    def get_bool(self, key) -> bool:
-        v = self.values[key].strip().lower()
-        if v in ("true", "yes", "on", "1"):
-            return True
-        if v in ("false", "no", "off", "0"):
-            return False
-        raise DataError(f"config {key}={self.values[key]!r} is not a boolean")
 
     def get_list(self, key) -> tuple:
         v = self.values[key].strip()

@@ -1,11 +1,13 @@
-"""Train/test splitting, classification metrics, and the two baselines.
+"""Train/test splitting, metrics, threshold calibration, and two baselines.
 
-The split is seeded and stratified by default (the class balance here is
-roughly 9:1, so plain shuffling adds avoidable variance).  Metrics come from
+The split is seeded and stratified (the class balance here is roughly 9:1,
+so plain shuffling would add avoidable variance).  Metrics come from
 exact confusion-matrix arithmetic with the F convention F = 0 when P + R = 0.
 Reports carry both per-class F values; with heavy imbalance the headline
 F-measure belongs to the majority class, so the majority code is recorded
 explicitly alongside the accuracy a constant majority predictor would get.
+The decision threshold is fitted on the train share by an exact sweep of
+the distinct crisp scores, maximizing the majority class's F.
 
 Baselines: a mixed Naive Bayes (Bernoulli with Laplace smoothing on binary
 columns, Gaussian on the rest) and a k-nearest-neighbor classifier with
@@ -117,12 +119,13 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def split(data: Dataset, ratio=0.7, seed=0, stratified=True) -> Split:
-    """Seeded train/test partition; |train| = round(ratio * N) exactly.
+def split(data: Dataset, ratio=0.7, seed=0) -> Split:
+    """Seeded stratified train/test partition; |train| = round(ratio * N)
+    exactly.
 
-    Stratified mode allocates per class by largest remainder so the class
-    proportions survive within rounding, and errors out when any class
-    would vanish from either side.
+    Each class is allocated its share by largest remainder, so the class
+    proportions survive within rounding; a class that would vanish from
+    either side is a DataError.
     """
     n = data.n_rows
     if not (0.0 < ratio < 1.0):
@@ -134,12 +137,6 @@ def split(data: Dataset, ratio=0.7, seed=0, stratified=True) -> Split:
         raise DataError(f"ratio {ratio} leaves an empty side for {n} rows")
 
     rng = np.random.default_rng(seed)
-    if not stratified:
-        perm = rng.permutation(n)
-        train = np.sort(perm[:n_train])
-        test = np.sort(perm[n_train:])
-        return Split(train, test, float(ratio), seed)
-
     labels = np.asarray(data.labels, dtype=object)
     codes = sorted(set(data.labels))
     groups = {c: np.flatnonzero(labels == c) for c in codes}
@@ -228,27 +225,36 @@ def compute_metrics(predictions, truth, positive_class) -> MetricsReport:
     )
 
 
-def calibrate_threshold(crisp, truth, low_code, lo, hi, n_points=101) -> float:
-    """Sweep n_points thresholds over [lo, hi] and keep the one maximizing
-    the F-measure of `low_code` (the majority class, scored >= threshold as
-    the other class).  Ties go to the smallest threshold.  NaN crisp scores
-    compare as below-threshold, matching the flagged-fallback label.
+def calibrate_threshold(crisp, truth, low_code) -> float:
+    """The decision threshold that maximizes the F-measure of `low_code`
+    (the majority class; rows scored >= threshold get the other class).
+
+    Exact: every distinct finite score is one cut, all rows with that score
+    landing on the same side, and one more cut above the top score sends
+    every row low.  Rows below a cut are counted from cumulative class
+    counts over the sorted scores.  Ties go to the smallest threshold.  A
+    non-finite score (NaN: no rule fired) always counts as low, matching
+    the flagged-fallback label.  Returns the winning cut's score, or
+    ``nextafter(top score, inf)`` for the all-low cut, so it is finite.
+    Raises DataError when no score is finite.
     """
     crisp = np.asarray(crisp, dtype=float)
-    is_low = np.array([t == low_code for t in truth])
-    n_low = int(is_low.sum())
-    best_f, best_t = -1.0, float(lo)
-    with np.errstate(invalid="ignore"):
-        for t in np.linspace(lo, hi, n_points):
-            pred_low = ~(crisp >= t)
-            tp = int((pred_low & is_low).sum())
-            fp = int((pred_low & ~is_low).sum())
-            p = tp / (tp + fp) if tp + fp else 0.0
-            r = tp / n_low if n_low else 0.0
-            f = 2.0 * p * r / (p + r) if p + r else 0.0
-            if f > best_f:
-                best_f, best_t = f, float(t)
-    return best_t
+    is_low = np.array([t == low_code for t in truth], dtype=bool)
+    finite = np.isfinite(crisp)
+    if not finite.any():
+        raise DataError("no training row has a finite crisp score")
+    order = np.argsort(crisp[finite], kind="stable")
+    scores, low = crisp[finite][order], is_low[finite][order]
+    firsts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])
+    below = np.r_[firsts, scores.size]  # finite rows below each cut
+    # low-predicted rows: m of them, tp truly low; F = 2 tp / (tp + m + n_low)
+    tp = np.r_[0, np.cumsum(low)][below] + int(is_low[~finite].sum())
+    m = below + int((~finite).sum())
+    f = 2.0 * tp / np.maximum(tp + m + int(is_low.sum()), 1)
+    best = int(np.argmax(f))  # the first maximum: the smallest threshold
+    if best == firsts.size:
+        return float(np.nextafter(scores[-1], np.inf))
+    return float(scores[firsts[best]])
 
 
 def _binary_columns(X: np.ndarray) -> np.ndarray:

@@ -123,9 +123,7 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
     )
 
 
-def _resolve_threshold(rb: RuleBase, threshold) -> float:
-    if threshold is not None:
-        return float(threshold)
+def _resolve_threshold(rb: RuleBase) -> float:
     if rb.threshold is not None:
         return float(rb.threshold)
     return 0.5 * float(rb.cons_mean.min() + rb.cons_mean.max())
@@ -178,19 +176,20 @@ def _score(rb: RuleBase, X):
     return y_l, y_r, k_l, k_r, covered
 
 
-def predict(rb: RuleBase, x, threshold=None) -> Prediction:
+def predict(rb: RuleBase, x) -> Prediction:
     """Classify one input vector: ``predict_batch`` on one row, bit for bit.
 
     The crisp score is the midpoint of the Karnik-Mendel interval [y_l, y_r],
     returned with its switch points.  A type-1 base (or a type-2 one of zero
     spread) has a degenerate interval and no switch points (None).  Label
-    is the high class exactly when crisp >= threshold.  When no rule fires
+    is the high class exactly when crisp >= the model's threshold (the
+    midpoint of the consequent means when it has none).  When no rule fires
     (vanishing firing after underflow) the prediction falls back to the
     majority training class (the low label) with flagged=True, a NaN crisp
     score and no interval.  A nan or inf feature raises DataError instead.
     """
     X = _checked(rb, np.asarray(x, dtype=float).reshape(1, -1))
-    thr = _resolve_threshold(rb, threshold)
+    thr = _resolve_threshold(rb)
     y_l, y_r, k_l, k_r, covered = _score(rb, X)
     if not covered[0]:
         return Prediction(crisp=float("nan"), label=rb.label_low,
@@ -204,7 +203,7 @@ def predict(rb: RuleBase, x, threshold=None) -> Prediction:
                       interval=tri, flagged=False)
 
 
-def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
+def predict_batch(rb: RuleBase, X) -> BatchPredictions:
     """``predict`` over the rows of a feature matrix; one output row per input.
 
     Raises DataError on a non-finite cell, naming its feature and row.  The
@@ -212,7 +211,7 @@ def predict_batch(rb: RuleBase, X, threshold=None) -> BatchPredictions:
     firing and reduction path); the switch points are dropped.
     """
     X = _checked(rb, np.atleast_2d(X))
-    thr = _resolve_threshold(rb, threshold)
+    thr = _resolve_threshold(rb)
     y_l, y_r, _, _, covered = _score(rb, X)
     crisp = 0.5 * (y_l + y_r)
     labels = [rb.label_high if h else rb.label_low for h in crisp >= thr]

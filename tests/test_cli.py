@@ -3,14 +3,19 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from it2fis import cli
 from it2fis.cli import main
-from it2fis.config import load_config
+from it2fis.config import DEFAULTS, Config, load_config
 from it2fis.errors import DataError
+from it2fis.inference import BatchPredictions
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CONFIG = """\
 label_column = icu
@@ -21,7 +26,6 @@ selection_seeds = 2
 cluster_scan_subsample = 0
 epochs = 12
 learning_rate = 0.5
-threshold_sweep = 51
 """
 
 
@@ -121,10 +125,10 @@ def test_model_bytes_do_not_depend_on_the_input_directory(tmp_path, capsys):
 
 # SHA-256 of the model trained by the test below, recorded with numpy 2.4 on
 # x86-64; a change that moves it changes training and must say why.  Last
-# moved when extract_rules' FCM came to take SQUAREM steps: it converges to
-# the same partition up to the membership tolerance, by another path
+# moved when the decision threshold came from an exact sweep of the train
+# scores instead of a grid: the threshold is the only byte change
 GOLDEN_MODEL_SHA256 = (
-    "d7d1ebff22c4deb6068c98e698a6c584d7e2d30ca1d7e95b4689afd0c4dfcc7d")
+    "fb08396566328b3adca0fc3f6cfe285c74ea4e0b40bd6b32170105894833c360")
 
 
 def test_train_golden_model_hash(tmp_path, capsys):
@@ -140,7 +144,7 @@ def test_train_golden_model_hash(tmp_path, capsys):
 # the same for a type-1-only train of the same input: it pins the type-1
 # scoring path and the model file's inference block
 GOLDEN_T1_MODEL_SHA256 = (
-    "1b2dc9260f377c295a6ef199e47aa1789e04d49e698a289e3c27453bbbd75a4c")
+    "91e66efb3f37ce0f0c9421f2e875d76d32028568146ee1ba47f47601073d0291")
 
 
 def test_train_type1_only_golden_model_hash(tmp_path, capsys):
@@ -399,7 +403,8 @@ def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["batch", "defuzzifier", "yager_w",
-                                 "aggregation"])
+                                 "aggregation", "threshold_sweep",
+                                 "stratified"])
 def test_removed_config_keys_are_unknown(workdir, tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(CONFIG + f"{key} = x\n", encoding="utf-8")
@@ -410,6 +415,58 @@ def test_removed_config_keys_are_unknown(workdir, tmp_path, capsys, key):
             in capsys.readouterr().err)
     with pytest.raises(DataError, match=f"unknown config key {key!r}"):
         load_config(overrides={key: "x"})
+
+
+def test_every_config_key_is_read_and_documented(workdir, tmp_path,
+                                                 monkeypatch):
+    """A default key that no command reads is a dead knob, and one that the
+    README's config paragraph does not name is a hidden one."""
+    read = set()
+
+    def recording(method, keys):
+        def wrapper(self, *args):
+            read.update(keys(self, *args))
+            return method(self, *args)
+        return wrapper
+
+    for name in ("get", "get_float", "get_int", "get_list"):
+        monkeypatch.setattr(Config, name, recording(
+            getattr(Config, name), lambda self, key: [key]))
+    monkeypatch.setattr(Config, "outlier_rules", recording(
+        Config.outlier_rules,
+        lambda self: [k for k in self.values if k.startswith("outlier.")]))
+    raw, model = str(workdir["raw"]), str(tmp_path / "fit.model")
+    for args in (["preprocess", raw, "-o", str(tmp_path / "clean.csv")],
+                 ["train", raw, "-o", model],
+                 ["evaluate", model, raw, "--baselines"]):
+        assert main(["--seed", "3", "--config", str(workdir["cfg"]),
+                     *args]) == 0
+    assert read == set(DEFAULTS)
+
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    para = readme[readme.index("Keys cover"):
+                  readme.index("`train` and `evaluate` check")]
+    # the README names the open-ended outlier keys as one family
+    assert set(re.findall(r"`([^`]+)`", para)) == {
+        "outlier.<name>" if k.startswith("outlier.") else k for k in DEFAULTS}
+
+
+def test_train_without_a_finite_train_score_names_the_stage(
+        workdir, tmp_path, capsys, monkeypatch):
+    def unscored(rb, X):
+        nan = np.full(len(X), np.nan)
+        return BatchPredictions(crisp=nan, y_l=nan, y_r=nan,
+                                labels=[rb.label_low] * len(X),
+                                flagged=np.ones(len(X), bool), threshold=0.0)
+
+    monkeypatch.setattr(cli, "predict_batch", unscored)
+    out = tmp_path / "x.model"
+    rc = main(["--seed", "3", "--config", str(workdir["cfg"]), "train",
+               str(workdir["raw"]), "-o", str(out)])
+    assert rc == 2
+    assert ("data error: [calibrate_threshold] no training row has a "
+            "finite crisp score" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 BAD_VALUES = [

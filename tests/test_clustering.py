@@ -180,6 +180,14 @@ def test_fcm_settle_rtol_must_be_finite_and_non_negative(rtol):
         fcm(X, 2, settle_rtol=rtol)
 
 
+@pytest.mark.parametrize("fit", [fcm, gk], ids=["fcm", "gk"])
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_max_iter_must_be_positive(fit, max_iter):
+    X = np.random.default_rng(0).random((20, 2))
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        fit(X, 2, max_iter=max_iter)
+
+
 def _memberships_of(X, part):
     d2 = kernels.sq_distances(part.V, X.T.copy(), (X * X).sum(axis=1))
     return kernels.fcm_memberships(d2, part.m)

@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,13 +47,12 @@ def test_split_stratified_largest_remainder_counts():
 
 def test_split_partitions_the_index_range(rng):
     ds = make_dataset(rng.normal(size=40), ("x",) * 30 + ("y",) * 10)
-    for stratified in (True, False):
-        s = split(ds, ratio=0.6, seed=9, stratified=stratified)
-        both = np.concatenate([s.train_indices, s.test_indices])
-        assert np.array_equal(np.sort(both), np.arange(40))
-        assert np.array_equal(s.train_indices, np.sort(s.train_indices))
-        assert np.array_equal(s.test_indices, np.sort(s.test_indices))
-        assert s.train_indices.size == 24
+    s = split(ds, ratio=0.6, seed=9)
+    both = np.concatenate([s.train_indices, s.test_indices])
+    assert np.array_equal(np.sort(both), np.arange(40))
+    assert np.array_equal(s.train_indices, np.sort(s.train_indices))
+    assert np.array_equal(s.test_indices, np.sort(s.test_indices))
+    assert s.train_indices.size == 24
 
 
 def test_split_seed_controls_the_shuffle(rng):
@@ -179,41 +179,78 @@ def test_metrics_text_mentions_majority():
 # ---------------------------------------------------------------------------
 
 
+def low_f(crisp, truth, t):
+    """Exact F of the low class "L" when rows scored >= t are high and the
+    rest (NaN included) low, from its precision and recall."""
+    pred_low = ~(np.asarray(crisp) >= t)
+    is_low = np.array([c == "L" for c in truth])
+    tp = int((pred_low & is_low).sum())
+    if tp == 0:
+        return Fraction(0)
+    p, r = Fraction(tp, int(pred_low.sum())), Fraction(tp, int(is_low.sum()))
+    return 2 * p * r / (p + r)
+
+
+def brute_force_threshold(crisp, truth):
+    """The first best of every distinct finite score and one cut above
+    them all, each scored on its own."""
+    finite = sorted(set(float(c) for c in crisp if np.isfinite(c)))
+    cuts = finite + [float(np.nextafter(finite[-1], np.inf))]
+    scores = [low_f(crisp, truth, t) for t in cuts]
+    return cuts[scores.index(max(scores))]
+
+
 def test_calibrate_threshold_picks_first_separating_point():
-    best = calibrate_threshold([1.0, 2.0], ["L", "H"], "L", 1.0, 2.0)
-    # any t in (1, 2] separates perfectly; the sweep grid's second point wins
-    assert best == np.linspace(1.0, 2.0, 101)[1]
+    # any t in (1, 2] separates perfectly; the smallest cut is the score 2
+    assert calibrate_threshold([1.0, 2.0], ["L", "H"], "L") == 2.0
 
 
 def test_calibrate_threshold_nan_counts_as_low():
-    best = calibrate_threshold([np.nan, 2.0], ["L", "H"], "L", 1.0, 2.0)
-    assert best == 1.0  # perfect F already at the lowest threshold
+    # the NaN row is low at every cut, so the cut at 2 is already perfect
+    assert calibrate_threshold([np.nan, 2.0], ["L", "H"], "L") == 2.0
+    assert calibrate_threshold([np.nan, 2.0], ["H", "L"], "L") > 2.0
 
 
 def test_calibrate_threshold_all_ties_keep_smallest():
-    # the low class never occurs: F stays 0 everywhere, lo wins by tie rule
-    assert calibrate_threshold([1.5, 1.7], ["H", "H"], "L", 0.0, 3.0) == 0.0
+    # the low class never occurs: F stays 0 at every cut; the smallest wins
+    assert calibrate_threshold([1.7, 1.5], ["H", "H"], "L") == 1.5
+
+
+def test_calibrate_threshold_tie_block_is_one_cut():
+    crisp = np.array([1.0, 2.0, 2.0, 2.0, 3.0])
+    # the best split would fall inside the tie block; whole blocks give
+    # F 0.4 (cut 2), 0.6 (cut 3) and 6/11 (all low)
+    thr = calibrate_threshold(crisp, ["L", "L", "L", "H", "H"], "L")
+    assert thr == 3.0
+    assert not (crisp[1:4] >= thr).any()
+
+
+def test_calibrate_threshold_all_low_cut_stays_finite():
+    thr = calibrate_threshold([1.0, 2.0], ["L", "L"], "L")
+    assert thr == np.nextafter(2.0, np.inf) and np.isfinite(thr)
+
+
+def test_calibrate_threshold_needs_a_finite_score():
+    with pytest.raises(DataError, match="no training row has a finite"):
+        calibrate_threshold([np.nan, np.nan], ["L", "H"], "L")
 
 
 def test_calibrate_threshold_against_exhaustive_scan(rng):
-    for _ in range(10):
-        crisp = rng.uniform(1.0, 2.0, size=30)
-        truth = list(rng.choice(["L", "H"], size=30))
-        best = calibrate_threshold(crisp, truth, "L", 1.0, 2.0, n_points=51)
-        is_low = np.array([t == "L" for t in truth])
-
-        def f_at(t):
-            pred_low = crisp < t
-            tp = int((pred_low & is_low).sum())
-            fp = int((pred_low & ~is_low).sum())
-            p = tp / (tp + fp) if tp + fp else 0.0
-            r = tp / is_low.sum() if is_low.sum() else 0.0
-            return 2 * p * r / (p + r) if p + r else 0.0
-
-        grid = np.linspace(1.0, 2.0, 51)
-        scores = [f_at(t) for t in grid]
-        assert f_at(best) == max(scores)
-        assert best == grid[int(np.argmax(scores))]  # argmax keeps first
+    for n in (1, 2, 5, 30, 200):
+        for _ in range(20):
+            # one decimal: plenty of tied scores; and a few NaN rows
+            crisp = np.round(rng.uniform(1.0, 2.0, size=n), 1)
+            crisp[rng.random(n) < 0.1] = np.nan
+            if np.isnan(crisp).all():
+                crisp[0] = 1.5
+            truth = list(rng.choice(["L", "H"], size=n, p=[0.8, 0.2]))
+            thr = calibrate_threshold(crisp, truth, "L")
+            assert np.isfinite(thr)
+            assert thr == brute_force_threshold(crisp, truth)
+            # the 101-point grid this sweep replaced never does better
+            grid = max(low_f(crisp, truth, t)
+                       for t in np.linspace(1.0, 2.0, 101))
+            assert low_f(crisp, truth, thr) >= grid
 
 
 # ---------------------------------------------------------------------------

@@ -265,11 +265,9 @@ def test_predict_threshold_resolution(rng):
     rb = t1_rule_base([[0.0], [0.0]], [[1.0], [1.0]], [1.0, 2.0], [0.2, 0.2])
     # no threshold anywhere: midpoint of the consequent range
     assert predict(rb, [0.0]).threshold == pytest.approx(1.5)
-    # config threshold wins over the midpoint
+    # the model's threshold wins over the midpoint
     rb2 = dataclasses.replace(rb, threshold=1.8)
     assert predict(rb2, [0.0]).threshold == pytest.approx(1.8)
-    # explicit argument wins over everything
-    assert predict(rb2, [0.0], threshold=1.2).threshold == pytest.approx(1.2)
 
 
 def test_predict_label_assignment():
