@@ -8,6 +8,9 @@ KNN block as ``evaluation.baseline_knn`` cuts it, ``knn_block_rows(rows)``
 query rows against all rows, on integer-rounded distances so that ties are
 common; its result is first checked against a stable ``argsort``.
 ``--rows 85569`` gives the 48 x 85,569 block of a full-size KNN baseline.
+The ``topk_select_2080`` line, whatever --rows, runs it on the block that
+perfbench's pipeline workload passes it: float32 integer keys, 126 query
+rows against 2,080 training rows, k = 5, checked the same way.
 The two ``knn_chunk`` lines time one such chunk of the baseline itself,
 the distance block plus ``topk_select``, on covid-like integer data:
 --features - 1 sparse 0/1 flags and an integer age in 0..100.
@@ -59,6 +62,8 @@ from it2fis.evaluation import knn_block_rows
 
 # the fcm line's fixed shape and run
 FCM_ROWS, FCM_BINARY, FCM_CLUSTERS, FCM_ITERS = 2080, 34, 6, 50
+# training rows of the topk_select_2080 line, those of perfbench's pipeline KNN
+PIPELINE_ROWS = 2080
 
 
 def times_of(fn, calls):
@@ -174,6 +179,15 @@ def build_cases(rows, rules, features, seed, repeats, calls):
               [args] * repeats) for name, shape, args in cases]
     cases += [(name, shape, knn_chunk, [args] * repeats)
               for name, shape, args in knn_chunk_cases(rng, rows, features)]
+    # drawn last, so that the other lines keep their data
+    Xp = rng.normal(size=(PIPELINE_ROWS, features))
+    pq = rng.normal(size=(knn_block_rows(PIPELINE_ROWS), features))
+    pd2 = np.round(kernels.sq_distances(pq, np.ascontiguousarray(Xp.T),
+                                        (Xp * Xp).sum(axis=1)))
+    at = [case[0] for case in cases].index("topk_select") + 1
+    cases.insert(at, ("topk_select_2080", f"{len(pq)}x{PIPELINE_ROWS} k=5",
+                      kernels.topk_select,
+                      [(pd2.astype(np.float32), 5)] * repeats))
     return cases + [
         ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
         ("predict_row", f"bundled {rb.n_rules}x{rb.n_features}",
@@ -203,7 +217,7 @@ def main(argv=None):
 
     timings = {}
     for name, shape, fn, calls in cases:
-        if name == "topk_select":  # exact contract: a stable argsort prefix
+        if name.startswith("topk_select"):  # exact: a stable argsort prefix
             d2, k = calls[0]
             if not np.array_equal(fn(d2, k),
                                   np.argsort(d2, axis=1, kind="stable")[:, :k]):

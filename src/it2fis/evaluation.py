@@ -28,7 +28,7 @@ from .preprocess import Dataset
 
 # The KNN baseline scores its test rows in blocks of at least
 # `knn_block_rows(training rows)` rows.  KNN_BLOCK_CELLS keeps a block's
-# float32 keys (1 MiB) and the selection's partitioned copy of them within a
+# float32 keys (1 MiB) and the selection's boolean masks of them within a
 # 2 MiB L2 cache; KNN_MIN_ROWS keeps the rows per block from falling so low
 # on wide training sets that repacking the whole (features + 2, training
 # rows) key operand for every block's product dominates.  At 85,569 training
@@ -39,8 +39,10 @@ KNN_MIN_ROWS = 48
 
 # KNN forks over every CPU (`parallel.fork_map`) only beyond this many
 # (test row, training row) pairs.  On a 2-vCPU host a fork pool's round
-# trip costs 14-18 ms and in-process KNN 6-11 ns a pair, so the pool pays
-# for itself from about 3M pairs; forking starts ten times above that.
+# trip costs 14-18 ms and in-process KNN against 85,569 training rows about
+# 3 ns a pair beyond a fixed 0.1 s for the keys; forked and in-process
+# times cross between 16M and 33M pairs, so forking starts at the top of
+# that range.
 KNN_FORK_PAIRS = 2 ** 25
 
 # Every integer of magnitude up to 2**24 is a float32; the exact KNN key and

@@ -572,24 +572,35 @@ def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
 # first; ties on distance go to the lower column index.  The result equals
 # np.argsort(d2, axis=1, kind="stable")[:, :k] exactly, order within a row
 # included: callers settle even votes on the first column.  The kernel
-# selects instead of sorting: each row's k-th smallest value bounds a small
-# candidate set (every entry not above it, so ties straddling the k-th place
-# are all kept), and one stable sort of the candidates by (row, distance)
-# restores the exact tie order.  The candidates are found as flat (row-major)
-# indices into d2, which list each row's columns in ascending order as
-# np.nonzero does, at a sixth of the 2-D nonzero's cost; divmod by the row
-# length splits them into row and column, and the flat index also picks the
-# candidates' distances out of d2.ravel().  NaN is "not above" anything, so a
-# row with fewer than k non-NaN entries still yields k candidates, sorted
-# last as argsort sorts them.  d2 may be float64 or float32: the KNN
-# baseline passes float32 blocks of exact integer keys, whose partition,
-# mask and gather move half the bytes.
+# selects instead of sorting.  A bound t per row marks a small candidate set,
+# every entry not above t, and one stable sort of the candidates by (row,
+# distance) restores the exact tie order.  t is the k-th smallest of the
+# row's chunk minima: each row is cut into _TOPK_CHUNKS contiguous column
+# chunks, never fewer than k, and k chunks hold an entry each at or below t,
+# so t is at least the row's k-th smallest value and the candidates hold the
+# k nearest with every tie straddling the k-th place.  The minima cost one
+# streaming pass over d2 and the selection runs on the small (rows, chunks)
+# array, not on a copy of d2; rows whose small values crowd into few chunks
+# (training rows sorted by a feature) loosen the bound, never the result.
+# The candidates are found as flat (row-major) indices into d2, which list
+# each row's columns in ascending order as np.nonzero does, at a sixth of the
+# 2-D nonzero's cost; divmod by the row length splits them into row and
+# column, and the flat index also picks the candidates' distances out of
+# d2.ravel().  NaN propagates into its chunk's minimum and is "not above"
+# anything, so a row with fewer than k non-NaN chunk minima keeps every
+# entry, and a row with fewer than k non-NaN entries still yields k
+# candidates, sorted last as argsort sorts them.  d2 may be float64 or
+# float32: the KNN baseline passes float32 blocks of exact integer keys,
+# whose minima, mask and gather move half the bytes.
+_TOPK_CHUNKS = 32
 
 
 def topk_select(d2, k):
     n, m = d2.shape
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    flat = np.flatnonzero(~(d2 > kth[:, None]))
+    width = max(1, min(-(-m // _TOPK_CHUNKS), m // k))
+    mins = np.minimum.reduceat(d2, np.arange(0, m, width), axis=1)
+    t = np.partition(mins, k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(~(d2 > t[:, None]))
     rows, cols = np.divmod(flat, m)
     order = np.lexsort((d2.ravel()[flat], rows))
     start = np.zeros(n, dtype=np.int64)

@@ -13,6 +13,7 @@ stored to three decimals).
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -66,7 +67,13 @@ def save_model(rb: RuleBase, path):
 
 def _num(block, key, where):
     v = block.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+    try:
+        ok = (isinstance(v, (int, float)) and not isinstance(v, bool)
+              and math.isfinite(v))
+    except OverflowError:  # a JSON integer beyond float range
+        raise ModelError(
+            f"{where}: {key!r} is too large for a float") from None
+    if not ok:
         raise ModelError(f"{where}: missing or non-numeric {key!r}")
     return float(v)
 
@@ -169,16 +176,22 @@ def dict_to_rule_base(doc) -> RuleBase:
             f"unsupported inference.aggregation {aggregation!r}: type-1 "
             f"models are scored center-of-sets ('weighted') only")
     threshold = inf.get("threshold")
-    if threshold is not None and (not isinstance(threshold, (int, float))
-                                  or isinstance(threshold, bool)):
-        raise ModelError("inference.threshold must be a number or null")
+    if threshold is not None:
+        if (not isinstance(threshold, (int, float))
+                or isinstance(threshold, bool)):
+            raise ModelError("inference.threshold must be a number or null")
+        try:
+            threshold = float(threshold)
+        except OverflowError:  # a JSON integer beyond float range
+            raise ModelError(
+                "inference.threshold is too large for a float") from None
     prov = _block(doc, "provenance")
     try:
         return RuleBase(
             kind=kind, variable_names=tuple(names),
             means=means, sigma_lower=sig_lo, sigma_upper=sig_up,
             cons_mean=cons, cons_sigma_lower=cons_lo, cons_sigma_upper=cons_up,
-            threshold=None if threshold is None else float(threshold),
+            threshold=threshold,
             label_low=low, label_high=high,
             provenance=tuple((str(k), str(v)) for k, v in prov.items()),
         )
@@ -192,7 +205,7 @@ def load_model(path) -> RuleBase:
             doc = json.load(f)
     except OSError as exc:
         raise ModelError(f"cannot read model {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, a 4,300+ digit integer
         raise ModelError(f"cannot parse model {path}: {exc}") from exc
     return dict_to_rule_base(doc)
 

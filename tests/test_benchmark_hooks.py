@@ -26,8 +26,8 @@ PERFBENCH = ROOT / "perfbench"
 # the lines bench_kernels.py prints, one per timed kernel or call
 KERNEL_LINES = ("sq_distances", "fcm_memberships", "fcm", "log_firing",
                 "km_batch", "centre", "t1_epoch", "it2_epoch", "topk_select",
-                "knn_chunk_exact", "knn_chunk_f64", "km_batch_col",
-                "predict_row")
+                "topk_select_2080", "knn_chunk_exact", "knn_chunk_f64",
+                "km_batch_col", "predict_row")
 
 
 def _perfbench_module(name):

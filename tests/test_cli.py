@@ -362,12 +362,19 @@ def test_missing_input_names_the_stage(workdir, tmp_path, capsys):
 
 
 def test_broken_model_exits_3(workdir, tmp_path, capsys):
-    bad = tmp_path / "bad.model"
-    bad.write_text("{ nope", encoding="utf-8")
-    rc = main(["predict", str(bad), str(workdir["features"]),
-               "-o", str(tmp_path / "x.csv")])
-    assert rc == 3
-    assert "model error: [load_model] cannot parse model" in capsys.readouterr().err
+    huge = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    huge["rules"][0]["antecedents"][0]["mean"] = 10 ** 400
+    name = huge["variable_names"][0]
+    for text, message in [
+            ("{ nope", "cannot parse model"),
+            (json.dumps(huge), f"rule 1, {name}: 'mean' is too large")]:
+        bad = tmp_path / "bad.model"
+        bad.write_text(text, encoding="utf-8")
+        rc = main(["predict", str(bad), str(workdir["features"]),
+                   "-o", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert (f"model error: [load_model] {message}"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("block, value, message", [
@@ -375,7 +382,8 @@ def test_broken_model_exits_3(workdir, tmp_path, capsys):
     ("inference", ["x"], "inference block must be a JSON object"),
     ("provenance", ["x"], "provenance block must be a JSON object"),
     ("threshold", True, "inference.threshold must be a number or null"),
-], ids=["label", "inference", "provenance", "threshold"])
+    ("threshold", 10 ** 400, "inference.threshold is too large for a float"),
+], ids=["label", "inference", "provenance", "threshold", "huge_threshold"])
 def test_malformed_model_block_exits_3(workdir, tmp_path, capsys, block,
                                        value, message):
     doc = json.loads(workdir["model"].read_text(encoding="utf-8"))

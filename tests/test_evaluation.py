@@ -624,25 +624,34 @@ def tie_heavy_distances(rng, m, nan=True):
         row = np.r_[rng.random(below) * 0.5, np.full(tied, 0.75),
                     1.0 + rng.random(m - below - tied)]
         straddle.append(rng.permutation(row))
-    d2 = np.vstack([integer, all_equal, zero_heavy, np.array(straddle)])
+    # every smallest value in the last column chunk of `topk_select`
+    descending = np.arange(m, 0, -1.0) // 2
+    d2 = np.vstack([integer, all_equal, zero_heavy, np.array(straddle),
+                    descending])
     if nan:
         # NaN sorts last; a row with fewer than k non-NaN entries must not
         # take candidates from its neighbours
         nan_rows = np.where(rng.random((4, m)) < 0.6, np.nan,
                             rng.integers(0, 3, size=(4, m)))
         nan_rows[0] = np.nan
+        nan_rows[1, ::2] = np.nan  # a NaN minimum in every wider chunk
         d2 = np.vstack([d2, nan_rows])
     return d2[rng.permutation(d2.shape[0])]
 
 
 def test_topk_select_matches_stable_argsort_on_ties(rng):
-    for m in (1, 2, 9, 31):
+    # up to 32 columns every chunk of the bound is one column wide; 65 leaves
+    # a partial last chunk, and k = m // 3 or m narrows the chunks to m // k
+    for m in (1, 2, 9, 31, 64, 65, 257, 2081):
         d2 = tie_heavy_distances(rng, max(m, 6))[:, :m]
-        for k in range(1, m + 1):
-            got = kernels.topk_select(d2, k)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(
-                got, np.argsort(d2, axis=1, kind="stable")[:, :k])
+        ks = range(1, m + 1) if m < 32 else [*range(1, m // 32 + 2), m // 3, m]
+        # float64, and float32 integer keys as the KNN baseline passes them
+        for block in (d2, np.rint(4.0 * d2).astype(np.float32)):
+            for k in ks:
+                got = kernels.topk_select(block, k)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(
+                    got, np.argsort(block, axis=1, kind="stable")[:, :k])
 
 
 def test_topk_select_loop_twin_matches_stable_argsort():

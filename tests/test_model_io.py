@@ -154,6 +154,9 @@ def test_load_rejects_non_numeric_fields(tmp_path, rng):
     doc["inference"]["threshold"] = float("inf")
     with pytest.raises(ModelError, match="threshold must be finite"):
         load_model(dump(doc, tmp_path))
+    doc["inference"]["threshold"] = 10 ** 400  # beyond float range
+    with pytest.raises(ModelError, match="threshold is too large for a float"):
+        load_model(dump(doc, tmp_path))
 
     doc = rule_base_to_dict(random_t1_base(rng))
     doc["rules"][0]["antecedents"][1]["mean"] = None
@@ -163,6 +166,12 @@ def test_load_rejects_non_numeric_fields(tmp_path, rng):
     doc = rule_base_to_dict(random_t1_base(rng))
     doc["rules"][0]["antecedents"][1]["mean"] = True  # bools are not numbers
     with pytest.raises(ModelError, match="missing or non-numeric 'mean'"):
+        load_model(dump(doc, tmp_path))
+
+    doc = rule_base_to_dict(random_t1_base(rng))
+    doc["rules"][0]["antecedents"][1]["mean"] = 10 ** 400
+    with pytest.raises(ModelError, match=r"rule 1, x2: 'mean' is too large "
+                                         r"for a float"):
         load_model(dump(doc, tmp_path))
 
 
@@ -242,6 +251,8 @@ def test_load_io_errors(tmp_path):
     with pytest.raises(ModelError, match="cannot read model"):
         load_model(str(tmp_path / "absent.model"))
     bad = tmp_path / "garbage.model"
-    bad.write_text("{ not json", encoding="utf-8")
-    with pytest.raises(ModelError, match="cannot parse model"):
-        load_model(str(bad))
+    # not JSON, not UTF-8, and an integer past Python's 4,300-digit limit
+    for content in (b"{ not json", b"\xff\xfe{", b"[" + b"9" * 5000 + b"]"):
+        bad.write_bytes(content)
+        with pytest.raises(ModelError, match="cannot parse model"):
+            load_model(str(bad))
