@@ -18,6 +18,7 @@ says otherwise.
 """
 
 import argparse
+import inspect
 import json
 import os
 import pathlib
@@ -49,13 +50,13 @@ def knn_split(raw_rows, seed, test_rows):
         ds, _ = preprocess(load_csv(path), cfgmod.preprocess_config(cfg))
     sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
     return (take(ds, sp.train_indices),
-            take(ds, sp.test_indices[:test_rows]), cfg.get_int("knn_k"))
+            take(ds, sp.test_indices[:test_rows]))
 
 
-def timed_knn(train, test, k, cpus):
+def timed_knn(train, test, cpus):
     os.sched_setaffinity(0, cpus)
     t0 = time.perf_counter()
-    labels = baseline_knn(train, test, k=k)
+    labels = baseline_knn(train, test)
     return time.perf_counter() - t0, labels
 
 
@@ -69,7 +70,9 @@ def main(argv=None):
     ap.add_argument("--out", default="BENCH_knn.json")
     args = ap.parse_args(argv)
 
-    train, test, k = knn_split(args.raw_rows, args.seed, args.test_rows)
+    train, test = knn_split(args.raw_rows, args.seed, args.test_rows)
+    # evaluate --baselines runs KNN with its default k
+    k = inspect.signature(baseline_knn).parameters["k"].default
     pairs = train.n_rows * test.n_rows
     rows = knn_block_rows(train.n_rows)
     blocks = max(1, test.n_rows // rows)
@@ -79,9 +82,9 @@ def main(argv=None):
     pooled_s, serial_s = [], []
     try:
         for _ in range(args.repeats):
-            t, pooled = timed_knn(train, test, k, all_cpus)
+            t, pooled = timed_knn(train, test, all_cpus)
             pooled_s.append(t)
-            t, serial = timed_knn(train, test, k, one_cpu)
+            t, serial = timed_knn(train, test, one_cpu)
             serial_s.append(t)
             if pooled != serial:
                 raise SystemExit("KNN on all CPUs differs from one CPU")

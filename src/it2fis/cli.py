@@ -97,7 +97,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--label", dest="label")
     sp.add_argument("--corr-threshold", dest="corr_threshold", type=float)
     sp.add_argument("--c-max", dest="c_max", type=int)
-    sp.add_argument("--fuzziness", dest="fuzziness", type=float)
     sp.add_argument("--lr", dest="learning_rate", type=float)
     sp.add_argument("--epochs", dest="epochs", type=int)
     sp.add_argument("--spread", dest="spread", type=float)
@@ -155,16 +154,14 @@ def cmd_train(args) -> int:
     seed = args.seed
     with _stage("load_config"):
         cfg = _load_config(args, {
-            **_PREP_FLAGS, "c_max": "c_max", "fuzziness": "fuzziness",
-            "learning_rate": "learning_rate", "epochs": "epochs",
-            "spread": "spread", "train_ratio": "train_ratio",
+            **_PREP_FLAGS, "c_max": "c_max", "learning_rate": "learning_rate",
+            "epochs": "epochs", "spread": "spread", "train_ratio": "train_ratio",
         })
         # reject bad values now, not after an hour of tuning
         prep = cfgmod.preprocess_config(cfg)
         tc = cfgmod.tune_config(cfg)
-        cfgmod.check_ranges(cfg, "spread", "train_ratio", "fuzziness",
-                            "c_max", "cluster_max_iter", "selection_seeds",
-                            "gk_regularization", "cluster_scan_subsample")
+        cfgmod.check_ranges(cfg, "spread", "train_ratio", "c_max",
+                            "selection_seeds", "cluster_scan_subsample")
     with _stage("load_csv"):
         table = load_csv(args.input)
     with _stage("preprocess"):
@@ -173,9 +170,6 @@ def cmd_train(args) -> int:
         sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
         train_ds = take(ds, sp.train_indices)
 
-    m = cfg.get_float("fuzziness")
-    tol = cfg.get_float("cluster_tol")
-    max_iter = cfg.get_int("cluster_max_iter")
     with _stage("select_cluster_count"):
         y, _, _ = encode_labels(train_ds.labels)
         joint = np.column_stack([train_ds.features, y])
@@ -186,9 +180,8 @@ def cmd_train(args) -> int:
                                                       replace=False)
             scan_data = joint[np.sort(pick)]
         scan = select_cluster_count(
-            scan_data, c_max=cfg.get_int("c_max"), m=m,
-            seeds=tuple(seed + i for i in range(cfg.get_int("selection_seeds"))),
-            tol=tol, max_iter=max_iter)
+            scan_data, c_max=cfg.get_int("c_max"),
+            seeds=tuple(seed + i for i in range(cfg.get_int("selection_seeds"))))
         print(f"cluster scan: {dict(zip(scan.candidates, [round(v, 3) for v in scan.values]))}"
               f" -> c={scan.selected}")
         print(f"scan runs: {len(scan.runs)}, "
@@ -197,9 +190,7 @@ def cmd_train(args) -> int:
               f"{scan.workers} workers")
 
     with _stage("extract_rules"):
-        rb = extract_rules(train_ds, scan.selected, m=m, seed=seed, tol=tol,
-                           max_iter=max_iter,
-                           gk_regularization=cfg.get_float("gk_regularization"))
+        rb = extract_rules(train_ds, scan.selected, seed=seed)
     with _stage("tune_t1"):
         rb, trace_t1 = tune_t1(rb, train_ds, tc)
     traces = [("t1", trace_t1)]
@@ -264,7 +255,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     with _stage("load_config"):
         cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
-        cfgmod.check_ranges(cfg, "train_ratio", "knn_k")
+        cfgmod.check_ranges(cfg, "train_ratio")
         prep = cfgmod.preprocess_config(cfg)
     with _stage("load_model"):
         model = load_model(args.model)
@@ -287,12 +278,11 @@ def cmd_evaluate(args) -> int:
                                          positive_class=model.label_high))]
     if args.baselines:
         with _stage("baseline_nb"):
-            nb = baseline_nb(train_ds, test_ds,
-                             alpha=cfg.get_float("nb_alpha"))
+            nb = baseline_nb(train_ds, test_ds)
             reports.append(("nb", compute_metrics(nb, test_ds.labels,
                                                   model.label_high)))
         with _stage("baseline_knn"):
-            knn = baseline_knn(train_ds, test_ds, k=cfg.get_int("knn_k"))
+            knn = baseline_knn(train_ds, test_ds)
             reports.append(("knn", compute_metrics(knn, test_ds.labels,
                                                    model.label_high)))
 

@@ -351,11 +351,11 @@ AGREE_RTOL = 1e-6
 SETTLE_RTOL = AGREE_RTOL / 100
 
 
-def _scan_count(X, m, tol, max_iter, seeds, c):
+def _scan_count(X, m, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
 
-    Each run stops at a membership change below tol, at an objective settled
-    to SETTLE_RTOL, or after max_iter membership evaluations, which n_iter
+    Each run stops at `fcm`'s membership tolerance, at an objective settled
+    to SETTLE_RTOL, or at `fcm`'s cap on membership evaluations, which n_iter
     counts.  Runs the seeds in order and stops at the first run whose
     objective agrees with the best so far to AGREE_RTOL; that run is
     recorded but the best stays, so agreeing runs go to the earlier seed.  A
@@ -366,8 +366,7 @@ def _scan_count(X, m, tol, max_iter, seeds, c):
     """
     runs, best = [], None
     for seed in seeds:
-        part = fcm(X, c, m=m, tol=tol, max_iter=max_iter, seed=seed,
-                   settle_rtol=SETTLE_RTOL)
+        part = fcm(X, c, m=m, seed=seed, settle_rtol=SETTLE_RTOL)
         run = (c, seed, part.n_iter, part.converged, part.objective,
                fukuyama_index(X, part))
         runs.append(run)
@@ -378,15 +377,15 @@ def _scan_count(X, m, tol, max_iter, seeds, c):
     return tuple(runs), best
 
 
-def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
-                         tol=1e-6, max_iter=300) -> ValidityScan:
+def select_cluster_count(X, c_max=10, m=2.0,
+                         seeds=(0, 1, 2, 3, 4)) -> ValidityScan:
     """Pick the cluster count in [2, c_max] minimizing the Fukuyama index.
 
     Each candidate count runs FCM from the seeds in order until a run's
     objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
     out, and scores its lowest-objective run, the earlier seed among runs
-    that agree.  Each run stops at a membership change below tol, at an
-    objective settled to SETTLE_RTOL, or after max_iter membership
+    that agree.  Each run stops at `fcm`'s membership tolerance, at an
+    objective settled to SETTLE_RTOL, or at `fcm`'s cap on membership
     evaluations.  So `seeds` bounds the runs per count, and a count makes at
     least two unless only one seed is given.  Ties on the index go to the
     smallest count.
@@ -411,8 +410,7 @@ def select_cluster_count(X, c_max=10, m=2.0, seeds=(0, 1, 2, 3, 4),
     # with a long run at the end
     tasks = candidates[::-1]
     workers = parallel.workers(len(tasks))
-    results = parallel.fork_map(_scan_count, (X, m, tol, max_iter, seeds),
-                                tasks, workers)
+    results = parallel.fork_map(_scan_count, (X, m, seeds), tasks, workers)
     done = dict(zip(tasks, results))
 
     runs = tuple(r for c in candidates for r in done[c][0])

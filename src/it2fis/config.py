@@ -1,4 +1,4 @@
-"""Key=value configuration covering every tunable default.
+"""Key=value configuration of the settings a run may change.
 
 A config file is plain text: one `key=value` per line, `#` comments and blank
 lines ignored.  Values stay strings until a typed getter converts them, so
@@ -25,12 +25,8 @@ DEFAULTS = {
     "categorical_columns": ",".join(COVID_CATEGORICAL),
     "outlier.male_pregnancy": "sex=2&pregnancy=1",
     # clustering
-    "fuzziness": "2.0",
     "c_max": "10",
-    "cluster_tol": "1e-6",
-    "cluster_max_iter": "300",
     "selection_seeds": "5",
-    "gk_regularization": "1e-3",
     "cluster_scan_subsample": "20000",
     # tuning
     "learning_rate": "0.01",
@@ -39,8 +35,6 @@ DEFAULTS = {
     "spread": "0.2",
     # evaluation
     "train_ratio": "0.7",
-    "knn_k": "5",
-    "nb_alpha": "1.0",
 }
 
 
@@ -156,21 +150,15 @@ def tune_config(cfg: Config) -> TuneConfig:
         raise DataError(f"config {exc}") from None
 
 
-# the range each key's consumer needs (widen_to_it2, split, the cluster scan,
-# fcm and gk, baseline_knn), so a command can reject a bad value before
-# reading any data
+# the range each key's consumer needs (widen_to_it2, split, the cluster
+# scan), so a command can reject a bad value before reading any data
 RANGES = {
     "spread": (float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "train_ratio": (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "fuzziness": (float, lambda v: v > 1.0, "must exceed 1"),
     "c_max": (int, lambda v: v >= 2, "must be at least 2"),
-    "cluster_max_iter": (int, lambda v: v >= 1, "must be at least 1"),
     "selection_seeds": (int, lambda v: v >= 1, "must be at least 1"),
-    "gk_regularization": (float, lambda v: 0.0 <= v <= 1.0,
-                          "must lie in [0, 1]"),
     # 0 scans every row
     "cluster_scan_subsample": (int, lambda v: v >= 0, "must not be negative"),
-    "knn_k": (int, lambda v: v >= 1, "must be at least 1"),
 }
 
 

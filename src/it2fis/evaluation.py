@@ -269,6 +269,8 @@ def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
     Returns argmax-posterior labels for the test rows; posterior ties go to
     the lexicographically smaller class code.
     """
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     Xtr, Xte = train.features, test.features
     if Xte.shape[1] != Xtr.shape[1]:
         raise DataError("train and test feature counts differ")

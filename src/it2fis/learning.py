@@ -36,9 +36,9 @@ class TuneConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
         if self.patience < 1:
@@ -87,8 +87,7 @@ def targets_for(rb: RuleBase, labels) -> np.ndarray:
     return y
 
 
-def extract_rules(data, c, m=2.0, seed=0, tol=1e-6, max_iter=300,
-                  gk_regularization=1e-3) -> RuleBase:
+def extract_rules(data, c, m=2.0, seed=0, tol=1e-6) -> RuleBase:
     """Build a type-1 rule base with one rule per cluster of the joint space.
 
     FCM partitions the joint (features, encoded label) space; GK then refines
@@ -105,11 +104,10 @@ def extract_rules(data, c, m=2.0, seed=0, tol=1e-6, max_iter=300,
         raise DataError("feature and label counts differ")
     Z = np.column_stack([X, y])
 
-    part = fcm(Z, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
+    part = fcm(Z, c, m=m, tol=tol, seed=seed)
     method = "gk"
     try:
-        part = gk(Z, c, m=m, tol=tol, max_iter=max_iter, seed=seed,
-                  regularization=gk_regularization, u0=part.U)
+        part = gk(Z, c, m=m, tol=tol, seed=seed, u0=part.U)
     except DataError:
         method = "fcm-fallback"
 

@@ -134,23 +134,16 @@ class RuleBase:
             out.append(Rule(ants, cons))
         return tuple(out)
 
-    def with_params(self, means, sigma_lower, sigma_upper, cons_mean,
-                    cons_sigma_lower=None, cons_sigma_upper=None) -> "RuleBase":
-        """Copy with replaced parameter arrays (used by the tuners)."""
+    def with_params(self, means, sigma_lower, sigma_upper,
+                    cons_mean) -> "RuleBase":
+        """Copy with replaced parameter arrays (used by the tuners, which
+        never move the consequent sigmas)."""
         return replace(
             self,
             means=np.array(means, dtype=float),
             sigma_lower=np.array(sigma_lower, dtype=float),
             sigma_upper=np.array(sigma_upper, dtype=float),
             cons_mean=np.array(cons_mean, dtype=float),
-            cons_sigma_lower=np.array(
-                self.cons_sigma_lower if cons_sigma_lower is None else cons_sigma_lower,
-                dtype=float,
-            ),
-            cons_sigma_upper=np.array(
-                self.cons_sigma_upper if cons_sigma_upper is None else cons_sigma_upper,
-                dtype=float,
-            ),
         )
 
 

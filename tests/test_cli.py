@@ -352,6 +352,11 @@ def test_bad_usage_exits_1(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # a removed flag
+        main(["train", str(workdir["raw"]), "-o", "x.model",
+              "--fuzziness", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --fuzziness 2" in capsys.readouterr().err
 
 
 def test_missing_input_names_the_stage(workdir, tmp_path, capsys):
@@ -412,7 +417,9 @@ def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["batch", "defuzzifier", "yager_w",
                                  "aggregation", "threshold_sweep",
-                                 "stratified"])
+                                 "stratified", "fuzziness", "cluster_tol",
+                                 "cluster_max_iter", "gk_regularization",
+                                 "knn_k", "nb_alpha"])
 def test_removed_config_keys_are_unknown(workdir, tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(CONFIG + f"{key} = x\n", encoding="utf-8")
@@ -483,19 +490,17 @@ BAD_VALUES = [
     ("train", [], "patience = 0", "patience"),
     ("train", ["--spread", "1.5"], "", "spread"),
     ("train", ["--ratio", "1.5"], "", "train_ratio"),
-    ("train", ["--fuzziness", "1.0"], "", "fuzziness"),
-    ("train", [], "cluster_max_iter = 0", "cluster_max_iter"),
     ("train", [], "selection_seeds = 0", "selection_seeds"),
     ("train", ["--c-max", "1"], "", "c_max"),
-    ("train", [], "gk_regularization = 2", "gk_regularization"),
     ("train", [], "cluster_scan_subsample = -5", "cluster_scan_subsample"),
     ("train", ["--corr-threshold", "2"], "", "corr_threshold"),
-    ("evaluate", ["--baselines"], "knn_k = 0", "knn_k"),
+    ("evaluate", ["--ratio", "0"], "", "train_ratio"),
 ]
 
 
 @pytest.mark.parametrize("command, flags, config_line, key", BAD_VALUES,
-                         ids=[case[-1] for case in BAD_VALUES])
+                         ids=[key if command == "train" else f"{command}-{key}"
+                              for command, _, _, key in BAD_VALUES])
 def test_bad_config_value_fails_before_reading_data(
         workdir, tmp_path, capsys, command, flags, config_line, key):
     cfg = tmp_path / "bad.cfg"
@@ -510,4 +515,18 @@ def test_bad_config_value_fails_before_reading_data(
     captured = capsys.readouterr()
     assert rc == 2
     assert f"data error: [load_config] config {key}" in captured.err
+    assert "cluster scan" not in captured.out
+
+
+@pytest.mark.parametrize("lr", ["inf", "nan"])
+def test_non_finite_learning_rate_fails_before_reading_data(
+        workdir, tmp_path, capsys, lr):
+    # caught here, an infinite rate cannot reach tuning, whose first
+    # gradient step would fail blaming a data row
+    rc = main(["--config", str(workdir["cfg"]), "train", str(workdir["raw"]),
+               "-o", str(tmp_path / "x.model"), "--lr", lr])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert ("data error: [load_config] config learning_rate must be finite "
+            f"and positive, got {float(lr)!r}" in captured.err)
     assert "cluster scan" not in captured.out

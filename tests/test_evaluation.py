@@ -341,6 +341,11 @@ def test_baseline_nb_validation(rng):
     mono = Dataset(train.features, ("1",) * train.n_rows, train.feature_names)
     with pytest.raises(DataError, match="two classes"):
         baseline_nb(mono, test)
+    # such an alpha used to return labels, with no error
+    for alpha in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and "
+                                             "positive"):
+            baseline_nb(train, test, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
