@@ -223,8 +223,8 @@ def cmd_train(args) -> int:
         save_model(rb, args.output)
     with open(args.output + ".trace.txt", "w", encoding="utf-8") as f:
         for name, tr in traces:
-            for e, (err, dig) in enumerate(zip(tr.epoch_error, tr.param_digests)):
-                f.write(f"{name} epoch {e}: error={float(err)!r} params={dig}\n")
+            for e, err in enumerate(tr.epoch_error):
+                f.write(f"{name} epoch {e}: error={float(err)!r}\n")
             f.write(f"{name} best epoch: {tr.best_epoch}\n")
     print(f"trained {rb.kind} model: {rb.n_rules} rules x {rb.n_features} "
           f"antecedents, threshold {thr:.4f} -> {args.output}")

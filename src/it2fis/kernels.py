@@ -1,7 +1,7 @@
 """Numeric hot kernels, vectorized in numpy.
 
 The names without a leading underscore are the kernels the package calls.
-Five of them keep a plain-Python loop version (``_*_loops``) that computes
+Four of them keep a plain-Python loop version (``_*_loops``) that computes
 the same result one element at a time; the tests compare each kernel with
 its loop version, and nothing else calls them.
 
@@ -340,10 +340,11 @@ def t1_epoch(data, y, means, sigmas, cons):
     with np.errstate(invalid="ignore", divide="ignore"):
         f = (cons @ w) / den
     r = (f - y) / n
-    err = 0.5 * np.mean((f - y) ** 2)
+    with np.errstate(over="ignore"):
+        err = 0.5 * np.mean((f - y) ** 2)
 
     # q[S,j] = r_j * (g_S - f_j) / den_j * w_Sj
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = r * (cons[:, None] - f) / den * w
     with np.errstate(over="ignore", invalid="ignore"):
         gm, gs = grad(q)
@@ -606,34 +607,6 @@ def topk_select(d2, k):
     start = np.zeros(n, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n)[:-1], out=start[1:])
     return cols[order[start[:, None] + np.arange(k)]].astype(np.int64)
-
-
-def _topk_select_loops(d2, k):
-    n, m = d2.shape
-    out = np.empty((n, k), dtype=np.int64)
-    for j in range(n):
-        bd = np.full(k, np.inf)
-        bi = np.full(k, np.int64(m))
-        for i in range(m):
-            # v goes before a kept entry when that slot is empty (index m),
-            # when v is smaller, or when v is a number and the entry NaN;
-            # columns arrive in order, so equal values keep theirs
-            v = d2[j, i]
-            w = bd[k - 1]
-            if not (bi[k - 1] == m or v < w or (w != w and v == v)):
-                continue
-            pos = k - 1
-            while pos > 0:
-                w = bd[pos - 1]
-                if not (bi[pos - 1] == m or v < w or (w != w and v == v)):
-                    break
-                bd[pos] = w
-                bi[pos] = bi[pos - 1]
-                pos -= 1
-            bd[pos] = v
-            bi[pos] = i
-        out[j] = bi
-    return out
 
 
 def backend() -> str:

@@ -15,7 +15,6 @@ output lives on a regression scale with a decision threshold applied later.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -47,10 +46,9 @@ class TuneConfig:
 
 @dataclass(frozen=True)
 class TuneTrace:
-    """Per-epoch mean error and a digest of the parameters it was measured on."""
+    """Per-epoch mean error and the epoch whose start parameters were returned."""
 
     epoch_error: np.ndarray
-    param_digests: tuple
     best_epoch: int
 
 
@@ -157,13 +155,6 @@ def widen_to_it2(rb: RuleBase, spread=0.2) -> RuleBase:
     )
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha1()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
 def _bad_sample_message(X, params) -> str:
     """Name the first row of X whose log firing is non-finite under one of
     the sigma matrices in params."""
@@ -195,36 +186,34 @@ def _tune(X, y, cfg: TuneConfig, params, kernel, project):
     kernel(centred, y, *params) once, steps the params by lr times the
     gradients it returns, and puts them back in their legal set with
     project(*params).  An epoch's error is the mean error that call returns,
-    taken before the step; its digest and snapshot are of the params it
-    started from.
+    taken before the step.  The params an epoch started from are copied only
+    when its error is a new lowest; the loop stops after cfg.patience epochs
+    without one and returns that copy, the earliest on a tie.
     """
     lr = cfg.learning_rate
     params = tuple(p.copy() for p in params)
     centred = kernels.centre(X)
 
-    errs, digests = [], []
-    best = (np.inf, -1, None)
-    since_best = 0
+    errs, best_err, best_epoch = [], np.inf, -1
     for epoch in range(cfg.epochs):
-        digests.append(_digest(*params))
-        snap_now = tuple(p.copy() for p in params)
         *grads, err = kernel(centred, y, *params)
         if not np.isfinite(err):
-            raise DataError(_bad_sample_message(X, params))
+            if epoch == 0:
+                raise DataError(_bad_sample_message(X, params))
+            raise DataError(
+                "the training error stopped being finite after a step of "
+                f"learning_rate={lr!r}; lower the learning rate")
+        errs.append(float(err))
+        if err < best_err:
+            best_err, best_epoch = err, epoch
+            best = tuple(p.copy() for p in params)
+        elif epoch - best_epoch >= cfg.patience:
+            break
         for p, g in zip(params, grads):
             p -= lr * g
         project(*params)
-        errs.append(float(err))
-        if err < best[0]:
-            best = (err, epoch, snap_now)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
 
-    _, best_epoch, snap = best
-    return snap, TuneTrace(np.array(errs), tuple(digests), int(best_epoch))
+    return best, TuneTrace(np.array(errs), best_epoch)
 
 
 def _floor_sigma(means, sig, cons):

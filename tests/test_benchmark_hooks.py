@@ -20,6 +20,8 @@ import pytest
 
 from it2fis import cli, clustering, inference, kernels, learning
 
+from conftest import random_t1_base, two_class_dataset
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -54,6 +56,17 @@ def test_every_traced_name_exists(layers):
             assert getattr(cli, name) is getattr(module, name), name
     assert learning.fcm is clustering.fcm
     assert callable(learning.gk) and callable(inference.predict)
+
+    # the tracer records each tuner's epoch count and best epoch from the
+    # trace it returns, by these two field names
+    rng = np.random.default_rng(0)
+    data = two_class_dataset(rng)
+    rb = random_t1_base(rng, n_features=1, label_low="a", label_high="b")
+    result = learning.tune_t1(rb, data, learning.TuneConfig(epochs=3))
+    trace = result[1]
+    assert len(trace.epoch_error) == 3 and 0 <= trace.best_epoch < 3
+    assert layers._tune_info((), {}, result) == {"epochs": 3,
+                                                 "best": trace.best_epoch}
 
 
 def test_fcm_runs_through_the_traced_kernels(layers):

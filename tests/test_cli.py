@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,10 @@ def test_train_output_files(workdir):
     assert "t1 epoch 0: error=" in trace
     assert "it2 best epoch:" in trace
     assert "np.float64" not in trace  # plain reprs only
+    # the line formats README documents, one line per epoch then the best
+    for line in trace.splitlines():
+        assert re.fullmatch(r"(t1|it2) (epoch \d+: error=\S+|best epoch: \d+)",
+                            line), line
 
 
 def test_train_is_deterministic_per_seed(workdir, tmp_path):
@@ -530,3 +535,21 @@ def test_non_finite_learning_rate_fails_before_reading_data(
     assert ("data error: [load_config] config learning_rate must be finite "
             f"and positive, got {float(lr)!r}" in captured.err)
     assert "cluster scan" not in captured.out
+
+
+@pytest.mark.parametrize("lr", ["1e200", "1e308"])
+def test_diverging_learning_rate_names_the_rate(workdir, tmp_path, capsys, lr):
+    # a finite rate this large makes the first step overflow: the run fails
+    # in the stage that tuned, names the rate and not a data row, and numpy
+    # prints no overflow warnings on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--config", str(workdir["cfg"]), "train",
+                   str(workdir["raw"]), "-o", str(tmp_path / "x.model"),
+                   "--lr", lr])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert ("data error: [tune_t1] the training error stopped being finite "
+            f"after a step of learning_rate={float(lr)!r}") in err
+    assert "RuntimeWarning" not in err
+    assert [w.message for w in caught] == []

@@ -647,9 +647,15 @@ def tie_heavy_distances(rng, m, nan=True):
 def test_topk_select_matches_stable_argsort_on_ties(rng):
     # up to 32 columns every chunk of the bound is one column wide; 65 leaves
     # a partial last chunk, and k = m // 3 or m narrows the chunks to m // k
+    cases = []
     for m in (1, 2, 9, 31, 64, 65, 257, 2081):
         d2 = tie_heavy_distances(rng, max(m, 6))[:, :m]
         ks = range(1, m + 1) if m < 32 else [*range(1, m // 32 + 2), m // 3, m]
+        cases.append((d2, ks))
+    # NaN, inf and ties in one row, for every k: NaN sorts after inf
+    cases.append((np.array([[3.0, np.nan, 0.0, 0.0, np.nan, 3.0, np.inf,
+                             np.nan]]), range(1, 9)))
+    for d2, ks in cases:
         # float64, and float32 integer keys as the KNN baseline passes them
         for block in (d2, np.rint(4.0 * d2).astype(np.float32)):
             for k in ks:
@@ -657,18 +663,6 @@ def test_topk_select_matches_stable_argsort_on_ties(rng):
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(
                     got, np.argsort(block, axis=1, kind="stable")[:, :k])
-
-
-def test_topk_select_loop_twin_matches_stable_argsort():
-    # `_topk_select_loops` is the reference loop; it runs as plain Python,
-    # so keep the inputs tiny; NaN must sort last
-    rng = np.random.default_rng(7)
-    d2 = np.vstack([tie_heavy_distances(rng, 8, nan=True),
-                    [3.0, np.nan, 0.0, 0.0, np.nan, 3.0, np.inf, np.nan]])
-    for k in range(1, 9):
-        np.testing.assert_array_equal(
-            kernels._topk_select_loops(d2, k),
-            np.argsort(d2, axis=1, kind="stable")[:, :k])
 
 
 def test_baseline_knn_three_classes_on_tied_distances(rng, knn_in_blocks):

@@ -1,6 +1,8 @@
 """Rule extraction and tuning: finite-difference gradient oracles, label
 encoding, the widen step, and descent behavior on synthetic data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from it2fis.errors import DataError
 from it2fis.learning import (SIGMA_FLOOR, TuneConfig, encode_labels,
                              extract_rules, targets_for, tune_it2, tune_t1,
                              widen_to_it2)
-from it2fis.learning import _digest
+from it2fis.learning import _it2_epoch
 from it2fis.inference import predict_batch
 from it2fis.preprocess import Dataset
 from it2fis.rules import KIND_IT2, KIND_T1, it2_rule_base, t1_rule_base
@@ -241,8 +243,12 @@ def test_tune_t1_returns_best_epoch_snapshot(rng):
     rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
                       label_low="a", label_high="b")
     tuned, trace = tune_t1(rb, data, TuneConfig(learning_rate=0.05, epochs=30))
-    dig = _digest(tuned.means, tuned.sigma_upper, tuned.cons_mean)
-    assert dig == trace.param_digests[trace.best_epoch]
+    # the returned base, run through the epoch kernel once more, has the
+    # best epoch's error to the bit
+    *_, err = kernels.t1_epoch(kernels.centre(data.features),
+                               targets_for(rb, data.labels), tuned.means,
+                               tuned.sigma_upper, tuned.cons_mean)
+    assert float(err) == trace.epoch_error[trace.best_epoch]
     assert np.array_equal(tuned.sigma_lower, tuned.sigma_upper)  # stays type-1
 
 
@@ -270,9 +276,10 @@ def test_tune_it2_reduces_error_and_keeps_invariants(rng):
     assert trace.epoch_error[trace.best_epoch] <= trace.epoch_error[0]
     assert (tuned.sigma_lower <= tuned.sigma_upper).all()
     assert (tuned.sigma_lower >= SIGMA_FLOOR).all()
-    dig = _digest(tuned.means, tuned.sigma_lower, tuned.sigma_upper,
-                  tuned.cons_mean)
-    assert dig == trace.param_digests[trace.best_epoch]
+    *_, err = _it2_epoch(kernels.centre(data.features),
+                         targets_for(rb, data.labels), tuned.means,
+                         tuned.sigma_lower, tuned.sigma_upper, tuned.cons_mean)
+    assert float(err) == trace.epoch_error[trace.best_epoch]
 
 
 def base_for(tune):
@@ -303,10 +310,19 @@ def test_tune_early_stopping(rng):
     rb = t1_rule_base([[-0.5], [0.5]], [[0.8], [0.8]], [1.3, 1.7], [0.2, 0.2],
                       label_low="a", label_high="b")
     cfg = TuneConfig(learning_rate=2.0, epochs=200, patience=3)
-    tuned, trace = tune_t1(rb, data, cfg)  # overshooting triggers patience
-    if len(trace.epoch_error) < 200:
-        after_best = trace.epoch_error[trace.best_epoch + 1:]
-        assert len(after_best) >= 3
+    _, trace = tune_t1(rb, data, cfg)  # overshooting triggers patience
+    # the run stops at the patience-th epoch without a lower error
+    assert len(trace.epoch_error) == trace.best_epoch + 3 + 1 < 200
+    assert trace.best_epoch == int(np.argmin(trace.epoch_error))
+
+    # with patience >= epochs, as perfbench's train_large sets it, every
+    # epoch runs, along the same path, and the best is the earliest minimum
+    _, full = tune_t1(rb, data, TuneConfig(learning_rate=2.0, epochs=60,
+                                           patience=60))
+    assert len(full.epoch_error) == 60
+    np.testing.assert_array_equal(
+        full.epoch_error[:len(trace.epoch_error)], trace.epoch_error)
+    assert full.best_epoch == int(np.argmin(full.epoch_error))
 
 
 def test_tune_it2_survives_aggressive_steps(rng):
@@ -343,6 +359,18 @@ def test_tune_rejects_uncovered_sample(rng):
     for tune in (tune_t1, tune_it2):
         with pytest.raises(DataError, match=r"^non-finite gradient at sample 2$"):
             tune(base_for(tune), bad, TuneConfig(epochs=2))
+
+
+@pytest.mark.parametrize("lr", [1e200, 1e308])
+@pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
+def test_tune_names_a_diverging_learning_rate(rng, tune, lr):
+    # epoch 0 is finite; the first step of a huge finite rate makes the
+    # error non-finite, which is the rate's fault, not a row's (and numpy's
+    # overflow warnings would fail the test)
+    data = regression_dataset(rng)
+    with pytest.raises(DataError,
+                       match=re.escape(f"learning_rate={lr!r}; lower")):
+        tune(base_for(tune), data, TuneConfig(learning_rate=lr, epochs=5))
 
 
 # ---------------------------------------------------------------------------
