@@ -13,7 +13,7 @@ import dataclasses
 import hashlib
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .inference import predict_batch
 from .learning import (encode_labels, extract_rules, tune_it2, tune_t1,
                        widen_to_it2)
 from .model_io import load_model, save_model
-from .preprocess import feature_matrix, load_csv, preprocess, save_dataset
+from .preprocess import (csv_blocks, feature_matrix, load_csv, preprocess,
+                         save_dataset)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,21 +235,38 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     with _stage("load_model"):
         model = load_model(args.model)
-    with _stage("load_csv"):
-        table = load_csv(args.input)
-    with _stage("parse_features"):
-        _check_features(model, table.column_names)
-        X = feature_matrix(table)
-    with _stage("predict"):
-        bp = predict_batch(model, X)
+    # one block of raw cells at a time: only the scores of the blocks read
+    # so far are kept, and the output is opened after the last block, so an
+    # error leaves no output file
+    scored = []
+    with closing(csv_blocks(args.input)) as blocks:
+        with _stage("load_csv"):
+            header = next(blocks)
+        with _stage("parse_features"):
+            _check_features(model, header.column_names)
+        while True:
+            with _stage("load_csv"):
+                block = next(blocks, None)
+            if block is None:
+                break
+            with _stage("parse_features"):
+                X = feature_matrix(block)
+            with _stage("predict"):
+                bp = predict_batch(model, X)
+            scored.append(bp)
+    n = 0
     with open(args.output, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["row", "crisp", "y_l", "y_r", "label", "flagged"])
-        for i in range(X.shape[0]):
-            w.writerow([i, repr(float(bp.crisp[i])), repr(float(bp.y_l[i])),
-                        repr(float(bp.y_r[i])), bp.labels[i],
-                        "true" if bp.flagged[i] else "false"])
-    print(f"wrote {X.shape[0]} predictions -> {args.output}")
+        for bp in scored:
+            # tolist gives Python floats, whose repr is the one of float(v)
+            w.writerows(zip(
+                range(n, n + len(bp.labels)), map(repr, bp.crisp.tolist()),
+                map(repr, bp.y_l.tolist()), map(repr, bp.y_r.tolist()),
+                bp.labels,
+                ["true" if v else "false" for v in bp.flagged.tolist()]))
+            n += len(bp.labels)
+    print(f"wrote {n} predictions -> {args.output}")
     return 0
 
 

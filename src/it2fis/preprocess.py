@@ -9,11 +9,19 @@ category (sentinel codes like 97 simply become their own category); the rest
 must parse as numbers.  Finally, walking columns left to right, any column
 whose |Pearson r| with an already-kept column exceeds the threshold is
 dropped, so exactly one member of each offending pair survives.
+
+There is one CSV reader, ``csv_blocks``: it reads a file in blocks of at
+most ``_PARSE_ROWS`` records and checks each as it comes.  ``load_csv``
+joins its blocks into one table; ``it2fis predict`` scores them one at a
+time, so it never holds more than one block of raw cells.  Every error
+that names a "data row" counts the records after the header from 1,
+blank ones included.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -33,10 +41,22 @@ COVID_CATEGORICAL = (
 class RawTable:
     column_names: tuple
     rows: list
+    first_row: int = 1      # data-row number of the first record read
+    blank_rows: tuple = ()  # data-row numbers of the blank records skipped
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
+
+    def data_row(self, i) -> int:
+        """The file's data-row number of ``rows[i]``: the records after the
+        header counted from 1, the skipped blank ones included."""
+        row = self.first_row + i
+        for blank in self.blank_rows:
+            if blank > row:
+                break
+            row += 1
+        return row
 
 
 @dataclass(frozen=True)
@@ -132,37 +152,68 @@ class PreprocessReport:
         return "\n".join(lines) + "\n"
 
 
-def load_csv(path) -> RawTable:
-    """Parse an RFC-4180 CSV with a header row, preserving cells verbatim.
+# Records per block of `csv_blocks`, and rows per numpy parse call.  numpy
+# holds state for every row of one call until it returns: parsing a
+# 16,000-row table in one call raised the peak RSS of `predict` by 0.3 MB,
+# parsing it in blocks of this many rows did not.
+_PARSE_ROWS = 2048
 
-    Completely empty rows are skipped; any other row whose cell count differs
-    from the header is an error naming that (1-based) data row.
+
+def csv_blocks(path):
+    """Read an RFC-4180 CSV with a header row as RawTable blocks, preserving
+    cells verbatim.
+
+    The first block holds the header and no rows, so a caller can check the
+    header before any body record is read; each later block holds at most
+    ``_PARSE_ROWS`` records and the data-row number of its first one.
+    Completely empty rows are skipped; any other row whose cell count
+    differs from the header is an error naming that data row.
     """
     try:
         f = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise DataError(f"{path}: no header row")
-    header = tuple(rows[0])
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise DataError(f"duplicate column name {name!r}")
-        seen.add(name)
-    width = len(header)
-    data = rows[1:]
-    # one C-level pass over the row lengths; the rows are walked only when
-    # some row is empty, to skip it, or bad, to name the first such row
-    if set(map(len, data)) - {width}:
-        for i, row in enumerate(data, start=1):
-            if row and len(row) != width:
-                raise DataError(
-                    f"row {i} has {len(row)} cells; expected {width}")
-        data = [row for row in data if row]
-    return RawTable(header, data)
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: no header row")
+        header = tuple(header)
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise DataError(f"duplicate column name {name!r}")
+            seen.add(name)
+        width = len(header)
+        yield RawTable(header, [])
+        first = 1
+        while records := list(itertools.islice(reader, _PARSE_ROWS)):
+            blank = ()
+            # one C-level pass over the row lengths; the records are walked
+            # only when some record is empty, to skip it, or bad, to name
+            # the first such record
+            if set(map(len, records)) - {width}:
+                for i, row in enumerate(records, start=first):
+                    if row and len(row) != width:
+                        raise DataError(
+                            f"row {i} has {len(row)} cells; expected {width}")
+                blank = tuple(i for i, row in enumerate(records, start=first)
+                              if not row)
+                records = [row for row in records if row]
+            yield RawTable(header, records, first, blank)
+            first += len(records) + len(blank)
+
+
+def load_csv(path) -> RawTable:
+    """The whole CSV as one RawTable: the blocks of ``csv_blocks``, the one
+    reader, joined, with its checks and messages."""
+    blocks = csv_blocks(path)
+    header = next(blocks).column_names
+    rows, blank = [], []
+    for block in blocks:
+        rows.extend(block.rows)
+        blank.extend(block.blank_rows)
+    return RawTable(header, rows, 1, tuple(blank))
 
 
 def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
@@ -199,6 +250,12 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
     if not kept:
         raise DataError("all rows dropped during preprocessing")
 
+    def kept_row(j):
+        # only for an error message: kept holds the table's own row lists,
+        # so the j-th kept row is found in the table by identity
+        i = next(i for i, r in enumerate(table.rows) if r is kept[j])
+        return table.data_row(i)
+
     # one cell list at a time: transposing every kept row at once with
     # zip(*kept) saved about 6 ms on 12,000 rows but left 1-2 MB more of
     # heap resident, which raised the process's peak RSS
@@ -220,7 +277,7 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
             columns.extend(block.T)
             onehot.append((c, group))
         else:
-            vals = _parse_numbers(cells, (c,))[:, 0]
+            vals = _parse_numbers(cells, (c,), kept_row)[:, 0]
             names.append(c)
             numeric_cols.append(c)
             columns.append(vals)
@@ -299,33 +356,28 @@ def load_dataset(path, label_column=None) -> Dataset:
     li = table.column_names.index(label_column)
     fnames = tuple(c for c in table.column_names if c != label_column)
     feats = _parse_numbers([row[:li] + row[li + 1:] for row in table.rows],
-                           fnames)
+                           fnames, table.data_row)
     return Dataset(feats, tuple(row[li] for row in table.rows), fnames,
                    label_column)
 
 
 def feature_matrix(table: RawTable) -> np.ndarray:
     """Parse every column of a raw table as numbers (for unlabeled inputs)."""
-    return _parse_numbers(table.rows, table.column_names)
+    return _parse_numbers(table.rows, table.column_names, table.data_row)
 
 
-# Rows per numpy parse call.  numpy holds state for every row of one call
-# until it returns: parsing a 16,000-row table in one call raised the peak
-# RSS of `predict` by 0.3 MB, parsing it in blocks of this many rows did not.
-_PARSE_ROWS = 2048
-
-
-def _parse_numbers(rows, names) -> np.ndarray:
+def _parse_numbers(rows, names, data_row=None) -> np.ndarray:
     """Parse a grid of cells, one sequence per data row and one name per
     column (or, for one column, just its cells), as a matrix of finite
     floats.
 
     numpy parses and rejects the same strings as ``float()``, a block of
     rows at a time; only when it rejects one are the cells parsed one by
-    one, in row order,
-    so that the DataError names the first bad cell's column and 1-based
-    data row.  A nan or inf cell raises DataError too.
+    one, in row order, so that the DataError names the first bad cell's
+    column and data row: ``data_row(j)`` for ``rows[j]``, by default
+    ``j + 1``.  A nan or inf cell raises DataError too.
     """
+    data_row = data_row or (lambda j: j + 1)
     shape = (len(rows), len(names))
     X = np.empty(shape)
     try:
@@ -340,15 +392,17 @@ def _parse_numbers(rows, names) -> np.ndarray:
                 X[j, k] = float(v)
             except ValueError:
                 raise DataError(
-                    f"column {names[k]!r}, data row {j + 1}: "
+                    f"column {names[k]!r}, data row {data_row(j)}: "
                     f"cannot parse {v!r} as a number"
                 ) from None
-    reject_non_finite(X, names)
+    reject_non_finite(X, names, data_row)
     return X
 
 
-def reject_non_finite(X: np.ndarray, names) -> None:
-    """Raise DataError naming the first nan/inf cell's column and data row."""
+def reject_non_finite(X: np.ndarray, names, data_row=None) -> None:
+    """Raise DataError naming the first nan/inf cell's column and data row
+    (``data_row(j)`` for row j of X, by default ``j + 1``)."""
     if not np.isfinite(X).all():
         j, k = np.argwhere(~np.isfinite(X))[0]
-        raise DataError(f"column {names[k]!r}, data row {j + 1}: non-finite value")
+        row = data_row(j) if data_row else j + 1
+        raise DataError(f"column {names[k]!r}, data row {row}: non-finite value")

@@ -119,3 +119,13 @@ def test_bench_knn_runs(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["test_rows"] == 60 and result["labels_equal"]
+
+
+def test_bench_predict_runs(tmp_path):
+    out = tmp_path / "predict.json"
+    run = _run_benchmark("bench_predict.py", "--rows", "300", "--repeats", "1",
+                         "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))["change"]
+    assert [s["rows"] for s in result["sizes"]] == [300]
+    assert result["sizes"][0]["peak_rss_mb"][0] > 0

@@ -181,7 +181,9 @@ def test_preprocess_errors(tmp_path):
 def rowwise_preprocess(table, config):
     """Oracle: the cleaning done one row and one cell at a time, without
     correlation pruning.  Returns (features, labels, names, report fields)
-    or raises the DataError preprocess raises."""
+    or raises the DataError preprocess raises.  Errors name the row's data
+    row in the file (the table has no blank rows: its index plus one)."""
+    file_row = {id(r): i + 1 for i, r in enumerate(table.rows)}
     idx = {c: i for i, c in enumerate(table.column_names)}
     label_i = idx[config.label_column]
     kept = [r for r in table.rows if r[label_i] not in config.missing_codes]
@@ -204,7 +206,7 @@ def rowwise_preprocess(table, config):
     names = [n for c in feats
              for n in ([f"{c}={v}" for v in cats[c]] if c in cats else [c])]
     rows = []
-    for j, r in enumerate(kept):
+    for r in kept:
         row = []
         for c in feats:
             v = r[idx[c]]
@@ -214,15 +216,15 @@ def rowwise_preprocess(table, config):
             try:
                 row.append(float(v))
             except ValueError:
-                raise DataError(f"column {c!r}, data row {j + 1}: "
+                raise DataError(f"column {c!r}, data row {file_row[id(r)]}: "
                                 f"cannot parse {v!r} as a number") from None
         rows.append(row)
     X = np.array(rows).reshape(len(kept), len(names))
     for k, c in enumerate(names):
         bad = np.flatnonzero(~np.isfinite(X[:, k]))
         if bad.size:
-            raise DataError(f"column {c!r}, data row {bad[0] + 1}: "
-                            f"non-finite value")
+            raise DataError(f"column {c!r}, data row "
+                            f"{file_row[id(kept[bad[0]])]}: non-finite value")
     labels = tuple(r[label_i] for r in kept)
     if len(set(labels)) != 2:
         raise DataError(f"label must have exactly two codes after cleaning, "
