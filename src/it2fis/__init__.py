@@ -19,9 +19,9 @@ from .learning import (TuneConfig, TuneTrace, encode_labels, extract_rules,
                        tune_it2, tune_t1, widen_to_it2)
 from .model_io import load_bundled_model, load_model, save_model
 from .preprocess import (Dataset, OutlierRule, PreprocessConfig,
-                         PreprocessReport, RawTable, load_csv, load_dataset,
-                         preprocess, save_dataset)
-from .rules import Rule, RuleBase, it2_rule_base, t1_rule_base
+                         PreprocessReport, RawTable, load_csv, preprocess,
+                         save_dataset)
+from .rules import RuleBase, it2_rule_base, t1_rule_base
 from .sets import (GaussianT1Set, IT2GaussianSet, MembershipInterval,
                    it2_membership, set_centroid_interval, t1_membership)
 
@@ -31,14 +31,14 @@ __all__ = [
     "BatchPredictions", "DataError", "Dataset", "FuzzyPartition",
     "GaussianT1Set", "IT2GaussianSet", "It2fisError", "MembershipInterval",
     "MetricsReport", "ModelError", "NoCoverageError", "OutlierRule",
-    "Prediction", "PreprocessConfig", "PreprocessReport", "RawTable", "Rule",
+    "Prediction", "PreprocessConfig", "PreprocessReport", "RawTable",
     "RuleBase", "Split", "TuneConfig", "TuneTrace", "TypeReducedInterval",
     "ValidityScan", "backend", "baseline_knn", "baseline_nb",
     "calibrate_threshold", "compute_metrics", "encode_labels",
     "extract_rules", "fcm", "fukuyama_index", "gk", "it2_membership",
     "it2_rule_base", "km_reduce", "load_bundled_model", "load_csv",
-    "load_dataset", "load_model", "predict", "predict_batch", "preprocess",
-    "save_dataset", "save_model", "select_cluster_count",
+    "load_model", "predict", "predict_batch", "preprocess", "save_dataset",
+    "save_model", "select_cluster_count",
     "set_centroid_interval", "split", "t1_membership", "t1_rule_base",
     "take", "tune_it2", "tune_t1", "widen_to_it2",
 ]

@@ -54,8 +54,6 @@ _F32_EXACT = 2 ** 24
 class Split:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    ratio: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ def split(data: Dataset, ratio=0.7, seed=0) -> Split:
         test_parts.append(shuffled[t:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
-    return Split(train, test, float(ratio), seed)
+    return Split(train, test)
 
 
 def take(data: Dataset, indices) -> Dataset:

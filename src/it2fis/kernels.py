@@ -1,9 +1,9 @@
 """Numeric hot kernels, vectorized in numpy.
 
 The names without a leading underscore are the kernels the package calls.
-Four of them keep a plain-Python loop version (``_*_loops``) that computes
-the same result one element at a time; the tests compare each kernel with
-its loop version, and nothing else calls them.
+The tests check ``sq_distances``, ``fcm_memberships``, ``t1_epoch`` and
+``it2_epoch`` against plain-Python loops that compute the same result one
+element at a time (``tests/oracles.py``).
 
 Array conventions: data matrices are (n_samples, n_features) and rule
 parameter matrices (n_rules, n_features).  The two clustering kernels are
@@ -71,21 +71,6 @@ def sq_distances(v, xt, xx):
     return d2
 
 
-def _sq_distances_loops(v, xt, xx):
-    # sums the coordinate differences directly, so it never reads xx
-    c = v.shape[0]
-    d, n = xt.shape
-    out = np.empty((c, n))
-    for j in range(n):
-        for i in range(c):
-            acc = 0.0
-            for f in range(d):
-                t = xt[f, j] - v[i, f]
-                acc += t * t
-            out[i, j] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # FCM membership update from squared distances, cluster-major
 # ---------------------------------------------------------------------------
@@ -118,39 +103,6 @@ def fcm_memberships(d2, m):
 def fuzzy_weights(u, m):
     """The FCM weights u^m; np.square(u) for m = 2, with the bits of u ** 2."""
     return np.square(u) if m == 2.0 else u ** m
-
-
-def _fcm_memberships_loops(d2, m):
-    c, n = d2.shape
-    p = 1.0 / (m - 1.0)
-    u = np.empty((c, n))
-    for j in range(n):
-        nzero = 0
-        for i in range(c):
-            if d2[i, j] <= 0.0:
-                nzero += 1
-        if nzero > 0:
-            w = 1.0 / nzero
-            for i in range(c):
-                u[i, j] = w if d2[i, j] <= 0.0 else 0.0
-            continue
-        tot = 0.0
-        for i in range(c):
-            val = d2[i, j] ** (-p)
-            u[i, j] = val
-            tot += val
-        if not np.isfinite(tot):
-            nbad = 0
-            for i in range(c):
-                if not np.isfinite(u[i, j]):
-                    nbad += 1
-            w = 1.0 / nbad
-            for i in range(c):
-                u[i, j] = w if not np.isfinite(u[i, j]) else 0.0
-        else:
-            for i in range(c):
-                u[i, j] /= tot
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -353,45 +305,6 @@ def t1_epoch(data, y, means, sigmas, cons):
     return gm, gs, gc, err
 
 
-def _t1_epoch_loops(x, y, means, sigmas, cons):
-    n, g = x.shape
-    d = means.shape[0]
-    gm = np.zeros((d, g))
-    gs = np.zeros((d, g))
-    gc = np.zeros(d)
-    err = 0.0
-    w = np.empty(d)
-    for j in range(n):
-        shift = -np.inf
-        for s in range(d):
-            acc = 0.0
-            for f_ in range(g):
-                z = (x[j, f_] - means[s, f_]) / sigmas[s, f_]
-                acc += z * z
-            w[s] = -0.5 * acc
-            if w[s] > shift:
-                shift = w[s]
-        den = 0.0
-        num = 0.0
-        for s in range(d):
-            w[s] = np.exp(w[s] - shift)
-            den += w[s]
-            num += w[s] * cons[s]
-        fx = num / den
-        diff = fx - y[j]
-        err += 0.5 * diff * diff
-        r = diff / n
-        for s in range(d):
-            q = r * (cons[s] - fx) / den * w[s]
-            gc[s] += r * w[s] / den
-            for f_ in range(g):
-                zx = x[j, f_] - means[s, f_]
-                sg = sigmas[s, f_]
-                gm[s, f_] += q * zx / (sg * sg)
-                gs[s, f_] += q * zx * zx / (sg * sg * sg)
-    return gm, gs, gc, err / n
-
-
 # ---------------------------------------------------------------------------
 # full-batch gradient epoch, interval type-2 system
 # ---------------------------------------------------------------------------
@@ -452,117 +365,6 @@ def it2_epoch(data, y, means, sig_lo, sig_up, cons, order):
     with np.errstate(over="ignore", invalid="ignore"):
         gm, gs = grad(q)
     return gm[:d] + gm[d:], gs[:d], gs[d:], gc, err
-
-
-def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
-    n, g = x.shape
-    d = means.shape[0]
-    gm = np.zeros((d, g))
-    gsl = np.zeros((d, g))
-    gsu = np.zeros((d, g))
-    gc = np.zeros(d)
-    err = 0.0
-    e_lo = np.empty(d)
-    e_up = np.empty(d)
-    lo_s = np.empty(d)
-    up_s = np.empty(d)
-    cs = np.empty(d)
-    for s in range(d):
-        cs[s] = cons[order[s]]
-    for j in range(n):
-        shift = -np.inf
-        for s in range(d):
-            acc_l = 0.0
-            acc_u = 0.0
-            for f_ in range(g):
-                zl = (x[j, f_] - means[s, f_]) / sig_lo[s, f_]
-                zu = (x[j, f_] - means[s, f_]) / sig_up[s, f_]
-                acc_l += zl * zl
-                acc_u += zu * zu
-            e_lo[s] = -0.5 * acc_l
-            e_up[s] = -0.5 * acc_u
-            if e_up[s] > shift:
-                shift = e_up[s]
-        if not np.isfinite(shift):
-            # degenerate sample: poison the epoch error and let the caller
-            # locate the offender (mirrors the t1 kernel's behaviour)
-            err = np.nan
-            break
-        for s in range(d):
-            v = np.exp(e_lo[order[s]] - shift)
-            lo_s[s] = 0.0 if v < TINY else v
-            v = np.exp(e_up[order[s]] - shift)
-            up_s[s] = 0.0 if v < TINY else v
-
-        best_l = np.inf
-        best_r = -np.inf
-        kl = 0
-        kr = 0
-        for k in range(d + 1):
-            num_l = 0.0
-            den_l = 0.0
-            num_r = 0.0
-            den_r = 0.0
-            for s in range(d):
-                if s < k:
-                    num_l += up_s[s] * cs[s]
-                    den_l += up_s[s]
-                    num_r += lo_s[s] * cs[s]
-                    den_r += lo_s[s]
-                else:
-                    num_l += lo_s[s] * cs[s]
-                    den_l += lo_s[s]
-                    num_r += up_s[s] * cs[s]
-                    den_r += up_s[s]
-            if den_l > 0.0:
-                rr = num_l / den_l
-                if rr < best_l:
-                    best_l = rr
-                    kl = k
-            if den_r > 0.0:
-                rr = num_r / den_r
-                if rr > best_r:
-                    best_r = rr
-                    kr = k
-        yl = best_l
-        yr = best_r
-        fx = 0.5 * (yl + yr)
-        diff = fx - y[j]
-        err += 0.5 * diff * diff
-        r = diff / n
-
-        den_a = 0.0
-        den_b = 0.0
-        for s in range(d):
-            den_a += up_s[s] if s < kl else lo_s[s]
-            den_b += up_s[s] if s >= kr else lo_s[s]
-        for s in range(d):
-            o = order[s]
-            a_s = up_s[s] if s < kl else lo_s[s]
-            b_s = up_s[s] if s >= kr else lo_s[s]
-            gc[o] += r * 0.5 * (a_s / den_a + b_s / den_b)
-            da = 0.5 * (cs[s] - yl) / den_a
-            db = 0.5 * (cs[s] - yr) / den_b
-            cu = 0.0
-            cl = 0.0
-            if s < kl:
-                cu += da * up_s[s]
-            else:
-                cl += da * lo_s[s]
-            if s >= kr:
-                cu += db * up_s[s]
-            else:
-                cl += db * lo_s[s]
-            cu *= r
-            cl *= r
-            for f_ in range(g):
-                zx = x[j, f_] - means[o, f_]
-                su = sig_up[o, f_]
-                sl = sig_lo[o, f_]
-                gm[o, f_] += cu * zx / (su * su) + cl * zx / (sl * sl)
-                gsu[o, f_] += cu * zx * zx / (su * su * su)
-                gsl[o, f_] += cl * zx * zx / (sl * sl * sl)
-    return gm, gsl, gsu, gc, err / n
 
 
 # ---------------------------------------------------------------------------

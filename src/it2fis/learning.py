@@ -85,7 +85,7 @@ def targets_for(rb: RuleBase, labels) -> np.ndarray:
     return y
 
 
-def extract_rules(data, c, m=2.0, seed=0, tol=1e-6) -> RuleBase:
+def extract_rules(data, c, seed=0, tol=1e-6) -> RuleBase:
     """Build a type-1 rule base with one rule per cluster of the joint space.
 
     FCM partitions the joint (features, encoded label) space; GK then refines
@@ -102,14 +102,14 @@ def extract_rules(data, c, m=2.0, seed=0, tol=1e-6) -> RuleBase:
         raise DataError("feature and label counts differ")
     Z = np.column_stack([X, y])
 
-    part = fcm(Z, c, m=m, tol=tol, seed=seed)
+    part = fcm(Z, c, tol=tol, seed=seed)
     method = "gk"
     try:
-        part = gk(Z, c, m=m, tol=tol, seed=seed, u0=part.U)
+        part = gk(Z, c, tol=tol, seed=seed, u0=part.U)
     except DataError:
         method = "fcm-fallback"
 
-    w = part.U ** m  # (c, n)
+    w = part.U ** part.m  # (c, n)
     mass = w.sum(axis=1)
     if (mass < 1e-12).any():
         i = int(np.argmin(mass))
@@ -132,7 +132,7 @@ def extract_rules(data, c, m=2.0, seed=0, tol=1e-6) -> RuleBase:
         provenance=(
             ("clustering", method),
             ("cluster_count", str(c)),
-            ("fuzziness", repr(float(m))),
+            ("fuzziness", repr(float(part.m))),
             ("seed", str(seed)),
         ),
     )

@@ -346,21 +346,6 @@ def save_dataset(ds: Dataset, path):
             w.writerow([repr(float(v)) for v in ds.features[i]] + [ds.labels[i]])
 
 
-def load_dataset(path, label_column=None) -> Dataset:
-    """Read a Dataset CSV; the label is the named or last column."""
-    table = load_csv(path)
-    if label_column is None:
-        label_column = table.column_names[-1]
-    if label_column not in table.column_names:
-        raise DataError(f"label column {label_column!r} not found")
-    li = table.column_names.index(label_column)
-    fnames = tuple(c for c in table.column_names if c != label_column)
-    feats = _parse_numbers([row[:li] + row[li + 1:] for row in table.rows],
-                           fnames, table.data_row)
-    return Dataset(feats, tuple(row[li] for row in table.rows), fnames,
-                   label_column)
-
-
 def feature_matrix(table: RawTable) -> np.ndarray:
     """Parse every column of a raw table as numbers (for unlabeled inputs)."""
     return _parse_numbers(table.rows, table.column_names, table.data_row)

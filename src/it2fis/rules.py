@@ -1,8 +1,8 @@
-"""Rule and rule-base containers shared by the learner and the engine.
+"""The rule-base container shared by the learner and the engine.
 
 A RuleBase stores its parameters as packed (D rules x G features) arrays so
-the batch kernels can consume them directly; per-rule set objects are built
-on demand.  Type-1 bases are represented with sigma_lower == sigma_upper.
+the batch kernels can consume them directly: rule s is row s of each
+array.  Type-1 bases are represented with sigma_lower == sigma_upper.
 """
 
 from __future__ import annotations
@@ -12,16 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sets import GaussianT1Set, IT2GaussianSet
-
 KIND_T1 = "type-1"
 KIND_IT2 = "interval-type-2"
-
-
-@dataclass(frozen=True)
-class Rule:
-    antecedents: tuple
-    consequent: object
 
 
 @dataclass(frozen=True)
@@ -110,29 +102,6 @@ class RuleBase:
         """Every antecedent interval has zero width, as in a type-1 base: each
         rule's lower and upper firings are equal."""
         return bool(np.array_equal(self.sigma_lower, self.sigma_upper))
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        out = []
-        for s in range(self.n_rules):
-            if self.kind == KIND_T1:
-                ants = tuple(
-                    GaussianT1Set(self.means[s, f], self.sigma_lower[s, f])
-                    for f in range(self.n_features)
-                )
-                cons = GaussianT1Set(self.cons_mean[s], self.cons_sigma_lower[s])
-            else:
-                ants = tuple(
-                    IT2GaussianSet(
-                        self.means[s, f], self.sigma_lower[s, f], self.sigma_upper[s, f]
-                    )
-                    for f in range(self.n_features)
-                )
-                cons = IT2GaussianSet(
-                    self.cons_mean[s], self.cons_sigma_lower[s], self.cons_sigma_upper[s]
-                )
-            out.append(Rule(ants, cons))
-        return tuple(out)
 
     def with_params(self, means, sigma_lower, sigma_upper,
                     cons_mean) -> "RuleBase":

@@ -12,9 +12,12 @@ import pytest
 
 from it2fis import cli
 from it2fis.cli import main
-from it2fis.config import DEFAULTS, Config, load_config
+from it2fis.config import DEFAULTS, Config, load_config, preprocess_config
 from it2fis.errors import DataError
+from it2fis.evaluation import split, take
 from it2fis.inference import BatchPredictions
+from it2fis.learning import encode_labels
+from it2fis.preprocess import load_csv, preprocess
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -500,11 +503,15 @@ BAD_VALUES = [
     ("train", [], "cluster_scan_subsample = -5", "cluster_scan_subsample"),
     ("train", ["--corr-threshold", "2"], "", "corr_threshold"),
     ("evaluate", ["--ratio", "0"], "", "train_ratio"),
+    # values that do not parse: the whole message after the key
+    ("train", [], "epochs = abc", "epochs='abc' is not an integer"),
+    ("train", [], "spread = x", "spread='x' is not a number"),
 ]
 
 
 @pytest.mark.parametrize("command, flags, config_line, key", BAD_VALUES,
-                         ids=[key if command == "train" else f"{command}-{key}"
+                         ids=[key.split()[0] if command == "train"
+                              else f"{command}-{key}"
                               for command, _, _, key in BAD_VALUES])
 def test_bad_config_value_fails_before_reading_data(
         workdir, tmp_path, capsys, command, flags, config_line, key):
@@ -553,3 +560,109 @@ def test_diverging_learning_rate_names_the_rate(workdir, tmp_path, capsys, lr):
             f"after a step of learning_rate={float(lr)!r}") in err
     assert "RuntimeWarning" not in err
     assert [w.message for w in caught] == []
+
+
+def test_config_file_errors_name_the_stage(workdir, tmp_path, capsys):
+    no_sep = tmp_path / "no_sep.cfg"
+    no_sep.write_text(CONFIG + "epochs 5\n", encoding="utf-8")
+    clause = tmp_path / "clause.cfg"
+    clause.write_text(CONFIG + "outlier.x = sex\n", encoding="utf-8")
+    absent = tmp_path / "absent.cfg"
+    out = tmp_path / "x.model"
+    line = CONFIG.count("\n") + 1
+    for cfg, message in [
+            (absent, f"cannot read config {absent}: No such file or directory"),
+            (no_sep, f"config {no_sep} line {line}: expected key=value"),
+            (clause, "config outlier.x: expected col=value clauses, "
+                     "got 'sex'")]:
+        rc = main(["--config", str(cfg), "train", str(workdir["raw"]),
+                   "-o", str(out)])
+        assert rc == 2
+        assert (f"data error: [load_config] {message}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    # an empty value disables a rule, the built-in one included
+    raw = tmp_path / "raw.csv"
+    raw.write_text("sex,pregnancy,age,icu\n" + "".join(
+        f"{1 + i % 2},{1 + i // 2 % 2},{20 + i},{1 + i // 4 % 2}\n"
+        for i in range(16)), encoding="utf-8")
+    kept = {}
+    for extra in ("", "outlier.male_pregnancy =\n"):
+        cfg = tmp_path / "outlier.cfg"
+        cfg.write_text("label_column = icu\ncategorical_columns = sex\n"
+                       + extra, encoding="utf-8")
+        dataset = tmp_path / "clean.csv"
+        assert main(["--config", str(cfg), "preprocess", str(raw),
+                     "-o", str(dataset)]) == 0
+        capsys.readouterr()
+        kept[extra] = Path(f"{dataset}.report.txt").read_text(encoding="utf-8")
+    assert "rows dropped by outlier rule male_pregnancy: 4" in kept[""]
+    assert "male_pregnancy" not in kept["outlier.male_pregnancy =\n"]
+
+
+def test_cluster_scan_subsample_takes_sorted_train_rows(workdir, tmp_path,
+                                                        monkeypatch):
+    scanned = []
+    real = cli.select_cluster_count
+
+    def recording(X, **kw):
+        scanned.append(X.copy())
+        return real(X, **kw)
+
+    monkeypatch.setattr(cli, "select_cluster_count", recording)
+
+    def scan_rows(cap):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(CONFIG + f"cluster_scan_subsample = {cap}\n",
+                       encoding="utf-8")
+        assert main(["--seed", "3", "--config", str(cfg), "train",
+                     str(workdir["raw"]), "-o", str(tmp_path / "x.model")]) == 0
+        return scanned.pop()
+
+    # the train share's joint (features, encoded label) rows, built as
+    # `train` builds them
+    cfg = load_config(workdir["cfg"])
+    ds, _ = preprocess(load_csv(workdir["raw"]), preprocess_config(cfg))
+    train = take(ds, split(ds, cfg.get_float("train_ratio"), seed=3)
+                 .train_indices)
+    joint = np.column_stack([train.features, encode_labels(train.labels)[0]])
+    n = joint.shape[0]
+    where = {row.tobytes(): j for j, row in enumerate(joint)}
+    assert len(where) == n  # distinct rows: each has one index
+
+    for cap in (0, n, n + 50):
+        assert np.array_equal(scan_rows(cap), joint)
+    sub = scan_rows(40)
+    assert sub.shape == (40, joint.shape[1])
+    picked = [where[row.tobytes()] for row in sub]
+    assert picked == sorted(set(picked))  # distinct, in the share's order
+    assert np.array_equal(scan_rows(40), sub)  # the same for a fixed seed
+
+
+def test_evaluate_reports_flagged_rows(workdir, tmp_path, capsys,
+                                       monkeypatch):
+    real = cli.predict_batch
+
+    def overflowing(rb, X):
+        # every third row's squared z overflows in every rule, so no rule
+        # fires and the engine falls back to the majority label
+        X = X.copy()
+        X[::3, 0] = 1e180
+        return real(rb, X)
+
+    monkeypatch.setattr(cli, "predict_batch", overflowing)
+    prefix = tmp_path / "flagged"
+    rc = main(["--seed", "3", "--config", str(workdir["cfg"]), "evaluate",
+               str(workdir["model"]), str(workdir["raw"]),
+               "-o", str(prefix)])
+    assert rc == 0
+    kv = read_kv(f"{prefix}.kv")
+    n_test = int(kv["type2.n_test"])
+    flagged = -(-n_test // 3)
+    assert flagged > 0
+    assert kv["type2.flagged"] == str(flagged)
+    line = f"flagged (no-coverage fallback) predictions: {flagged}\n"
+    assert line in capsys.readouterr().out
+    assert line in Path(f"{prefix}.txt").read_text(encoding="utf-8")
+    assert sum(int(kv[f"type2.{k}"]) for k in ("tp", "fn", "fp", "tn")) == n_test

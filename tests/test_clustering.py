@@ -18,6 +18,7 @@ from it2fis.clustering import _init_membership
 from it2fis.errors import DataError
 from it2fis import kernels
 
+import oracles
 from conftest import blobs
 
 
@@ -316,15 +317,15 @@ def test_fcm_duplicated_groups_end_on_exact_memberships():
 
 
 def test_loop_kernels_match_numpy_kernels():
-    # the `_*_loops` reference loops compute the same result element by
-    # element; check the vectorized kernels against them here
+    # the reference loops of tests/oracles.py compute the same result
+    # element by element; check the vectorized kernels against them here
     r = np.random.default_rng(11)
     X = r.normal(size=(7, 3))
     v = np.vstack([r.normal(size=(2, 3)), X[4]])  # prototype 2 sits on x_4
     xt, xx = np.ascontiguousarray(X.T), (X * X).sum(axis=1)
     d2 = kernels.sq_distances(v, xt, xx)
     assert d2.shape == (3, 7)
-    np.testing.assert_allclose(kernels._sq_distances_loops(v, xt, xx), d2,
+    np.testing.assert_allclose(oracles._sq_distances_loops(v, xt, xx), d2,
                                rtol=1e-12, atol=1e-12)
     d2[2, 4] = 0.0  # cancellation leaves ~1e-16 where the loops give 0
     d2[:, 6] = [0.0, 0.0, 1.5]  # two prototypes share sample 6
@@ -334,7 +335,7 @@ def test_loop_kernels_match_numpy_kernels():
     for m in (2.0, 1.5, 3.0):
         u = kernels.fcm_memberships(d2, m)
         with np.errstate(over="ignore"):  # the loops' scalar power at 5e-324
-            ref = kernels._fcm_memberships_loops(d2, m)
+            ref = oracles._fcm_memberships_loops(d2, m)
         np.testing.assert_allclose(ref, u, rtol=1e-12, atol=1e-15)
         assert np.array_equal(u[:, 4], [0.0, 0.0, 1.0])
         assert np.array_equal(u[:, 6], [0.5, 0.5, 0.0])

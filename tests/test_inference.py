@@ -226,10 +226,10 @@ def test_fire_t1_is_product_of_memberships(rng):
     rb = random_t1_base(rng, n_rules=3, n_features=3)
     x = rng.uniform(-2, 2, 3)
     w = np.exp(kernels.log_firing(x[None, :], rb.means, rb.sigma_upper))[0]
-    for s, rule in enumerate(rb.rules):
+    for s in range(rb.n_rules):
         prod = 1.0
-        for f, ant in enumerate(rule.antecedents):
-            z = (x[f] - ant.mean) / ant.sigma
+        for f in range(rb.n_features):
+            z = (x[f] - rb.means[s, f]) / rb.sigma_upper[s, f]
             prod *= np.exp(-0.5 * z * z)
         assert w[s] == pytest.approx(prod, rel=1e-12)
 

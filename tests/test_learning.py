@@ -16,6 +16,7 @@ from it2fis.inference import predict_batch
 from it2fis.preprocess import Dataset
 from it2fis.rules import KIND_IT2, KIND_T1, it2_rule_base, t1_rule_base
 
+import oracles
 from conftest import random_it2_base, random_t1_base, two_class_dataset
 
 
@@ -160,8 +161,8 @@ def test_it2_gradient_matches_finite_differences(rng):
 
 
 def test_epoch_kernels_match_loop_twins():
-    # the `_*_loops` versions are reference loops that compute the epoch
-    # element by element.  Column 0 is constant with its sigma at the floor and the
+    # the reference loops of tests/oracles.py compute the epoch element
+    # by element.  Column 0 is constant with its sigma at the floor and the
     # rule means about 50 sigma off it, as a constant one-hot column ends up
     # after tuning: there x^2 / sigma^2 ~ 1e12, so a matmul firing that is
     # not centred on a data row loses ~1e-4 to cancellation.
@@ -180,11 +181,11 @@ def test_epoch_kernels_match_loop_twins():
     for rows in (slice(None), slice(4, 5)):  # full batch, then one sample
         x, t = X[rows], y[rows]
         got = kernels.t1_epoch(kernels.centre(x), t, means, su, cons)
-        want = kernels._t1_epoch_loops(x, t, means, su, cons)
+        want = oracles._t1_epoch_loops(x, t, means, su, cons)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
         got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons, order)
-        want = kernels._it2_epoch_loops(x, t, means, sl, su, cons, order)
+        want = oracles._it2_epoch_loops(x, t, means, sl, su, cons, order)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
@@ -200,7 +201,7 @@ def test_epoch_kernels_match_loop_twins():
         x, t = X[rows], y[rows]
         got = kernels.it2_epoch(kernels.centre(x), t, means4, sl4, su4, cons4,
                                 order4)
-        want = kernels._it2_epoch_loops(x, t, means4, sl4, su4, cons4, order4)
+        want = oracles._it2_epoch_loops(x, t, means4, sl4, su4, cons4, order4)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 

@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import it2fis
 
 
@@ -7,3 +12,23 @@ def test_every_exported_name_resolves():
     missing = [name for name in it2fis.__all__ if not hasattr(it2fis, name)]
     assert missing == []
     assert len(set(it2fis.__all__)) == len(it2fis.__all__)
+
+
+def test_python_dash_m_runs_the_command_line():
+    """`python -m it2fis` runs the command line through `__main__.py`, as
+    perfbench's `setup_s` does."""
+    package = Path(it2fis.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "it2fis", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    done = run("inspect-model", str(package / "icu_admission.model"))
+    assert done.returncode == 0, done.stderr
+    assert "rules: 5\n" in done.stdout
+    done = run()
+    assert done.returncode == 1
+    assert "required: command" in done.stderr

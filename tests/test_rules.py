@@ -1,0 +1,33 @@
+"""The RuleBase constructor's checks on its parameter arrays."""
+
+import numpy as np
+import pytest
+
+from it2fis.rules import KIND_IT2, KIND_T1, RuleBase
+
+# a valid two-rule, two-feature type-2 base; each case below breaks one field
+GOOD = dict(kind=KIND_IT2, variable_names=("a", "b"),
+            means=np.zeros((2, 2)), sigma_lower=np.full((2, 2), 0.5),
+            sigma_upper=np.ones((2, 2)), cons_mean=[1.0, 2.0],
+            cons_sigma_lower=[0.1, 0.1], cons_sigma_upper=[0.2, 0.2])
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(sigma_upper=np.ones((2, 3))), r"sigma_upper shape \(2, 3\) != \(2, 2\)"),
+    (dict(means=np.empty((0, 2)), sigma_lower=np.empty((0, 2)),
+          sigma_upper=np.empty((0, 2))),
+     "needs at least one rule and one feature"),
+    (dict(cons_mean=[1.0, 2.0, 3.0]), "one entry per rule"),
+    (dict(variable_names=("a",)), "1 variable names for 2 antecedents"),
+    (dict(kind="type-3"), "unknown rule-base kind 'type-3'"),
+    (dict(sigma_lower=np.array([[0.5, 0.0], [0.5, 0.5]])),
+     "all sigmas must be positive"),
+    (dict(sigma_lower=np.full((2, 2), 2.0)),
+     "sigma_lower must not exceed sigma_upper"),
+    (dict(kind=KIND_T1), "type-1 base requires sigma_lower == sigma_upper"),
+], ids=["shape", "no_rules", "consequent_length", "name_count", "kind",
+        "sigma_positive", "lower_above_upper", "type1_unequal"])
+def test_rule_base_rejects_bad_parameters(change, message):
+    assert RuleBase(**GOOD).n_rules == 2
+    with pytest.raises(ValueError, match=message):
+        RuleBase(**{**GOOD, **change})
