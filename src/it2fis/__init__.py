@@ -22,23 +22,19 @@ from .preprocess import (Dataset, OutlierRule, PreprocessConfig,
                          PreprocessReport, RawTable, load_csv, preprocess,
                          save_dataset)
 from .rules import RuleBase, it2_rule_base, t1_rule_base
-from .sets import (GaussianT1Set, IT2GaussianSet, MembershipInterval,
-                   it2_membership, set_centroid_interval, t1_membership)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatchPredictions", "DataError", "Dataset", "FuzzyPartition",
-    "GaussianT1Set", "IT2GaussianSet", "It2fisError", "MembershipInterval",
-    "MetricsReport", "ModelError", "NoCoverageError", "OutlierRule",
-    "Prediction", "PreprocessConfig", "PreprocessReport", "RawTable",
-    "RuleBase", "Split", "TuneConfig", "TuneTrace", "TypeReducedInterval",
-    "ValidityScan", "backend", "baseline_knn", "baseline_nb",
-    "calibrate_threshold", "compute_metrics", "encode_labels",
-    "extract_rules", "fcm", "fukuyama_index", "gk", "it2_membership",
+    "It2fisError", "MetricsReport", "ModelError", "NoCoverageError",
+    "OutlierRule", "Prediction", "PreprocessConfig", "PreprocessReport",
+    "RawTable", "RuleBase", "Split", "TuneConfig", "TuneTrace",
+    "TypeReducedInterval", "ValidityScan", "backend", "baseline_knn",
+    "baseline_nb", "calibrate_threshold", "compute_metrics",
+    "encode_labels", "extract_rules", "fcm", "fukuyama_index", "gk",
     "it2_rule_base", "km_reduce", "load_bundled_model", "load_csv",
     "load_model", "predict", "predict_batch", "preprocess", "save_dataset",
-    "save_model", "select_cluster_count",
-    "set_centroid_interval", "split", "t1_membership", "t1_rule_base",
+    "save_model", "select_cluster_count", "split", "t1_rule_base",
     "take", "tune_it2", "tune_t1", "widen_to_it2",
 ]

@@ -84,9 +84,9 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
 
     `firings` is an (n, 2) array-like of [lower, upper] rows.  Raises
     NoCoverageError when every upper firing is zero (the ratio is undefined:
-    no rule fires).  This is the validating entry for firings from outside
-    the engine (set centroids, API callers); the engine's own firings meet
-    these checks by construction and go to the kernel directly.
+    no rule fires).  This is the validating entry for callers outside the
+    engine; the engine's own firings meet these checks by construction and
+    go to the kernel directly.
     """
     fir = np.asarray(firings, dtype=float)
     if fir.ndim != 2 or fir.shape[1] != 2:

@@ -46,6 +46,11 @@ class RuleBase:
             raise ValueError("rule base needs at least one rule and one feature")
         if cm.shape != (d,) or cl.shape != (d,) or cu.shape != (d,):
             raise ValueError("consequent arrays must have one entry per rule")
+        for name, arr in [("means", means), ("sigma_lower", sl),
+                          ("sigma_upper", su), ("cons_mean", cm),
+                          ("cons_sigma_lower", cl), ("cons_sigma_upper", cu)]:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite (holds nan or inf)")
         if len(self.variable_names) != g:
             raise ValueError(
                 f"{len(self.variable_names)} variable names for {g} antecedents"

@@ -1,14 +1,28 @@
-"""Plain-Python reference loops for the numpy kernels in ``it2fis.kernels``.
+"""Test-side references that the package never calls.
 
-Each loop computes what its kernel computes, one element at a time, so the
-tests can check a vectorized kernel against it: ``sq_distances``,
+Plain-Python reference loops for the numpy kernels in ``it2fis.kernels``:
+each computes what its kernel computes, one element at a time, so the tests
+can check a vectorized kernel against it: ``sq_distances``,
 ``fcm_memberships``, ``t1_epoch`` and ``it2_epoch``.  The epoch kernels take
-the data through ``kernels.centre``; their loops take it raw.  The package
-never calls them.
+the data through ``kernels.centre``; their loops take it raw.
+
+Type-1 and interval type-2 Gaussian fuzzy sets, one scalar at a time.  A
+type-1 set is a Gaussian membership curve exp(-0.5 ((x - mean)/sigma)^2).
+An interval type-2 set keeps the mean fixed and lets sigma range over
+[sigma_lower, sigma_upper]; its membership at a point is then the interval
+spanned by the two boundary Gaussians.  Products of ``it2_membership``
+grades over the antecedents, reduced by ``inference.km_reduce``, are the
+paper's IT2 inference written out per rule and per feature: the engine
+oracle test in ``test_inference.py`` holds ``predict_batch``'s shifted
+log-space firing to it.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from it2fis.inference import km_reduce
 from it2fis.kernels import TINY
 
 
@@ -208,3 +222,93 @@ def _it2_epoch_loops(x, y, means, sig_lo, sig_up, cons, order):
                 gsu[o, f_] += cu * zx * zx / (su * su * su)
                 gsl[o, f_] += cl * zx * zx / (sl * sl * sl)
     return gm, gsl, gsu, gc, err / n
+
+
+@dataclass(frozen=True)
+class GaussianT1Set:
+    mean: float
+    sigma: float
+
+    def __post_init__(self):
+        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+
+
+@dataclass(frozen=True)
+class IT2GaussianSet:
+    mean: float
+    sigma_lower: float
+    sigma_upper: float
+
+    def __post_init__(self):
+        if not (0.0 < self.sigma_lower <= self.sigma_upper):
+            raise ValueError(
+                "need 0 < sigma_lower <= sigma_upper, got "
+                f"({self.sigma_lower}, {self.sigma_upper})"
+            )
+        if not math.isfinite(self.mean) or not math.isfinite(self.sigma_upper):
+            raise ValueError("set parameters must be finite")
+
+
+@dataclass(frozen=True)
+class MembershipInterval:
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.lower <= self.upper <= 1.0):
+            raise ValueError(f"invalid membership interval ({self.lower}, {self.upper})")
+
+
+def t1_membership(fset: GaussianT1Set, x):
+    """Gaussian membership grade of x; accepts a scalar or an array."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("membership input must be finite")
+    z = (x - fset.mean) / fset.sigma
+    out = np.exp(-0.5 * z * z)
+    return float(out) if out.ndim == 0 else out
+
+
+def it2_membership(fset: IT2GaussianSet, x: float) -> MembershipInterval:
+    """Membership interval of x: boundary Gaussians at sigma_lower / sigma_upper."""
+    if not math.isfinite(x):
+        raise ValueError("membership input must be finite")
+    z = (x - fset.mean)
+    lo = math.exp(-0.5 * (z / fset.sigma_lower) ** 2)
+    up = math.exp(-0.5 * (z / fset.sigma_upper) ** 2)
+    return MembershipInterval(lo, up)
+
+
+def it2_membership_grid(fset: IT2GaussianSet, xs: np.ndarray):
+    """Lower/upper membership arrays over a grid of points."""
+    xs = np.asarray(xs, dtype=float)
+    z = xs - fset.mean
+    lo = np.exp(-0.5 * (z / fset.sigma_lower) ** 2)
+    up = np.exp(-0.5 * (z / fset.sigma_upper) ** 2)
+    return lo, up
+
+
+def set_centroid_interval(
+    fset: IT2GaussianSet,
+    support: tuple[float, float] | None = None,
+    resolution: int = 201,
+):
+    """Centroid interval of the set via Karnik-Mendel over a discretized support.
+
+    The support defaults to mean +/- 4 sigma_upper.  Returns the engine's
+    TypeReducedInterval; its crisp value is the interval midpoint.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if support is None:
+        half = 4.0 * fset.sigma_upper
+        support = (fset.mean - half, fset.mean + half)
+    a, b = float(support[0]), float(support[1])
+    if not (a < b) or not (a <= fset.mean <= b):
+        raise ValueError(f"degenerate support ({a}, {b}) for mean {fset.mean}")
+    xs = np.linspace(a, b, resolution)
+    lo, up = it2_membership_grid(fset, xs)
+    return km_reduce(np.column_stack([lo, up]), xs)

@@ -309,8 +309,8 @@ def test_criterion_7_8_placeholder_note(capsys):
 
 
 def _cases_sets(rng, n):
-    from it2fis.sets import (GaussianT1Set, IT2GaussianSet, it2_membership,
-                             set_centroid_interval, t1_membership)
+    from oracles import (GaussianT1Set, IT2GaussianSet, it2_membership,
+                         set_centroid_interval, t1_membership)
     for _ in range(n):
         m = float(rng.uniform(-10.0, 10.0))
         sl = float(rng.uniform(0.05, 2.0))

@@ -1,5 +1,6 @@
 """Inference engine: KM type reduction against a vertex-enumeration oracle,
-firing, prediction paths, and the no-coverage fallback."""
+firing, prediction paths against the scalar IT2 set math, and the
+no-coverage fallback."""
 
 import dataclasses
 import hashlib
@@ -14,6 +15,7 @@ from it2fis.inference import Prediction, km_reduce, predict, predict_batch
 from it2fis.rules import KIND_IT2, it2_rule_base, t1_rule_base
 
 from conftest import random_it2_base, random_t1_base
+from oracles import IT2GaussianSet, it2_membership
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +422,60 @@ def test_predict_batch_matches_single():
             else:
                 assert np.float64(p.interval.y_l).tobytes() == bp.y_l[i].tobytes()
                 assert np.float64(p.interval.y_r).tobytes() == bp.y_r[i].tobytes()
+
+
+# engine oracle: predict and predict_batch share one path, so neither can
+# catch the other's error; this one fires each rule as the product of its
+# scalar membership intervals, unshifted, and reduces with km_reduce
+
+
+def scalar_firings(rb, x):
+    """(rules, 2) [lower, upper] firings of row x: products over the features
+    of each antecedent's it2_membership interval."""
+    fir = np.ones((rb.n_rules, 2))
+    for s in range(rb.n_rules):
+        for f in range(rb.n_features):
+            grade = it2_membership(IT2GaussianSet(
+                rb.means[s, f], rb.sigma_lower[s, f], rb.sigma_upper[s, f]),
+                float(x[f]))
+            fir[s] *= grade.lower, grade.upper
+    return fir
+
+
+def check_engine_against_scalar_math(rb, X) -> int:
+    """Assert predict_batch's y_l and y_r equal km_reduce of scalar_firings
+    within 1e-12 relative, on every row whose firings all reach
+    kernels.TINY; return how many rows that was.  The other rows' unshifted
+    products underflow, which is why the engine shifts."""
+    got = predict_batch(rb, X)
+    kept = 0
+    for i, x in enumerate(X):
+        fir = scalar_firings(rb, x)
+        if (fir < kernels.TINY).any():
+            continue
+        want = km_reduce(fir, rb.cons_mean)
+        assert got.y_l[i] == pytest.approx(want.y_l, rel=1e-12, abs=0.0)
+        assert got.y_r[i] == pytest.approx(want.y_r, rel=1e-12, abs=0.0)
+        kept += 1
+    return kept
+
+
+def test_predict_batch_matches_scalar_it2_math(rng):
+    for make in (random_t1_base, random_it2_base) * 100:
+        rb = make(rng, n_rules=int(rng.integers(1, 7)),
+                  n_features=int(rng.integers(1, 6)))
+        X = rng.uniform(-3.0, 3.0, (20, rb.n_features))
+        assert check_engine_against_scalar_math(rb, X) == 20
+
+
+def test_predict_batch_matches_scalar_it2_math_on_bundled_model(rng):
+    # rows around the 27-feature model's rule means; a few lower firings of
+    # the far rules underflow unshifted and are skipped
+    rb = load_bundled_model()
+    rules = rng.integers(0, rb.n_rules, 300)
+    X = rb.means[rules] + rb.sigma_lower[rules] * rng.standard_normal(
+        (300, rb.n_features))
+    assert check_engine_against_scalar_math(rb, X) >= 270
 
 
 def test_predict_batch_row_blocks_change_no_bit(monkeypatch):

@@ -31,3 +31,16 @@ def test_rule_base_rejects_bad_parameters(change, message):
     assert RuleBase(**GOOD).n_rules == 2
     with pytest.raises(ValueError, match=message):
         RuleBase(**{**GOOD, **change})
+
+
+@pytest.mark.parametrize("name", ["means", "sigma_lower", "sigma_upper",
+                                  "cons_mean", "cons_sigma_lower",
+                                  "cons_sigma_upper"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rule_base_rejects_non_finite_parameters(name, value):
+    # a nan mean would flag every row, an inf sigma drop its feature, and a
+    # nan consequent mean fail inside the type-reduced interval
+    arr = np.array(GOOD[name], dtype=float)
+    arr.flat[-1] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        RuleBase(**{**GOOD, name: arr})

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from it2fis.sets import (GaussianT1Set, IT2GaussianSet, MembershipInterval,
-                         it2_membership, it2_membership_grid,
-                         set_centroid_interval, t1_membership)
+from oracles import (GaussianT1Set, IT2GaussianSet, MembershipInterval,
+                     it2_membership, it2_membership_grid,
+                     set_centroid_interval, t1_membership)
 
 
 def test_t1_membership_known_values():
