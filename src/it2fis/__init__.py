@@ -21,7 +21,7 @@ from .model_io import load_bundled_model, load_model, save_model
 from .preprocess import (Dataset, OutlierRule, PreprocessConfig,
                          PreprocessReport, RawTable, load_csv, preprocess,
                          save_dataset)
-from .rules import RuleBase, it2_rule_base, t1_rule_base
+from .rules import RuleBase, t1_rule_base
 
 __version__ = "0.1.0"
 
@@ -33,8 +33,8 @@ __all__ = [
     "TypeReducedInterval", "ValidityScan", "backend", "baseline_knn",
     "baseline_nb", "calibrate_threshold", "compute_metrics",
     "encode_labels", "extract_rules", "fcm", "fukuyama_index", "gk",
-    "it2_rule_base", "km_reduce", "load_bundled_model", "load_csv",
-    "load_model", "predict", "predict_batch", "preprocess", "save_dataset",
-    "save_model", "select_cluster_count", "split", "t1_rule_base",
-    "take", "tune_it2", "tune_t1", "widen_to_it2",
+    "km_reduce", "load_bundled_model", "load_csv", "load_model", "predict",
+    "predict_batch", "preprocess", "save_dataset", "save_model",
+    "select_cluster_count", "split", "t1_rule_base", "take", "tune_it2",
+    "tune_t1", "widen_to_it2",
 ]

@@ -64,9 +64,19 @@ def _check_features(model, names):
                 f"{want!r}, data has {got!r}")
 
 
-def _load_config(args, flag_keys) -> cfgmod.Config:
-    overrides = {key: getattr(args, attr) for key, attr in flag_keys.items()}
+def _load_config(args) -> cfgmod.Config:
+    """The config file overridden by every flag whose dest is a config key
+    (None, a flag not given, overrides nothing)."""
+    overrides = {k: v for k, v in vars(args).items() if k in cfgmod.DEFAULTS}
     return cfgmod.load_config(args.config, overrides)
+
+
+def _load_dataset(path, prep):
+    """load_csv then preprocess, each under its own stage name."""
+    with _stage("load_csv"):
+        table = load_csv(path)
+    with _stage("preprocess"):
+        return preprocess(table, prep)
 
 
 def _file_sha1(path) -> str:
@@ -88,14 +98,15 @@ def build_parser() -> _Parser:
     sp.add_argument("input")
     sp.add_argument("-o", "--output", required=True,
                     help="dataset CSV path (report goes to <output>.report.txt)")
-    sp.add_argument("--label", dest="label", help="label column name")
+    sp.add_argument("--label", dest="label_column", metavar="LABEL",
+                    help="label column name")
     sp.add_argument("--corr-threshold", dest="corr_threshold", type=float)
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser("train", help="fit a rule base on the train share of a CSV")
     sp.add_argument("input")
     sp.add_argument("-o", "--output", required=True, help="model file path")
-    sp.add_argument("--label", dest="label")
+    sp.add_argument("--label", dest="label_column", metavar="LABEL")
     sp.add_argument("--corr-threshold", dest="corr_threshold", type=float)
     sp.add_argument("--c-max", dest="c_max", type=int)
     sp.add_argument("--lr", dest="learning_rate", type=float)
@@ -117,7 +128,7 @@ def build_parser() -> _Parser:
     sp.add_argument("input")
     sp.add_argument("-o", "--output",
                     help="report prefix (<prefix>.txt and <prefix>.kv)")
-    sp.add_argument("--label", dest="label")
+    sp.add_argument("--label", dest="label_column", metavar="LABEL")
     sp.add_argument("--corr-threshold", dest="corr_threshold", type=float)
     sp.add_argument("--ratio", dest="train_ratio", type=float)
     sp.add_argument("--baselines", action="store_true",
@@ -132,17 +143,11 @@ def build_parser() -> _Parser:
     return p
 
 
-_PREP_FLAGS = {"label_column": "label", "corr_threshold": "corr_threshold"}
-
-
 def cmd_preprocess(args) -> int:
     with _stage("load_config"):
-        cfg = _load_config(args, _PREP_FLAGS)
+        cfg = _load_config(args)
         prep = cfgmod.preprocess_config(cfg)
-    with _stage("load_csv"):
-        table = load_csv(args.input)
-    with _stage("preprocess"):
-        ds, report = preprocess(table, prep)
+    ds, report = _load_dataset(args.input, prep)
     save_dataset(ds, args.output)
     with open(args.output + ".report.txt", "w", encoding="utf-8") as f:
         f.write(report.text())
@@ -154,19 +159,13 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     seed = args.seed
     with _stage("load_config"):
-        cfg = _load_config(args, {
-            **_PREP_FLAGS, "c_max": "c_max", "learning_rate": "learning_rate",
-            "epochs": "epochs", "spread": "spread", "train_ratio": "train_ratio",
-        })
+        cfg = _load_config(args)
         # reject bad values now, not after an hour of tuning
         prep = cfgmod.preprocess_config(cfg)
         tc = cfgmod.tune_config(cfg)
         cfgmod.check_ranges(cfg, "spread", "train_ratio", "c_max",
                             "selection_seeds", "cluster_scan_subsample")
-    with _stage("load_csv"):
-        table = load_csv(args.input)
-    with _stage("preprocess"):
-        ds, _ = preprocess(table, prep)
+    ds, _ = _load_dataset(args.input, prep)
     with _stage("split"):
         sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
         train_ds = take(ds, sp.train_indices)
@@ -272,15 +271,13 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     with _stage("load_config"):
-        cfg = _load_config(args, {**_PREP_FLAGS, "train_ratio": "train_ratio"})
+        cfg = _load_config(args)
         cfgmod.check_ranges(cfg, "train_ratio")
         prep = cfgmod.preprocess_config(cfg)
     with _stage("load_model"):
         model = load_model(args.model)
-    with _stage("load_csv"):
-        table = load_csv(args.input)
+    ds, _ = _load_dataset(args.input, prep)
     with _stage("preprocess"):
-        ds, _ = preprocess(table, prep)
         _check_features(model, ds.feature_names)
 
     if args.test_only:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,12 +167,8 @@ def split(data: Dataset, ratio=0.7, seed=0) -> Split:
 
 def take(data: Dataset, indices) -> Dataset:
     indices = np.asarray(indices, dtype=int)
-    return Dataset(
-        features=data.features[indices],
-        labels=tuple(data.labels[i] for i in indices),
-        feature_names=data.feature_names,
-        label_name=data.label_name,
-    )
+    return replace(data, features=data.features[indices],
+                   labels=tuple(data.labels[i] for i in indices))
 
 
 def compute_metrics(predictions, truth, positive_class) -> MetricsReport:

@@ -16,14 +16,14 @@ output lives on a regression scale with a decision threshold applied later.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from .clustering import fcm, gk
 from .errors import DataError
-from .rules import KIND_IT2, KIND_T1, RuleBase, it2_rule_base, t1_rule_base
+from .rules import KIND_IT2, KIND_T1, RuleBase, t1_rule_base
 
 SIGMA_FLOOR = 1e-6
 
@@ -144,13 +144,12 @@ def widen_to_it2(rb: RuleBase, spread=0.2) -> RuleBase:
         raise ValueError("widen_to_it2 expects a type-1 rule base")
     if not (0.0 <= spread < 1.0):
         raise ValueError(f"spread must lie in [0, 1), got {spread}")
-    return it2_rule_base(
-        rb.means,
-        rb.sigma_lower * (1.0 - spread), rb.sigma_upper * (1.0 + spread),
-        rb.cons_mean,
-        rb.cons_sigma_lower * (1.0 - spread), rb.cons_sigma_upper * (1.0 + spread),
-        variable_names=rb.variable_names, threshold=rb.threshold,
-        label_low=rb.label_low, label_high=rb.label_high,
+    return replace(
+        rb, kind=KIND_IT2,
+        sigma_lower=rb.sigma_lower * (1.0 - spread),
+        sigma_upper=rb.sigma_upper * (1.0 + spread),
+        cons_sigma_lower=rb.cons_sigma_lower * (1.0 - spread),
+        cons_sigma_upper=rb.cons_sigma_upper * (1.0 + spread),
         provenance=rb.provenance + (("spread", repr(float(spread))),),
     )
 
@@ -248,7 +247,8 @@ def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     (means, sig, cons), trace = _tune(
         X, y, cfg, (rb.means, rb.sigma_upper, rb.cons_mean),
         kernels.t1_epoch, _floor_sigma)
-    return rb.with_params(means, sig, sig, cons), trace
+    return replace(rb, means=means, sigma_lower=sig, sigma_upper=sig,
+                   cons_mean=cons), trace
 
 
 def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
@@ -265,4 +265,5 @@ def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     (means, sl, su, cons), trace = _tune(
         X, y, cfg, (rb.means, rb.sigma_lower, rb.sigma_upper, rb.cons_mean),
         _it2_epoch, _project_interval)
-    return rb.with_params(means, sl, su, cons), trace
+    return replace(rb, means=means, sigma_lower=sl, sigma_upper=su,
+                   cons_mean=cons), trace

@@ -298,7 +298,7 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
         corr = np.corrcoef(mat.T) if mat.shape[1] > 1 else np.ones((1, 1))
     corr = np.nan_to_num(corr, nan=0.0)
 
-    keep_idx, pruned = [], []
+    keep_idx, pruned = [], []  # column 0 is always kept
     for j in range(mat.shape[1]):
         against = next((i for i in keep_idx
                         if abs(corr[i, j]) > config.corr_threshold), None)
@@ -306,8 +306,6 @@ def preprocess(table: RawTable, config: PreprocessConfig = PreprocessConfig()):
             keep_idx.append(j)
         else:
             pruned.append((names[j], names[against], float(corr[against, j])))
-    if not keep_idx:
-        raise DataError("zero surviving feature columns")
 
     final_names = tuple(names[j] for j in keep_idx)
     ds = Dataset(

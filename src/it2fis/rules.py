@@ -2,12 +2,14 @@
 
 A RuleBase stores its parameters as packed (D rules x G features) arrays so
 the batch kernels can consume them directly: rule s is row s of each
-array.  Type-1 bases are represented with sigma_lower == sigma_upper.
+array.  Type-1 bases are represented with sigma_lower == sigma_upper.  A
+base changes through dataclasses.replace, which carries over every field it
+is not given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,18 +110,6 @@ class RuleBase:
         rule's lower and upper firings are equal."""
         return bool(np.array_equal(self.sigma_lower, self.sigma_upper))
 
-    def with_params(self, means, sigma_lower, sigma_upper,
-                    cons_mean) -> "RuleBase":
-        """Copy with replaced parameter arrays (used by the tuners, which
-        never move the consequent sigmas)."""
-        return replace(
-            self,
-            means=np.array(means, dtype=float),
-            sigma_lower=np.array(sigma_lower, dtype=float),
-            sigma_upper=np.array(sigma_upper, dtype=float),
-            cons_mean=np.array(cons_mean, dtype=float),
-        )
-
 
 def t1_rule_base(means, sigmas, cons_mean, cons_sigma, variable_names=None, **kw) -> RuleBase:
     """Convenience constructor for a type-1 base from mean/sigma arrays."""
@@ -136,23 +126,5 @@ def t1_rule_base(means, sigmas, cons_mean, cons_sigma, variable_names=None, **kw
         cons_mean=cons_mean,
         cons_sigma_lower=cons_sigma,
         cons_sigma_upper=np.array(cons_sigma, dtype=float).copy(),
-        **kw,
-    )
-
-
-def it2_rule_base(means, sigma_lower, sigma_upper, cons_mean, cons_sigma_lower,
-                  cons_sigma_upper, variable_names=None, **kw) -> RuleBase:
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    if variable_names is None:
-        variable_names = tuple(f"x{f + 1}" for f in range(means.shape[1]))
-    return RuleBase(
-        kind=KIND_IT2,
-        variable_names=tuple(variable_names),
-        means=means,
-        sigma_lower=sigma_lower,
-        sigma_upper=sigma_upper,
-        cons_mean=cons_mean,
-        cons_sigma_lower=cons_sigma_lower,
-        cons_sigma_upper=cons_sigma_upper,
         **kw,
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from it2fis.preprocess import Dataset
-from it2fis.rules import it2_rule_base, t1_rule_base
+from it2fis.rules import KIND_IT2, RuleBase, t1_rule_base
 
 
 def random_t1_base(rng, n_rules=3, n_features=2, **kw):
@@ -22,7 +22,11 @@ def random_it2_base(rng, n_rules=3, n_features=2, spread=0.3, **kw):
     cons = rng.uniform(1.0, 2.0, n_rules)
     csu = rng.uniform(0.2, 0.8, n_rules)
     csl = csu * (1.0 - spread * rng.random(n_rules))
-    return it2_rule_base(means, sl, su, cons, csl, csu, **kw)
+    kw.setdefault("variable_names",
+                  tuple(f"x{f + 1}" for f in range(n_features)))
+    return RuleBase(kind=KIND_IT2, means=means, sigma_lower=sl,
+                    sigma_upper=su, cons_mean=cons, cons_sigma_lower=csl,
+                    cons_sigma_upper=csu, **kw)
 
 
 def blobs(rng, centers, n_per=60, sigma=0.25):

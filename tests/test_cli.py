@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -390,23 +391,32 @@ def test_broken_model_exits_3(workdir, tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("block, value, message", [
-    ("label", ["x"], "label block must be a JSON object"),
-    ("inference", ["x"], "inference block must be a JSON object"),
-    ("provenance", ["x"], "provenance block must be a JSON object"),
-    ("threshold", True, "inference.threshold must be a number or null"),
-    ("threshold", 10 ** 400, "inference.threshold is too large for a float"),
-], ids=["label", "inference", "provenance", "threshold", "huge_threshold"])
-def test_malformed_model_block_exits_3(workdir, tmp_path, capsys, block,
+@pytest.mark.parametrize("path, value, message", [
+    (("label",), ["x"], "label block must be a JSON object"),
+    (("inference",), ["x"], "inference block must be a JSON object"),
+    (("provenance",), ["x"], "provenance block must be a JSON object"),
+    (("inference", "threshold"), True,
+     "inference.threshold must be a number or null"),
+    (("inference", "threshold"), 10 ** 400,
+     "inference.threshold is too large for a float"),
+    (("rules", 0), ["x"], "rule 1: malformed rule block"),
+    (("rules", 0, "antecedents", 0), ["x"],
+     "rule 1, {name}: malformed parameter block"),
+    (("rules", 0, "consequent"), ["x"],
+     "rule 1, consequent: malformed parameter block"),
+], ids=["label", "inference", "provenance", "threshold", "huge_threshold",
+        "rule", "antecedent", "consequent"])
+def test_malformed_model_block_exits_3(workdir, tmp_path, capsys, path,
                                        value, message):
     doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
-    if block == "threshold":
-        doc["inference"]["threshold"] = value
-    else:
-        doc[block] = value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     bad = tmp_path / "bad.model"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["inspect-model", str(bad)]) == 3
+    message = message.format(name=doc["variable_names"][0])
     assert f"model error: [load_model] {message}" in capsys.readouterr().err
 
 
@@ -490,6 +500,35 @@ def test_train_without_a_finite_train_score_names_the_stage(
     assert ("data error: [calibrate_threshold] no training row has a "
             "finite crisp score" in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_config_flags_are_named_by_their_config_key():
+    # _load_config takes every parsed option whose dest is a config key, so
+    # a flag under any other dest would be parsed and then ignored
+    not_config = {"-o", "--type1-only", "--baselines", "--test-only"}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("preprocess", "train", "evaluate"):
+        checked = []
+        for action in sub.choices[command]._actions:
+            if (not action.option_strings
+                    or isinstance(action, argparse._HelpAction)
+                    or not_config & set(action.option_strings)):
+                continue
+            assert action.dest in DEFAULTS, (command, action.option_strings)
+            checked.append(action.dest)
+        assert "label_column" in checked, command
+
+
+def test_label_flag_sets_the_label_column(workdir, tmp_path, capsys):
+    out = str(tmp_path / "x.out")
+    raw = str(workdir["raw"])
+    for args in (["preprocess", raw, "-o", out], ["train", raw, "-o", out],
+                 ["evaluate", str(workdir["model"]), raw]):
+        rc = main(["--config", str(workdir["cfg"]), *args, "--label", "nope"])
+        assert rc == 2
+        assert ("data error: [preprocess] label column 'nope' not found"
+                in capsys.readouterr().err)
 
 
 BAD_VALUES = [

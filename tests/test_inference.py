@@ -11,8 +11,9 @@ import pytest
 
 from it2fis import inference, kernels, load_bundled_model
 from it2fis.errors import DataError, NoCoverageError
-from it2fis.inference import Prediction, km_reduce, predict, predict_batch
-from it2fis.rules import KIND_IT2, it2_rule_base, t1_rule_base
+from it2fis.inference import (Prediction, TypeReducedInterval, km_reduce,
+                              predict, predict_batch)
+from it2fis.rules import KIND_IT2, RuleBase, t1_rule_base
 
 from conftest import random_it2_base, random_t1_base
 from oracles import IT2GaussianSet, it2_membership
@@ -217,6 +218,16 @@ def test_km_reduce_validation():
         km_reduce(np.array([[np.nan, 0.2]]), [1.0])
     with pytest.raises(ValueError):
         km_reduce(np.array([0.1, 0.2]), [1.0, 2.0])  # not (n, 2)
+    with pytest.raises(ValueError, match="need at least one rule"):
+        km_reduce(np.empty((0, 2)), [])
+
+
+@pytest.mark.parametrize("y_l, y_r, crisp", [
+    (1.0, 2.0, 0.5), (1.0, 2.0, 2.5), (2.0, 1.0, 1.5), (1.0, 2.0, np.nan),
+], ids=["below", "above", "reversed", "nan"])
+def test_type_reduced_interval_needs_ordered_bounds(y_l, y_r, crisp):
+    with pytest.raises(ValueError, match=r"needs y_l <= crisp <= y_r"):
+        TypeReducedInterval(y_l, y_r, crisp, None)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +295,7 @@ def test_predict_zero_spread_it2_matches_t1(rng):
     # a type-1 base is the type-2 one with equal sigmas, scored the same way
     for _ in range(10):
         t1 = random_t1_base(rng, n_rules=4, n_features=3)
-        it2 = it2_rule_base(t1.means, t1.sigma_lower, t1.sigma_upper,
-                            t1.cons_mean, t1.cons_sigma_lower,
-                            t1.cons_sigma_upper)
+        it2 = dataclasses.replace(t1, kind=KIND_IT2)
         X = rng.uniform(-2, 2, (10, 3))
         for x in X:
             a = predict(t1, x)
@@ -345,8 +354,10 @@ def test_predict_equal_consequent_means_keep_the_interval_ordered():
     rng = np.random.default_rng(24)
     means = rng.uniform(-2.0, 2.0, (4, 2))
     su = rng.uniform(0.5, 2.0, (4, 2))
-    rb = it2_rule_base(means, 0.3 * su, su, np.full(4, c), np.full(4, 0.3),
-                       np.full(4, 0.4))
+    rb = RuleBase(kind=KIND_IT2, variable_names=("x1", "x2"), means=means,
+                  sigma_lower=0.3 * su, sigma_upper=su,
+                  cons_mean=np.full(4, c), cons_sigma_lower=np.full(4, 0.3),
+                  cons_sigma_upper=np.full(4, 0.4))
     for x in 3.0 * rng.normal(size=(50, 2)):
         p = predict(rb, x)
         assert p.interval.y_l <= p.crisp <= p.interval.y_r

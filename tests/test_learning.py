@@ -1,6 +1,7 @@
 """Rule extraction and tuning: finite-difference gradient oracles, label
 encoding, the widen step, and descent behavior on synthetic data."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,7 +15,7 @@ from it2fis.learning import (SIGMA_FLOOR, TuneConfig, encode_labels,
 from it2fis.learning import _it2_epoch
 from it2fis.inference import predict_batch
 from it2fis.preprocess import Dataset
-from it2fis.rules import KIND_IT2, KIND_T1, it2_rule_base, t1_rule_base
+from it2fis.rules import KIND_IT2, KIND_T1, RuleBase, t1_rule_base
 
 import oracles
 from conftest import random_it2_base, random_t1_base, two_class_dataset
@@ -374,6 +375,18 @@ def test_tune_names_a_diverging_learning_rate(rng, tune, lr):
         tune(base_for(tune), data, TuneConfig(learning_rate=lr, epochs=5))
 
 
+@pytest.mark.parametrize("tune", [tune_t1, tune_it2], ids=["t1", "it2"])
+@pytest.mark.parametrize("features, message", [
+    (np.zeros((4, 2)), "training rows have 2 features; rule base expects 1"),
+    (np.zeros((0, 1)), "training set is empty"),
+], ids=["feature_count", "empty"])
+def test_tune_rejects_unfit_training_rows(tune, features, message):
+    n, g = features.shape
+    data = Dataset(features, ("a",) * n, tuple(f"x{k + 1}" for k in range(g)))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        tune(base_for(tune), data, TuneConfig(epochs=2))
+
+
 # ---------------------------------------------------------------------------
 # widening
 # ---------------------------------------------------------------------------
@@ -404,6 +417,44 @@ def test_widen_validation(rng):
         widen_to_it2(rb, spread=-0.1)
     with pytest.raises(ValueError):
         widen_to_it2(widen_to_it2(rb, 0.1), 0.1)  # already interval type-2
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedRuleBase(RuleBase):
+    """A rule base with one field the learner does not know of."""
+    tag: str = "untouched"
+
+
+def test_learning_steps_carry_every_field_they_do_not_set(rng):
+    # a field added to RuleBase later (here `tag`) must pass through widening
+    # and tuning without any step listing it
+    data = regression_dataset(rng)
+    start = base_for(tune_t1)
+    given = {f.name: getattr(start, f.name) for f in dataclasses.fields(start)}
+    rb = TaggedRuleBase(**{**given, "threshold": 1.5,
+                           "provenance": (("built_by", "test"),)}, tag="kept")
+    steps = [
+        (lambda b: tune_t1(b, data, TuneConfig(epochs=2))[0],
+         {"means", "sigma_lower", "sigma_upper", "cons_mean"}),
+        (widen_to_it2,
+         {"kind", "sigma_lower", "sigma_upper", "cons_sigma_lower",
+          "cons_sigma_upper", "provenance"}),
+        (lambda b: tune_it2(b, data, TuneConfig(epochs=2))[0],
+         {"means", "sigma_lower", "sigma_upper", "cons_mean"}),
+    ]
+    for step, sets in steps:
+        out = step(rb)
+        assert type(out) is TaggedRuleBase
+        assert out.tag == "kept"
+        for f in dataclasses.fields(TaggedRuleBase):
+            if f.name not in sets:
+                before, after = getattr(rb, f.name), getattr(out, f.name)
+                if isinstance(before, np.ndarray):
+                    assert np.array_equal(before, after), f.name
+                else:
+                    assert before == after, f.name
+        rb = out
+    assert rb.kind == KIND_IT2
 
 
 # ---------------------------------------------------------------------------

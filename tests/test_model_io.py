@@ -1,6 +1,7 @@
 """Model-file round trips, structural validation, and the bundled model."""
 
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -60,8 +61,8 @@ def test_roundtrip_t1_bit_exact(tmp_path, rng):
 def test_roundtrip_extreme_floats(tmp_path, rng):
     # shortest-round-trip decimals must survive ugly values too
     rb = random_t1_base(rng)
-    rb = rb.with_params(rb.means * np.pi * 1e-7, rb.sigma_lower,
-                        rb.sigma_upper, rb.cons_mean / 3.0)
+    rb = replace(rb, means=rb.means * np.pi * 1e-7,
+                 cons_mean=rb.cons_mean / 3.0)
     back = roundtrip(rb, tmp_path)
     assert np.array_equal(back.means, rb.means)
     assert np.array_equal(back.cons_mean, rb.cons_mean)

@@ -177,6 +177,11 @@ def test_preprocess_errors(tmp_path):
     with pytest.raises(DataError, match="all rows dropped"):
         preprocess(t, cfg(categorical_columns=(), outlier_rules=()))
 
+    t = load_csv(write(tmp_path, "e.csv", "id,a,icu\n10,1,1\n11,2,2\n"))
+    with pytest.raises(DataError, match="^zero surviving feature columns$"):
+        preprocess(t, cfg(drop_columns=("id", "a"), categorical_columns=(),
+                          outlier_rules=()))
+
 
 def rowwise_preprocess(table, config):
     """Oracle: the cleaning done one row and one cell at a time, without
