@@ -87,6 +87,32 @@ def _file_sha1(path) -> str:
     return h.hexdigest()
 
 
+def _check_unseen_rows(model, path, seed, ratio, test_only):
+    """Raise unless evaluate scores only rows the model did not train on.
+
+    Only a model whose provenance names the input file (its data_sha1) and
+    the split it trained on is checked; any other model or file passes.
+    """
+    prov = dict(model.provenance)
+    if (not {"data_sha1", "global_seed", "train_ratio"} <= prov.keys()
+            or _file_sha1(path) != prov["data_sha1"]):
+        return
+    if test_only:
+        raise DataError("--test-only would score every row of the file this "
+                        "model was trained on")
+    for key, parse, given in (("global_seed", int, seed),
+                              ("train_ratio", float, ratio)):
+        try:
+            trained = parse(prov[key])
+        except ValueError:
+            raise ModelError(f"provenance {key} {prov[key]!r} does not "
+                             f"parse as {parse.__name__}") from None
+        if trained != given:
+            raise DataError(
+                f"the model was trained on this file with {key} {trained!r}; "
+                f"a split with {given!r} would score rows it was trained on")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="it2fis", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="global random seed")
@@ -280,11 +306,13 @@ def cmd_evaluate(args) -> int:
     with _stage("preprocess"):
         _check_features(model, ds.feature_names)
 
-    if args.test_only:
-        train_ds, test_ds = None, ds
-    else:
-        with _stage("split"):
-            sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=args.seed)
+    with _stage("split"):
+        ratio = cfg.get_float("train_ratio")
+        _check_unseen_rows(model, args.input, args.seed, ratio, args.test_only)
+        if args.test_only:
+            train_ds, test_ds = None, ds
+        else:
+            sp = split(ds, ratio=ratio, seed=args.seed)
             train_ds, test_ds = take(ds, sp.train_indices), take(ds, sp.test_indices)
 
     with _stage("predict"):

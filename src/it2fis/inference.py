@@ -6,9 +6,11 @@ midpoint of [y_l, y_r].  A type-1 base is the same system with zero-width
 intervals: its firings are passed as both bounds, so its interval is
 degenerate and no reduction of its own exists.
 
-Center-of-sets centroids: a symmetric Gaussian consequent has a centroid
-interval centered exactly on its mean, so the consequent means are used as
-the rule centroids directly (no discretization error).
+Center-of-sets centroids: each rule's centroid is its crisp consequent
+mean.  The stored consequent sigmas enter no score, here or in tuning,
+although an interval type-2 Gaussian consequent has a centroid interval of
+non-zero width centered on its mean (tests/oracles.set_centroid_interval
+computes it); that interval is taken as its midpoint.
 
 There is one engine, ``_score``: ``predict_batch`` runs it on a matrix and
 ``predict`` on one row, so the two agree bit for bit.  It works on log

@@ -72,17 +72,13 @@ def encode_labels(labels):
 
 def targets_for(rb: RuleBase, labels) -> np.ndarray:
     """Encode labels with the rule base's existing low/high mapping."""
-    y = np.empty(len(labels))
-    for j, lab in enumerate(labels):
-        if lab == rb.label_low:
-            y[j] = 1.0
-        elif lab == rb.label_high:
-            y[j] = 2.0
-        else:
-            raise DataError(
-                f"label {lab!r} is neither {rb.label_low!r} nor {rb.label_high!r}"
-            )
-    return y
+    labels = np.asarray(labels, dtype=object)
+    low = labels == rb.label_low
+    stray = ~(low | (labels == rb.label_high))
+    if stray.any():
+        raise DataError(f"label {labels[np.argmax(stray)]!r} is neither "
+                        f"{rb.label_low!r} nor {rb.label_high!r}")
+    return np.where(low, 1.0, 2.0)
 
 
 def extract_rules(data, c, seed=0, tol=1e-6) -> RuleBase:
@@ -94,12 +90,10 @@ def extract_rules(data, c, seed=0, tol=1e-6) -> RuleBase:
     the fallback is recorded in the provenance.  Rules are ordered by
     ascending consequent mean.
     """
-    X = np.asarray(data.features, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    X = data.features
+    if X.shape[0] == 0:
         raise DataError("need a non-empty feature matrix")
     y, low, high = encode_labels(data.labels)
-    if y.shape[0] != X.shape[0]:
-        raise DataError("feature and label counts differ")
     Z = np.column_stack([X, y])
 
     part = fcm(Z, c, tol=tol, seed=seed)
@@ -166,12 +160,11 @@ def _bad_sample_message(X, params) -> str:
 
 
 def _train_arrays(rb: RuleBase, train):
-    X = np.ascontiguousarray(np.asarray(train.features, dtype=float))
-    if X.ndim != 2 or X.shape[1] != rb.n_features:
-        raise DataError(
-            f"training rows have {X.shape[1] if X.ndim == 2 else '?'} features; "
-            f"rule base expects {rb.n_features}"
-        )
+    # a Dataset's features are a C-contiguous float matrix, one row per label
+    X = train.features
+    if X.shape[1] != rb.n_features:
+        raise DataError(f"training rows have {X.shape[1]} features; "
+                        f"rule base expects {rb.n_features}")
     if X.shape[0] == 0:
         raise DataError("training set is empty")
     return X, targets_for(rb, train.labels)

@@ -2,8 +2,9 @@
 
 The on-disk format is JSON: human-diffable, and floats are written in their
 shortest round-trip decimal form, so serialize-then-parse reproduces every
-parameter bit-exactly.  Loading validates the whole structure up front and
-names the offending rule/variable instead of surfacing a numpy error later.
+parameter bit-exactly.  Loading checks the JSON structure and the numbers
+in it; RuleBase checks the parameters, and its errors name the offending
+rule and variable.
 
 `load_bundled_model` returns the pretrained 5-rule / 27-input ICU admission
 classifier shipped with the package (antecedent and consequent parameters
@@ -19,28 +20,27 @@ from importlib import resources
 import numpy as np
 
 from .errors import ModelError
-from .rules import KIND_IT2, KIND_T1, RuleBase
+from .rules import KIND_T1, RuleBase
 
 FORMAT_VERSION = 1
 BUNDLED_MODEL = "icu_admission.model"
 
 
+# each rule key in file order, with the antecedent field and the consequent
+# field it is read into and written from
+_RULE_KEYS = (("mean", "means", "cons_mean"),
+              ("sigma_lower", "sigma_lower", "cons_sigma_lower"),
+              ("sigma_upper", "sigma_upper", "cons_sigma_upper"))
+
+
 def rule_base_to_dict(rb: RuleBase) -> dict:
-    rules = []
-    for s in range(rb.n_rules):
-        rules.append({
-            "antecedents": [
-                {"mean": float(rb.means[s, f]),
-                 "sigma_lower": float(rb.sigma_lower[s, f]),
-                 "sigma_upper": float(rb.sigma_upper[s, f])}
-                for f in range(rb.n_features)
-            ],
-            "consequent": {
-                "mean": float(rb.cons_mean[s]),
-                "sigma_lower": float(rb.cons_sigma_lower[s]),
-                "sigma_upper": float(rb.cons_sigma_upper[s]),
-            },
-        })
+    # tolist gives Python floats, whose repr is the one of float(v)
+    ants = [(key, getattr(rb, field).tolist()) for key, field, _ in _RULE_KEYS]
+    cons = [(key, getattr(rb, field).tolist()) for key, _, field in _RULE_KEYS]
+    rules = [{"antecedents": [{key: v[s][f] for key, v in ants}
+                              for f in range(rb.n_features)],
+              "consequent": {key: v[s] for key, v in cons}}
+             for s in range(rb.n_rules)]
     return {
         "format_version": FORMAT_VERSION,
         "kind": rb.kind,
@@ -89,17 +89,11 @@ def _block(doc, key) -> dict:
     return block
 
 
-def _check_sigmas(where, sl, su, kind):
-    if sl <= 0:
-        raise ModelError(f"{where}: sigma_lower must be positive, got {sl!r}")
-    if sl > su:
-        raise ModelError(
-            f"{where}: sigma_lower {sl!r} exceeds sigma_upper {su!r}"
-        )
-    if kind == KIND_T1 and sl != su:
-        raise ModelError(
-            f"{where}: type-1 model requires sigma_lower == sigma_upper"
-        )
+def _params(block, where) -> list:
+    """The rule keys' values of one antecedent or consequent block."""
+    if not isinstance(block, dict):
+        raise ModelError(f"{where}: malformed parameter block")
+    return [_num(block, key, where) for key, _, _ in _RULE_KEYS]
 
 
 def dict_to_rule_base(doc) -> RuleBase:
@@ -111,8 +105,6 @@ def dict_to_rule_base(doc) -> RuleBase:
     if version != FORMAT_VERSION:
         raise ModelError(f"unrecognized format_version {version!r}")
     kind = doc.get("kind")
-    if kind not in (KIND_T1, KIND_IT2):
-        raise ModelError(f"unrecognized kind {kind!r}")
     names = doc.get("variable_names")
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) for n in names)):
@@ -121,40 +113,25 @@ def dict_to_rule_base(doc) -> RuleBase:
     if not isinstance(rules, list) or not rules:
         raise ModelError("rules must be a non-empty list")
 
-    g, d = len(names), len(rules)
-    means = np.empty((d, g))
-    sig_lo = np.empty((d, g))
-    sig_up = np.empty((d, g))
-    cons = np.empty(d)
-    cons_lo = np.empty(d)
-    cons_up = np.empty(d)
+    g = len(names)
+    ants, cons = [], []
     for s, rule in enumerate(rules):
         if not isinstance(rule, dict):
             raise ModelError(f"rule {s + 1}: malformed rule block")
-        ants = rule.get("antecedents")
-        if not isinstance(ants, list) or len(ants) != g:
+        blocks = rule.get("antecedents")
+        if not isinstance(blocks, list) or len(blocks) != g:
             raise ModelError(
                 f"rule {s + 1}: expected {g} antecedents, "
-                f"got {len(ants) if isinstance(ants, list) else 'none'}"
+                f"got {len(blocks) if isinstance(blocks, list) else 'none'}"
             )
-        for f, block in enumerate(ants):
-            where = f"rule {s + 1}, {names[f]}"
-            if not isinstance(block, dict):
-                raise ModelError(f"{where}: malformed parameter block")
-            m = _num(block, "mean", where)
-            sl = _num(block, "sigma_lower", where)
-            su = _num(block, "sigma_upper", where)
-            _check_sigmas(where, sl, su, kind)
-            means[s, f], sig_lo[s, f], sig_up[s, f] = m, sl, su
-        block = rule.get("consequent")
-        where = f"rule {s + 1}, consequent"
-        if not isinstance(block, dict):
-            raise ModelError(f"{where}: malformed parameter block")
-        cm = _num(block, "mean", where)
-        csl = _num(block, "sigma_lower", where)
-        csu = _num(block, "sigma_upper", where)
-        _check_sigmas(where, csl, csu, kind)
-        cons[s], cons_lo[s], cons_up[s] = cm, csl, csu
+        ants.append([_params(block, f"rule {s + 1}, {names[f]}")
+                     for f, block in enumerate(blocks)])
+        cons.append(_params(rule.get("consequent"), f"rule {s + 1}, consequent"))
+    # (rules, features, key) and (rules, key), the keys in _RULE_KEYS order
+    ants, cons = np.array(ants), np.array(cons)
+    params = {}
+    for k, (_, ant_field, cons_field) in enumerate(_RULE_KEYS):
+        params[ant_field], params[cons_field] = ants[:, :, k], cons[:, k]
 
     label = _block(doc, "label")
     low = label.get("low", "1")
@@ -188,9 +165,7 @@ def dict_to_rule_base(doc) -> RuleBase:
     prov = _block(doc, "provenance")
     try:
         return RuleBase(
-            kind=kind, variable_names=tuple(names),
-            means=means, sigma_lower=sig_lo, sigma_upper=sig_up,
-            cons_mean=cons, cons_sigma_lower=cons_lo, cons_sigma_upper=cons_up,
+            kind=kind, variable_names=tuple(names), **params,
             threshold=threshold,
             label_low=low, label_high=high,
             provenance=tuple((str(k), str(v)) for k, v in prov.items()),

@@ -17,6 +17,10 @@ import numpy as np
 KIND_T1 = "type-1"
 KIND_IT2 = "interval-type-2"
 
+# the parameter arrays, each with its dimensions: (rules, features) or (rules,)
+_PARAMS = (("means", 2), ("sigma_lower", 2), ("sigma_upper", 2),
+           ("cons_mean", 1), ("cons_sigma_lower", 1), ("cons_sigma_upper", 1))
+
 
 @dataclass(frozen=True)
 class RuleBase:
@@ -34,47 +38,45 @@ class RuleBase:
     provenance: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        means = np.ascontiguousarray(np.atleast_2d(np.asarray(self.means, dtype=float)))
-        sl = np.ascontiguousarray(np.atleast_2d(np.asarray(self.sigma_lower, dtype=float)))
-        su = np.ascontiguousarray(np.atleast_2d(np.asarray(self.sigma_upper, dtype=float)))
-        cm = np.ascontiguousarray(np.asarray(self.cons_mean, dtype=float).ravel())
-        cl = np.ascontiguousarray(np.asarray(self.cons_sigma_lower, dtype=float).ravel())
-        cu = np.ascontiguousarray(np.asarray(self.cons_sigma_upper, dtype=float).ravel())
-        for name, arr in [("means", means), ("sigma_lower", sl), ("sigma_upper", su)]:
-            if arr.shape != means.shape:
-                raise ValueError(f"{name} shape {arr.shape} != {means.shape}")
-        d, g = means.shape
-        if d < 1 or g < 1:
-            raise ValueError("rule base needs at least one rule and one feature")
-        if cm.shape != (d,) or cl.shape != (d,) or cu.shape != (d,):
-            raise ValueError("consequent arrays must have one entry per rule")
-        for name, arr in [("means", means), ("sigma_lower", sl),
-                          ("sigma_upper", su), ("cons_mean", cm),
-                          ("cons_sigma_lower", cl), ("cons_sigma_upper", cu)]:
+        shape = None  # (rules, features), from the first array
+        for name, ndim in _PARAMS:
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.ascontiguousarray(
+                np.atleast_2d(arr) if ndim == 2 else arr.ravel())
+            if shape is None:
+                shape = arr.shape
+                if min(shape) < 1:
+                    raise ValueError(
+                        "rule base needs at least one rule and one feature")
+            if arr.shape != shape[:ndim]:
+                raise ValueError(f"{name} shape {arr.shape} != {shape[:ndim]}"
+                                 + ("" if ndim == 2 else ", one entry per rule"))
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite (holds nan or inf)")
-        if len(self.variable_names) != g:
-            raise ValueError(
-                f"{len(self.variable_names)} variable names for {g} antecedents"
-            )
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if len(self.variable_names) != shape[1]:
+            raise ValueError(f"{len(self.variable_names)} variable names "
+                             f"for {shape[1]} antecedents")
         if self.kind not in (KIND_T1, KIND_IT2):
             raise ValueError(f"unknown rule-base kind {self.kind!r}")
-        if not (sl > 0).all() or not (cl > 0).all():
-            raise ValueError("all sigmas must be positive")
-        if (sl > su).any() or (cl > cu).any():
-            raise ValueError("sigma_lower must not exceed sigma_upper")
-        if self.kind == KIND_T1 and ((sl != su).any() or (cl != cu).any()):
-            raise ValueError("type-1 base requires sigma_lower == sigma_upper")
+        # a rule's consequent is the column after its antecedents, so the
+        # first bad cell in row-major order is the first in file order
+        lo = np.column_stack((self.sigma_lower, self.cons_sigma_lower))
+        up = np.column_stack((self.sigma_upper, self.cons_sigma_upper))
+        for bad, message in (
+                (~(lo > 0), "all sigmas must be positive, got sigma_lower {}"),
+                (lo > up, "sigma_lower {} exceeds sigma_upper {}"),
+                ((lo != up) & (self.kind == KIND_T1),
+                 "type-1 base requires sigma_lower == sigma_upper")):
+            if bad.any():
+                s, f = np.unravel_index(np.argmax(bad), bad.shape)
+                where = (self.variable_names[f] if f < shape[1]
+                         else "consequent")
+                raise ValueError(f"rule {s + 1}, {where}: " + message.format(
+                    float(lo[s, f]), float(up[s, f])))
         if self.threshold is not None and not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-        for arr in (means, sl, su, cm, cl, cu):
-            arr.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sigma_lower", sl)
-        object.__setattr__(self, "sigma_upper", su)
-        object.__setattr__(self, "cons_mean", cm)
-        object.__setattr__(self, "cons_sigma_lower", cl)
-        object.__setattr__(self, "cons_sigma_upper", cu)
 
     @property
     def n_rules(self) -> int:

@@ -322,12 +322,57 @@ def test_evaluate_baselines(workdir, tmp_path):
 
 
 def test_evaluate_test_only_scores_every_row(workdir, tmp_path):
+    # a file the model was not trained on: the training file is refused
+    other = tmp_path / "other.csv"
+    write_raw(other, seed=43)
     prefix = tmp_path / "full"
     rc = main(["--config", str(workdir["cfg"]), "evaluate",
-               str(workdir["model"]), str(workdir["raw"]),
+               str(workdir["model"]), str(other),
                "-o", str(prefix), "--test-only"])
     assert rc == 0
     assert int(read_kv(str(prefix) + ".kv")["type2.n_test"]) == 166
+
+
+@pytest.mark.parametrize("seed, flags, message", [
+    ("0", [], "the model was trained on this file with global_seed 3; "
+              "a split with 0 would score rows it was trained on"),
+    ("3", ["--ratio", "0.6"],
+     "the model was trained on this file with train_ratio 0.7; "
+     "a split with 0.6 would score rows it was trained on"),
+    ("3", ["--test-only"], "--test-only would score every row of the file "
+                           "this model was trained on"),
+], ids=["seed", "ratio", "test_only"])
+def test_evaluate_refuses_the_training_rows(workdir, capsys, seed, flags,
+                                            message):
+    # the input is the model's training file (its data_sha1): another split
+    # of it would score rows the model was fitted to
+    rc = main(["--seed", seed, "--config", str(workdir["cfg"]), "evaluate",
+               str(workdir["model"]), str(workdir["raw"]), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"data error: [split] {message}\n"
+
+
+def test_evaluate_names_an_unparsable_provenance_value(workdir, tmp_path,
+                                                       capsys):
+    doc = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    doc["provenance"]["global_seed"] = "three"
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["--seed", "3", "--config", str(workdir["cfg"]), "evaluate",
+               str(bad), str(workdir["raw"])])
+    assert rc == 3
+    assert ("model error: [split] provenance global_seed 'three' does not "
+            "parse as int") in capsys.readouterr().err
+
+
+def test_evaluate_splits_another_file_with_any_seed(workdir, tmp_path):
+    other = tmp_path / "other.csv"
+    write_raw(other, seed=43)
+    prefix = tmp_path / "other"
+    rc = main(["--seed", "0", "--config", str(workdir["cfg"]), "evaluate",
+               str(workdir["model"]), str(other), "-o", str(prefix)])
+    assert rc == 0
+    assert int(read_kv(str(prefix) + ".kv")["type2.n_test"]) == 50
 
 
 def test_evaluate_baselines_need_a_train_share(workdir, capsys):

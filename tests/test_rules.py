@@ -23,10 +23,19 @@ GOOD = dict(kind=KIND_IT2, variable_names=("a", "b"),
     (dict(sigma_lower=np.array([[0.5, 0.0], [0.5, 0.5]])),
      "all sigmas must be positive"),
     (dict(sigma_lower=np.full((2, 2), 2.0)),
-     "sigma_lower must not exceed sigma_upper"),
+     "sigma_lower 2.0 exceeds sigma_upper 1.0"),
     (dict(kind=KIND_T1), "type-1 base requires sigma_lower == sigma_upper"),
+    # the first bad cell is named, counting rule by rule and a rule's
+    # consequent after its antecedents
+    (dict(sigma_lower=np.array([[0.5, 0.5], [2.0, 0.5]]),
+          cons_sigma_lower=[0.3, 0.1]),
+     r"^rule 1, consequent: sigma_lower 0\.3 exceeds sigma_upper 0\.2$"),
+    # every cell is checked for a positive sigma before any for the order
+    (dict(sigma_lower=np.array([[0.5, 0.5], [2.0, -1.0]])),
+     r"^rule 2, b: all sigmas must be positive, got sigma_lower -1\.0$"),
 ], ids=["shape", "no_rules", "consequent_length", "name_count", "kind",
-        "sigma_positive", "lower_above_upper", "type1_unequal"])
+        "sigma_positive", "lower_above_upper", "type1_unequal",
+        "first_bad_cell", "positive_before_order"])
 def test_rule_base_rejects_bad_parameters(change, message):
     assert RuleBase(**GOOD).n_rules == 2
     with pytest.raises(ValueError, match=message):
