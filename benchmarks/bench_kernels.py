@@ -29,11 +29,15 @@ returns it, and ``centre`` is timed on its own line: tuning calls it once
 per run, not once per epoch.  ``km_batch`` takes its firings rule-major,
 (rules, rows); the ``km_batch_col`` line times it on one column at a time,
 ``{rules}x1``, walking through --calls columns, as the inference engine
-calls it for a single-row ``predict``.  The ``predict_row`` line times
-``inference.predict``, a one-row ``predict_batch``, on the bundled model,
-one call per row of --calls rows drawn around its rules.
+calls it for a single-row ``predict``.  The ``km_batch_2col`` and
+``km_batch_32col`` lines time it on narrow blocks, ``{rules}x2`` and
+``{rules}x32``, one contiguous block of adjacent columns per call: the
+smallest widths past one column, which take the several-column path.  The
+``predict_row`` line times ``inference.predict``, a one-row
+``predict_batch``, on the bundled model, one call per row of --calls rows
+drawn around its rules.
 Every line times single calls: N = --repeats calls for the full-size
-kernels, N = --calls for the two one-column lines.  OpenBLAS runs one
+kernels, N = --calls for the one-column and narrow lines.  OpenBLAS runs one
 thread unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH``
 the best, quartile and median milliseconds of every line, with its shape,
 go to a JSON file together with the core count, the backend, the OpenBLAS
@@ -188,8 +192,14 @@ def build_cases(rows, rules, features, seed, repeats, calls):
     cases.insert(at, ("topk_select_2080", f"{len(pq)}x{PIPELINE_ROWS} k=5",
                       kernels.topk_select,
                       [(pd2.astype(np.float32), 5)] * repeats))
+    narrow = [(f"km_batch_{w}col", f"{rules}x{w}", kernels.km_batch,
+               [(np.ascontiguousarray(lo[:, j:j + w]),
+                 np.ascontiguousarray(up[:, j:j + w]), cents)
+                for j in rng.integers(0, rows - w + 1, calls)])
+              for w in (2, 32)]
     return cases + [
         ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
+        *narrow,
         ("predict_row", f"bundled {rb.n_rules}x{rb.n_features}",
          inference.predict, [(rb, x) for x in served]),
     ]
@@ -202,7 +212,7 @@ def main(argv=None):
     ap.add_argument("--features", type=int, default=27)
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--calls", type=int, default=2000,
-                    help="timed calls of the one-column lines")
+                    help="timed calls of the one-column and narrow lines")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", metavar="PATH",
                     help="also write the timings to this JSON file")

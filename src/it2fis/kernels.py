@@ -37,6 +37,10 @@ with the batch it comes in.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import inf
+from operator import add, gt, lt, mul
+
 import numpy as np
 
 # Smallest normal double.  Sub-normal firing weights are flushed to zero in
@@ -131,20 +135,25 @@ def log_firing(x, means, sigmas):
 # with lo and up swapped.  The planes are stacked (kind, side, rule,
 # column), kind 0 the weighted plane w*c and 1 the weight w, side 0 up and
 # 1 lo, so each product w*c is formed once and every prefix or suffix step
-# adds all four planes in one call.  The suffixes are summed with the sides
-# swapped, so one addition pre + suf gives num_l, den_l, num_r and den_r;
-# the prefixes are summed in place of the planes, and the ratios in place
-# of the numerators, so a call holds two arrays of the planes' size.
-# The suffixes are summed from the bottom, not as total - prefix: the
-# difference of two near-equal totals can wipe out a small suffix entirely
-# (a lone 1e-9 weight against O(1) ones), pushing the candidate ratio
-# outside the centroid hull.  Every sum runs rule by rule in the order of
-# np.cumsum, so each element sees the same additions whichever way the
-# steps are batched: a few columns take one accumulate along the rules (a
-# length-n_rules inner loop per column, cheap when the columns are few);
-# more take one row addition per rule.  Wide inputs go in equal blocks of
-# at most _KM_BLOCK_CELLS // (n_rules + 1) columns, so that a block's
-# planes and sums stay in cache.
+# adds all four planes in one row addition per rule.  The suffixes are
+# summed with the sides swapped, so one addition pre + suf gives num_l,
+# den_l, num_r and den_r; the prefixes are summed in place of the planes,
+# and the ratios in place of the numerators, so a call holds two arrays of
+# the planes' size.  The suffixes are summed from the bottom, not as total
+# - prefix: the difference of two near-equal totals can wipe out a small
+# suffix entirely (a lone 1e-9 weight against O(1) ones), pushing the
+# candidate ratio outside the centroid hull.  Every sum runs rule by rule
+# in the order of np.cumsum.  Wide inputs go in equal blocks of at most
+# _KM_BLOCK_CELLS // (n_rules + 1) columns, so that a block's planes and
+# sums stay in cache.
+#
+# One column, a single-row predict's, is reduced in Python floats by
+# _km_column instead: at 5 to 10 cells per plane the stacked path's ~25
+# numpy calls cost their per-call overhead and little else.  It takes the
+# same IEEE additions, products and quotients in the same order (a sum
+# starts from its first term, pre[0] and suf[n_rules] are 0.0 added to the
+# other side's sum), and Python floats round them as numpy does, so every
+# bit equals the stacked path's on the same column.
 #
 # The left and right ratios of a collapsed interval (every firing rule at
 # one centroid) are sums over different splits and may round one ulp
@@ -152,12 +161,14 @@ def log_firing(x, means, sigmas):
 # An uncovered column (no positive weight) keeps y_l = inf, y_r = -inf.
 
 _KM_BLOCK_CELLS = 32768  # (rules + 1) x columns of one block's sums
-_KM_ACCUMULATE = 32  # at most this many columns take the accumulate path
 _KM_EMPTY = np.array([np.inf, -np.inf])[:, None, None]  # ratios at den = 0
 
 
 def km_batch(lo, up, cents):
     d, n = lo.shape
+    if n == 1:
+        return _km_column(lo[:, 0].tolist(), up[:, 0].tolist(),
+                          cents.tolist())
     blocks = -(-n // max(1, _KM_BLOCK_CELLS // (d + 1)))
     if blocks <= 1:
         return _km_columns(lo, up, cents)
@@ -183,16 +194,11 @@ def _km_columns(lo, up, cents):
     sums = np.empty((2, 2, d + 1, n))
     sums[:, :, d] = 0.0
     swapped = planes[:, ::-1]
-    if n <= _KM_ACCUMULATE:
-        np.add.accumulate(swapped[:, :, ::-1], axis=2,
-                          out=sums[:, :, d - 1::-1])
-        np.add.accumulate(planes, axis=2, out=planes)
-    else:
-        sums[:, :, d - 1] = swapped[:, :, d - 1]
-        for k in range(d - 2, -1, -1):
-            np.add(sums[:, :, k + 1], swapped[:, :, k], out=sums[:, :, k])
-        for k in range(1, d):
-            np.add(planes[:, :, k - 1], planes[:, :, k], out=planes[:, :, k])
+    sums[:, :, d - 1] = swapped[:, :, d - 1]
+    for k in range(d - 2, -1, -1):
+        np.add(sums[:, :, k + 1], swapped[:, :, k], out=sums[:, :, k])
+    for k in range(1, d):
+        np.add(planes[:, :, k - 1], planes[:, :, k], out=planes[:, :, k])
     np.add(sums[:, :, 0], 0.0, out=sums[:, :, 0])  # pre[0] = 0 (-0.0 -> 0.0)
     np.add(sums[:, :, 1:], planes, out=sums[:, :, 1:])
     num, den = sums
@@ -210,6 +216,54 @@ def _km_columns(lo, up, cents):
         flip &= yr > -np.inf  # an uncovered column keeps (inf, -inf)
         yl[flip], yr[flip] = yr[flip], yl[flip]
     return yl, yr, kl, kr
+
+
+def _km_column(lo, up, cents):
+    """_km_columns on one column given as lists of floats, bit for bit."""
+    up = [0.0 if w < TINY else w for w in up]
+    lo = [0.0 if w < TINY else w for w in lo]
+    upc, loc = list(map(mul, up, cents)), list(map(mul, lo, cents))
+    rl = _ratios(_suffix(loc), _prefix(upc), _suffix(lo), _prefix(up), inf)
+    rr = _ratios(_suffix(upc), _prefix(loc), _suffix(up), _prefix(lo), -inf)
+    kl, kr = _first_extreme(rl, lt), _first_extreme(rr, gt)
+    yl, yr = rl[kl], rr[kr]
+    if yl > yr > -inf:  # an uncovered column keeps (inf, -inf)
+        yl, yr = yr, yl
+    return (np.array((yl,)), np.array((yr,)), np.array((kl,), dtype=np.int64),
+            np.array((kr,), dtype=np.int64))
+
+
+def _prefix(a):
+    """pre[k] = a[:k].sum(), k = 0..len(a), summed as np.cumsum sums."""
+    return [0.0, *accumulate(a)]
+
+
+def _suffix(a):
+    """suf[k] = a[k:].sum(), k = 0..len(a), summed from the bottom."""
+    suf = [*accumulate(reversed(a))]
+    suf.reverse()
+    suf.append(0.0)
+    return suf
+
+
+def _ratios(suf_num, pre_num, suf_den, pre_den, empty):
+    """(suf_num + pre_num) / (suf_den + pre_den) per split; `empty` where
+    the denominator is not positive (or is NaN)."""
+    return [num / den if den > 0.0 else empty
+            for num, den in zip(map(add, suf_num, pre_num),
+                                map(add, suf_den, pre_den))]
+
+
+def _first_extreme(r, better):
+    """numpy's argmin (better=lt) or argmax (gt) of r: the first extreme
+    value, or the first NaN."""
+    k, best = 0, r[0]
+    for i, x in enumerate(r):
+        if x != x:
+            return i
+        if better(x, best):
+            k, best = i, x
+    return k
 
 
 # it2_epoch's own reference: a wrapper put on the public name (the

@@ -40,9 +40,9 @@ class RuleBase:
     def __post_init__(self):
         shape = None  # (rules, features), from the first array
         for name, ndim in _PARAMS:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr = np.ascontiguousarray(
-                np.atleast_2d(arr) if ndim == 2 else arr.ravel())
+            # a copy: the caller's array stays writeable once this is frozen
+            arr = np.array(getattr(self, name), dtype=float, order="C")
+            arr = np.atleast_2d(arr) if ndim == 2 else arr.ravel()
             if shape is None:
                 shape = arr.shape
                 if min(shape) < 1:

@@ -29,7 +29,8 @@ PERFBENCH = ROOT / "perfbench"
 KERNEL_LINES = ("sq_distances", "fcm_memberships", "fcm", "log_firing",
                 "km_batch", "centre", "t1_epoch", "it2_epoch", "topk_select",
                 "topk_select_2080", "knn_chunk_exact", "knn_chunk_f64",
-                "km_batch_col", "predict_row")
+                "km_batch_col", "km_batch_2col", "km_batch_32col",
+                "predict_row")
 
 
 def _perfbench_module(name):

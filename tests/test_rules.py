@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from it2fis.rules import KIND_IT2, KIND_T1, RuleBase
+from it2fis.rules import KIND_IT2, KIND_T1, RuleBase, t1_rule_base
 
 # a valid two-rule, two-feature type-2 base; each case below breaks one field
 GOOD = dict(kind=KIND_IT2, variable_names=("a", "b"),
@@ -53,3 +53,19 @@ def test_rule_base_rejects_non_finite_parameters(name, value):
     arr.flat[-1] = value
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         RuleBase(**{**GOOD, name: arr})
+
+
+def test_rule_base_freezes_copies_not_the_callers_arrays():
+    # C-contiguous float arrays, which a base could take without a copy
+    given = {name: np.array(GOOD[name], dtype=float) for name in
+             ("means", "sigma_lower", "sigma_upper", "cons_mean",
+              "cons_sigma_lower", "cons_sigma_upper")}
+    rb = RuleBase(**{**GOOD, **given})
+    m, s = np.zeros((2, 2)), np.ones((2, 2))
+    t1 = t1_rule_base(m, s, [1.0, 2.0], [0.1, 0.1])
+    for base, arrays in ((rb, given), (t1, {"means": m, "sigma_lower": s})):
+        for name, arr in arrays.items():
+            assert arr.flags.writeable, name
+            assert not getattr(base, name).flags.writeable, name
+            arr += 1.0  # the caller's edit leaves the base as it was
+            assert not np.array_equal(getattr(base, name), arr), name
