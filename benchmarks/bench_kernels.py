@@ -41,7 +41,7 @@ kernels, N = --calls for the one-column and narrow lines.  OpenBLAS runs one
 thread unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH``
 the best, quartile and median milliseconds of every line, with its shape,
 go to a JSON file together with the core count, the backend, the OpenBLAS
-thread count and the git SHA.
+thread count and the git SHA with whether `src/` differs from it.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
     python3 benchmarks/bench_kernels.py --rows 6222 --rules 3 --features 34
@@ -59,7 +59,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from bench_scan import git_sha
+from bench_predict import ROOT, git_state
 from it2fis import clustering, evaluation, inference, kernels, \
     load_bundled_model
 from it2fis.evaluation import knn_block_rows
@@ -252,8 +252,8 @@ def main(argv=None):
             "cores": len(os.sched_getaffinity(0)),
             "backend": kernels.backend(),
             "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
-            "git_sha": git_sha(),
         }
+        result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(result, f, indent=2)
             f.write("\n")

@@ -9,9 +9,9 @@ may use, and once after pinning this process to a single CPU with
 `os.sched_setaffinity` (Linux only), which keeps KNN in-process.  The two
 label lists must be equal.  Every time, the best and the spread of each
 side, the pair count, the block rows, the worker count, the core count,
-the kernel backend, the OpenBLAS thread count and the git SHA go to
-`BENCH_knn.json`.  OpenBLAS runs one thread unless `OPENBLAS_NUM_THREADS`
-says otherwise.
+the kernel backend, the OpenBLAS thread count and the git SHA with whether
+`src/` differs from it go to `BENCH_knn.json`.  OpenBLAS runs one thread
+unless `OPENBLAS_NUM_THREADS` says otherwise.
 
     PYTHONPATH=src python3 benchmarks/bench_knn.py --repeats 3
     PYTHONPATH=src python3 benchmarks/bench_knn.py --test-rows 6000
@@ -21,7 +21,6 @@ import argparse
 import inspect
 import json
 import os
-import pathlib
 import sys
 import tempfile
 import time
@@ -29,14 +28,13 @@ import time
 # one BLAS thread per process, as in perfbench and bench_scan
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from bench_scan import git_sha
+from bench_predict import ROOT, git_state
 from it2fis import config as cfgmod, kernels, parallel
 from it2fis.evaluation import (KNN_FORK_PAIRS, baseline_knn, knn_block_rows,
                                split, take)
 from it2fis.preprocess import load_csv, preprocess
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
-                       / "perfbench"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 import synth_covid  # noqa: E402
 
 
@@ -113,8 +111,8 @@ def main(argv=None):
         "labels_equal": True,
         "backend": kernels.backend(),
         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "git_sha": git_sha(),
     }
+    result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
     print(f"knn {train.n_rows} train x {test.n_rows} test x "
           f"{train.features.shape[1]} features, k={k}: {pairs} pairs, "
           f"{blocks} blocks of {rows}+ rows")

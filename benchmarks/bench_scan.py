@@ -9,10 +9,13 @@ times `select_cluster_count` with the default grid (c = 2..10, at most 5
 seeds per count) twice per repeat: once on every CPU the process may use,
 and once after pinning this process to a single CPU with
 `os.sched_setaffinity` (Linux only), which makes the scan run in-process.
-The two `ValidityScan`s must be equal, run records included.
+The two `ValidityScan`s must be equal, run records included.  The scan
+forks only beyond `clustering.SCAN_FORK_WORK`; `--fork-work N` sets that
+threshold for the run, and `--fork-work 0` times the pool at any size.
 Best-of-N seconds, the CPU count, the kernel backend, the workers' peak RSS
-and the git SHA go to `BENCH_scan.json`.  OpenBLAS runs one thread unless
-`OPENBLAS_NUM_THREADS` says otherwise.
+and the git SHA with whether `src/` differs from it go to
+`BENCH_scan.json`.  OpenBLAS runs one thread unless `OPENBLAS_NUM_THREADS`
+says otherwise.
 
     PYTHONPATH=src python3 benchmarks/bench_scan.py --repeats 3
 """
@@ -21,7 +24,6 @@ import argparse
 import json
 import os
 import resource
-import subprocess
 import time
 
 # one BLAS thread per process, as in perfbench: the workers already use
@@ -30,7 +32,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from it2fis import kernels
+from bench_predict import ROOT, git_state
+from it2fis import clustering, kernels
 from it2fis.clustering import select_cluster_count
 
 
@@ -54,16 +57,6 @@ def timed_scan(X, cpus, c_max, seeds):
     return time.perf_counter() - t0, scan
 
 
-def git_sha():
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=10,
-                             cwd=os.path.dirname(os.path.abspath(__file__)))
-        return out.stdout.strip() or None
-    except OSError:
-        return None
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, default=2080)
@@ -71,8 +64,11 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--fork-work", type=int,
+                    default=clustering.SCAN_FORK_WORK)
     ap.add_argument("--out", default="BENCH_scan.json")
     args = ap.parse_args(argv)
+    clustering.SCAN_FORK_WORK = args.fork_work
 
     X = joint_matrix(args.rows, args.seed)
     seeds = tuple(range(args.seeds))
@@ -110,8 +106,8 @@ def main(argv=None):
         "workers_max_rss_mb": children,
         "backend": kernels.backend(),
         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "git_sha": git_sha(),
     }
+    result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
     print(f"scan {X.shape[0]}x{X.shape[1]}, {result['runs']} runs, "
           f"{result['fcm_iters']} iterations, c={pooled.selected}")
     print(f"all {len(all_cpus)} CPUs ({pooled.workers} workers): "

@@ -8,26 +8,50 @@ failures name the stage they happened in (e.g. "[load_csv] cannot read ...").
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import hashlib
 import os
 import sys
 from contextlib import closing, contextmanager
 
 import numpy as np
 
-from . import config as cfgmod
-from .clustering import select_cluster_count
 from .errors import DataError, It2fisError, ModelError
-from .evaluation import (baseline_knn, baseline_nb, calibrate_threshold,
-                         compute_metrics, split, take)
-from .inference import predict_batch
-from .learning import (encode_labels, extract_rules, tune_it2, tune_t1,
-                       widen_to_it2)
-from .model_io import load_model, save_model
-from .preprocess import (csv_blocks, feature_matrix, load_csv, preprocess,
-                         save_dataset)
+
+
+def __getattr__(name):
+    """The stage function `name`, its module imported on first use (PEP 562).
+
+    A command imports only the stages it runs: `inspect-model` loads no
+    training code.  The function is kept as a global of this module, so the
+    commands call whatever `cli.<name>` is bound to when they run, and a
+    caller may rebind it (the tests and perfbench's tracer do).
+    """
+    if name in ("csv_blocks", "feature_matrix", "load_csv", "preprocess",
+                "save_dataset"):
+        from . import preprocess as module
+    elif name == "select_cluster_count":
+        from . import clustering as module
+    elif name in ("encode_labels", "extract_rules", "tune_it2", "tune_t1",
+                  "widen_to_it2"):
+        from . import learning as module
+    elif name == "predict_batch":
+        from . import inference as module
+    elif name in ("baseline_knn", "baseline_nb", "calibrate_threshold",
+                  "compute_metrics", "split", "take"):
+        from . import evaluation as module
+    elif name in ("load_model", "save_model"):
+        from . import model_io as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _stages(*names):
+    """Bind each stage name a command calls that is not bound yet."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,15 +88,18 @@ def _check_features(model, names):
                 f"{want!r}, data has {got!r}")
 
 
-def _load_config(args) -> cfgmod.Config:
-    """The config file overridden by every flag whose dest is a config key
-    (None, a flag not given, overrides nothing)."""
+def _load_config(args):
+    """The `config.Config` of the config file overridden by every flag whose
+    dest is a config key (None, a flag not given, overrides nothing)."""
+    from . import config as cfgmod
+
     overrides = {k: v for k, v in vars(args).items() if k in cfgmod.DEFAULTS}
     return cfgmod.load_config(args.config, overrides)
 
 
 def _load_dataset(path, prep):
     """load_csv then preprocess, each under its own stage name."""
+    _stages("load_csv", "preprocess")
     with _stage("load_csv"):
         table = load_csv(path)
     with _stage("preprocess"):
@@ -80,6 +107,8 @@ def _load_dataset(path, prep):
 
 
 def _file_sha1(path) -> str:
+    import hashlib
+
     h = hashlib.sha1()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -170,6 +199,9 @@ def build_parser() -> _Parser:
 
 
 def cmd_preprocess(args) -> int:
+    from . import config as cfgmod
+
+    _stages("save_dataset")
     with _stage("load_config"):
         cfg = _load_config(args)
         prep = cfgmod.preprocess_config(cfg)
@@ -183,6 +215,11 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import config as cfgmod
+
+    _stages("split", "take", "encode_labels", "select_cluster_count",
+            "extract_rules", "tune_t1", "widen_to_it2", "tune_it2",
+            "predict_batch", "calibrate_threshold", "save_model")
     seed = args.seed
     with _stage("load_config"):
         cfg = _load_config(args)
@@ -258,6 +295,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    import csv
+
+    _stages("load_model", "csv_blocks", "feature_matrix", "predict_batch")
     with _stage("load_model"):
         model = load_model(args.model)
     # one block of raw cells at a time: only the scores of the blocks read
@@ -296,6 +336,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import config as cfgmod
+
+    _stages("load_model", "split", "take", "predict_batch", "compute_metrics",
+            "baseline_nb", "baseline_knn")
     with _stage("load_config"):
         cfg = _load_config(args)
         cfgmod.check_ranges(cfg, "train_ratio")
@@ -345,6 +389,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _stages("load_model")
     with _stage("load_model"):
         model = load_model(args.model)
     print(f"kind: {model.kind}")

@@ -350,6 +350,17 @@ AGREE_RTOL = 1e-6
 # instead of 18, because settled seeds no longer agreed.
 SETTLE_RTOL = AGREE_RTOL / 100
 
+# The scan forks over every CPU (`parallel.fork_map`) only beyond this much
+# work: data cells x the sum of the candidate counts x the seeds, the cells
+# one membership evaluation of every run the scan may make touches.  A fork
+# pool's round trip costs about 9 ms on a 2-vCPU host.  There,
+# `benchmarks/bench_scan.py --fork-work 0` on 2,080 x 35 joint rows gave
+# forked / in-process best-of-7 times of 12 / 6 ms at 350,000 (c_max 3, one
+# seed), 18 / 16 ms at 1.31M (c_max 4, two seeds), 24 / 27 ms at 2.04M
+# (c_max 5, two seeds) and 92 / 150 ms at 19.7M (the default c_max 10 and
+# five seeds): forking starts to pay between 1.31M and 2.04M.
+SCAN_FORK_WORK = 1_500_000
+
 
 def _scan_count(X, m, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
@@ -390,11 +401,11 @@ def select_cluster_count(X, c_max=10, m=2.0,
     least two unless only one seed is given.  Ties on the index go to the
     smallest count.
 
-    The counts are independent, so they are spread over one forked worker
-    per CPU the process may use (`taskset` limits that set); with one CPU,
-    one count, other threads running or no `fork` start method they run
-    in-process.  Every run is seeded on its own, so the result is the same
-    either way.
+    The counts are independent, so beyond ``SCAN_FORK_WORK`` they are
+    spread over one forked worker per CPU the process may use (`taskset`
+    limits that set); with less work, one CPU, one count, other threads
+    running or no `fork` start method they run in-process.  Every run is
+    seeded on its own, so the result is the same either way.
     """
     X = _as_data(X)
     if c_max < 2:
@@ -409,7 +420,8 @@ def select_cluster_count(X, c_max=10, m=2.0,
     # largest counts run longest, so they start first and no worker is left
     # with a long run at the end
     tasks = candidates[::-1]
-    workers = parallel.workers(len(tasks))
+    work = X.size * sum(candidates) * len(seeds)
+    workers = parallel.workers(len(tasks)) if work > SCAN_FORK_WORK else 1
     results = parallel.fork_map(_scan_count, (X, m, seeds), tasks, workers)
     done = dict(zip(tasks, results))
 

@@ -130,3 +130,16 @@ def test_bench_predict_runs(tmp_path):
     result = json.loads(out.read_text(encoding="utf-8"))["change"]
     assert [s["rows"] for s in result["sizes"]] == [300]
     assert result["sizes"][0]["peak_rss_mb"][0] > 0
+
+
+def test_bench_startup_runs(tmp_path):
+    out = tmp_path / "startup.json"
+    run = _run_benchmark("bench_startup.py", "--runs", "1", "--rows", "20",
+                         "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))["change"]
+    commands = result["commands"]
+    assert set(commands) == {"inspect-model", "predict"}
+    assert all(c["min_s"] > 0 for c in commands.values())
+    assert "it2fis.model_io" in commands["inspect-model"]["modules"]
+    assert "it2fis.inference" in commands["predict"]["modules"]

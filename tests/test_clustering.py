@@ -555,7 +555,31 @@ needs_fork = pytest.mark.skipif(
     reason="the worker pool needs the fork start method")
 
 
+@pytest.fixture
+def pool_any_size(monkeypatch):
+    # the scans below are far under SCAN_FORK_WORK; with no threshold they
+    # still reach the pool
+    monkeypatch.setattr(clustering, "SCAN_FORK_WORK", 0)
+
+
 @needs_fork
+def test_select_cluster_count_forks_only_beyond_the_work_threshold(
+        monkeypatch):
+    # perfbench's train_large scan (2,000 x 35, counts 2-3, one seed) stays
+    # in-process; its pipeline scan (2,080 x 35, counts 2-10, five seeds)
+    # forks
+    assert 2000 * 35 * 5 * 1 <= clustering.SCAN_FORK_WORK < 2080 * 35 * 54 * 5
+    _affinity(monkeypatch, 2)
+    X = np.random.default_rng(0).random((40, 2))
+    work = X.size * (2 + 3) * 2  # counts 2 and 3, two seeds
+    monkeypatch.setattr(clustering, "SCAN_FORK_WORK", work)
+    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 1
+    monkeypatch.setattr(clustering, "SCAN_FORK_WORK", work - 1)
+    assert select_cluster_count(X, c_max=3, seeds=(0, 1)).workers == 2
+
+
+@needs_fork
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_pool_equals_in_process(monkeypatch):
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(0, 1, (30, 2)), rng.normal(4, 1, (30, 2))])
@@ -577,6 +601,7 @@ def test_select_cluster_count_pool_equals_in_process(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_digest_forked_and_in_process(monkeypatch):
     # the scan reaches the pool through parallel.fork_map: one CPU keeps it
     # in-process, two fork it, and both give the pinned runs
@@ -670,6 +695,7 @@ def test_select_cluster_count_one_seed_runs_once_per_count(monkeypatch):
     assert scan.best_seeds == (3, 3)
 
 
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_stays_in_process_beside_threads(monkeypatch):
     # fork copies only the calling thread, so another thread's locks would
     # stay held in the workers
@@ -711,6 +737,7 @@ def test_select_cluster_count_concurrent_threads_keep_their_data():
 
 
 @needs_fork
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_without_affinity_counts_cpus(monkeypatch):
     monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
@@ -721,6 +748,7 @@ def test_select_cluster_count_without_affinity_counts_cpus(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_worker_error_reaches_caller(monkeypatch):
     real_fcm = clustering.fcm
 
@@ -738,6 +766,7 @@ def test_select_cluster_count_worker_error_reaches_caller(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.usefixtures("pool_any_size")
 def test_select_cluster_count_killed_worker_raises(monkeypatch):
     monkeypatch.setattr(clustering, "fcm", lambda *a, **kw: os._exit(3))
     _affinity(monkeypatch, 2)
