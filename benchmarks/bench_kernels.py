@@ -40,8 +40,7 @@ Every line times single calls: N = --repeats calls for the full-size
 kernels, N = --calls for the one-column and narrow lines.  OpenBLAS runs one
 thread unless OPENBLAS_NUM_THREADS says otherwise.  With ``--json PATH``
 the best, quartile and median milliseconds of every line, with its shape,
-go to a JSON file together with the core count, the backend, the OpenBLAS
-thread count and the git SHA with whether `src/` differs from it.
+go to a JSON file together with the environment block of `benchlib`.
 
     python3 benchmarks/bench_kernels.py --rows 20000 --repeats 7
     python3 benchmarks/bench_kernels.py --rows 6222 --rules 3 --features 34
@@ -50,16 +49,10 @@ thread count and the git SHA with whether `src/` differs from it.
 """
 
 import argparse
-import json
-import os
 import time
 
-# one BLAS thread, as in perfbench and bench_scan
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
+from benchlib import write_result
 import numpy as np
-
-from bench_predict import ROOT, git_state
 from it2fis import clustering, evaluation, inference, kernels, \
     load_bundled_model
 from it2fis.evaluation import knn_block_rows
@@ -249,14 +242,8 @@ def main(argv=None):
             "calls": args.calls,
             "seed": args.seed,
             "kernels": timings,
-            "cores": len(os.sched_getaffinity(0)),
-            "backend": kernels.backend(),
-            "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
         }
-        result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(result, f, indent=2)
-            f.write("\n")
+        write_result(args.json, result)
     return 0
 
 

@@ -8,34 +8,25 @@ then times `evaluation.baseline_knn` on the first --test-rows test rows
 may use, and once after pinning this process to a single CPU with
 `os.sched_setaffinity` (Linux only), which keeps KNN in-process.  The two
 label lists must be equal.  Every time, the best and the spread of each
-side, the pair count, the block rows, the worker count, the core count,
-the kernel backend, the OpenBLAS thread count and the git SHA with whether
-`src/` differs from it go to `BENCH_knn.json`.  OpenBLAS runs one thread
+side, the pair count, the block rows, the worker count and the environment
+block of `benchlib` go to `BENCH_knn.json`.  OpenBLAS runs one thread
 unless `OPENBLAS_NUM_THREADS` says otherwise.
 
-    PYTHONPATH=src python3 benchmarks/bench_knn.py --repeats 3
-    PYTHONPATH=src python3 benchmarks/bench_knn.py --test-rows 6000
+    python3 benchmarks/bench_knn.py --repeats 3
+    python3 benchmarks/bench_knn.py --test-rows 6000
 """
 
 import argparse
 import inspect
-import json
 import os
-import sys
 import tempfile
-import time
 
-# one BLAS thread per process, as in perfbench and bench_scan
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from bench_predict import ROOT, git_state
-from it2fis import config as cfgmod, kernels, parallel
+from benchlib import all_cpus_and_one, write_result
+import synth_covid
+from it2fis import config as cfgmod, parallel
 from it2fis.evaluation import (KNN_FORK_PAIRS, baseline_knn, knn_block_rows,
                                split, take)
 from it2fis.preprocess import load_csv, preprocess
-
-sys.path.insert(0, str(ROOT / "perfbench"))
-import synth_covid  # noqa: E402
 
 
 def knn_split(raw_rows, seed, test_rows):
@@ -49,13 +40,6 @@ def knn_split(raw_rows, seed, test_rows):
     sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
     return (take(ds, sp.train_indices),
             take(ds, sp.test_indices[:test_rows]))
-
-
-def timed_knn(train, test, cpus):
-    os.sched_setaffinity(0, cpus)
-    t0 = time.perf_counter()
-    labels = baseline_knn(train, test)
-    return time.perf_counter() - t0, labels
 
 
 def main(argv=None):
@@ -74,20 +58,9 @@ def main(argv=None):
     pairs = train.n_rows * test.n_rows
     rows = knn_block_rows(train.n_rows)
     blocks = max(1, test.n_rows // rows)
-    all_cpus = os.sched_getaffinity(0)
-    one_cpu = {min(all_cpus)}
     workers = parallel.workers(blocks) if pairs > KNN_FORK_PAIRS else 1
-    pooled_s, serial_s = [], []
-    try:
-        for _ in range(args.repeats):
-            t, pooled = timed_knn(train, test, all_cpus)
-            pooled_s.append(t)
-            t, serial = timed_knn(train, test, one_cpu)
-            serial_s.append(t)
-            if pooled != serial:
-                raise SystemExit("KNN on all CPUs differs from one CPU")
-    finally:
-        os.sched_setaffinity(0, all_cpus)
+    pooled_s, serial_s, _ = all_cpus_and_one(
+        lambda: baseline_knn(train, test), args.repeats, "KNN")
 
     result = {
         "benchmark": "baseline_knn",
@@ -101,7 +74,6 @@ def main(argv=None):
         "block_rows": rows,
         "blocks": blocks,
         "repeats": args.repeats,
-        "cores": len(all_cpus),
         "workers": workers,
         "all_cpus_s": sorted(pooled_s),
         "one_cpu_s": sorted(serial_s),
@@ -109,19 +81,14 @@ def main(argv=None):
         "one_cpu_best_s": min(serial_s),
         "speedup": min(serial_s) / min(pooled_s),
         "labels_equal": True,
-        "backend": kernels.backend(),
-        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
     }
-    result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
     print(f"knn {train.n_rows} train x {test.n_rows} test x "
           f"{train.features.shape[1]} features, k={k}: {pairs} pairs, "
           f"{blocks} blocks of {rows}+ rows")
-    print(f"all {len(all_cpus)} CPUs ({workers} workers): "
+    print(f"all {len(os.sched_getaffinity(0))} CPUs ({workers} workers): "
           f"{result['all_cpus_best_s']:.3f} s; one CPU: "
           f"{result['one_cpu_best_s']:.3f} s ({result['speedup']:.2f}x)")
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(result, f, indent=2)
-        f.write("\n")
+    write_result(args.out, result)
     return 0
 
 

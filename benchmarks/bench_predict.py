@@ -7,15 +7,13 @@ means suggest, as in perfbench's `pipeline` workload), then runs
 once `python -m it2fis inspect-model`, whose peak RSS is the interpreter
 with the package and the model loaded: the part of predict's RSS that does
 not depend on the input.  The wall time and peak RSS of each run (from the
-rusage `os.wait4` returns for it), the SHA-256 of each predict output, the core
-count, the kernel backend, the OpenBLAS thread count, and the git SHA of
-the source tree with whether its files differ from that commit go to --out
-under the key --label, next to what other labels already hold there, so
-one file can compare two source trees:
+rusage `os.wait4` returns for it), the SHA-256 of each predict output and
+the environment block of `benchlib` (with the git state of --src) go to
+--out under the key --label, next to what other labels already hold there,
+so one file can compare two source trees:
 
-    PYTHONPATH=src python3 benchmarks/bench_predict.py --label change
-    PYTHONPATH=src python3 benchmarks/bench_predict.py \
-        --src ../parent/src --label parent
+    python3 benchmarks/bench_predict.py --label change
+    python3 benchmarks/bench_predict.py --src ../parent/src --label parent
 
 `--src` is the source tree the child processes import (default: this
 checkout's `src/`).
@@ -23,26 +21,15 @@ checkout's `src/`).
 
 import argparse
 import hashlib
-import json
 import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
-# one BLAS thread per process, as in perfbench and the other scripts
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
-from it2fis import kernels
+from benchlib import SRC, write_result, write_serving_features
 from it2fis.model_io import load_bundled_model
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-import synth_covid  # noqa: E402
 
 
 # A child's ru_maxrss starts from the RSS of the process that spawned it
@@ -72,21 +59,6 @@ def run(argv, src):
     return float(out[1]), int(out[2]) / 1024  # ru_maxrss is in KiB on Linux
 
 
-def git_state(src):
-    """(commit SHA, whether the files under src differ from it) of the
-    checkout holding src; (None, None) outside one."""
-    def git(*argv):
-        try:
-            return subprocess.run(["git", *argv], capture_output=True,
-                                  text=True, timeout=10, cwd=src).stdout
-        except OSError:
-            return ""
-    sha = git("rev-parse", "HEAD").strip()
-    if not sha:
-        return None, None
-    return sha, bool(git("status", "--porcelain", "--", "."))
-
-
 def sha256(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -98,23 +70,20 @@ def main(argv=None):
                     default=[16000, 64000, 128000])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--src", default=str(SRC))
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default="BENCH_predict.json")
     args = ap.parse_args(argv)
     src = pathlib.Path(args.src).resolve()
     model = src / "it2fis" / "icu_admission.model"
 
-    rb = load_bundled_model()
-    share = np.clip(rb.means[:, 1:].mean(axis=0) - 1.0, 0.01, 0.99)
     sizes = []
     with tempfile.TemporaryDirectory() as tmp:
         _, base_mb = run(["inspect-model", str(model)], src)
         for rows in args.rows:
             features = os.path.join(tmp, f"features{rows}.csv")
             out = os.path.join(tmp, "pred.csv")
-            synth_covid.write_csv(features, synth_covid.serving_features(
-                rows, args.seed, share))
+            write_serving_features(features, rows, args.seed)
             walls, rss = [], []
             for _ in range(args.repeats):
                 wall, mb = run(["predict", str(model), features, "-o", out],
@@ -138,24 +107,13 @@ def main(argv=None):
     result = {
         "benchmark": "predict",
         "model": "bundled",
-        "features": rb.n_features,
+        "features": load_bundled_model().n_features,
         "seed": args.seed,
         "repeats": args.repeats,
         "inspect_model_rss_mb": base_mb,
         "sizes": sizes,
-        "cores": len(os.sched_getaffinity(0)),
-        "backend": kernels.backend(),
-        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
     }
-    result["git_sha"], result["src_modified"] = git_state(src)
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as f:
-            doc = json.load(f)
-    doc[args.label] = result
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_result(args.out, result, src, args.label)
     return 0
 
 

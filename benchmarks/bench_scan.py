@@ -12,28 +12,20 @@ and once after pinning this process to a single CPU with
 The two `ValidityScan`s must be equal, run records included.  The scan
 forks only beyond `clustering.SCAN_FORK_WORK`; `--fork-work N` sets that
 threshold for the run, and `--fork-work 0` times the pool at any size.
-Best-of-N seconds, the CPU count, the kernel backend, the workers' peak RSS
-and the git SHA with whether `src/` differs from it go to
-`BENCH_scan.json`.  OpenBLAS runs one thread unless `OPENBLAS_NUM_THREADS`
-says otherwise.
+Best-of-N seconds, the workers' peak RSS and the environment block of
+`benchlib` go to `BENCH_scan.json`.  OpenBLAS runs one thread unless
+`OPENBLAS_NUM_THREADS` says otherwise.
 
-    PYTHONPATH=src python3 benchmarks/bench_scan.py --repeats 3
+    python3 benchmarks/bench_scan.py --repeats 3
 """
 
 import argparse
-import json
 import os
 import resource
-import time
 
-# one BLAS thread per process, as in perfbench: the workers already use
-# every CPU, and the pinned run must not gain a second BLAS thread
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
+from benchlib import all_cpus_and_one, write_result
 import numpy as np
-
-from bench_predict import ROOT, git_state
-from it2fis import clustering, kernels
+from it2fis import clustering
 from it2fis.clustering import select_cluster_count
 
 
@@ -48,13 +40,6 @@ def joint_matrix(rows, seed):
     risk = 0.06 * (age - 50) + 0.4 * (flags[:, :6] == 1).sum(axis=1) - 2.5
     label = np.where(rng.random(rows) < 1 / (1 + np.exp(-risk)), 1.0, 2.0)
     return np.column_stack([age, flags, sentinels, label])
-
-
-def timed_scan(X, cpus, c_max, seeds):
-    os.sched_setaffinity(0, cpus)
-    t0 = time.perf_counter()
-    scan = select_cluster_count(X, c_max=c_max, seeds=seeds)
-    return time.perf_counter() - t0, scan
 
 
 def main(argv=None):
@@ -72,19 +57,11 @@ def main(argv=None):
 
     X = joint_matrix(args.rows, args.seed)
     seeds = tuple(range(args.seeds))
-    all_cpus = os.sched_getaffinity(0)
-    one_cpu = {min(all_cpus)}
-    pooled_s, serial_s = [], []
-    try:
-        for _ in range(args.repeats):
-            t, pooled = timed_scan(X, all_cpus, args.c_max, seeds)
-            pooled_s.append(t)
-            t, serial = timed_scan(X, one_cpu, args.c_max, seeds)
-            serial_s.append(t)
-            if pooled != serial:
-                raise SystemExit("scan on all CPUs differs from one CPU")
-    finally:
-        os.sched_setaffinity(0, all_cpus)
+    # pooled is the all-CPUs scan: ValidityScan equality ignores its
+    # worker count, so the pinned one would record workers = 1
+    pooled_s, serial_s, pooled = all_cpus_and_one(
+        lambda: select_cluster_count(X, c_max=args.c_max, seeds=seeds),
+        args.repeats, "scan")
 
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     result = {
@@ -96,7 +73,6 @@ def main(argv=None):
         "fcm_iters": sum(r[2] for r in pooled.runs),
         "selected": pooled.selected,
         "repeats": args.repeats,
-        "cores": len(all_cpus),
         "workers": pooled.workers,
         "all_cpus_s": min(pooled_s),
         "one_cpu_s": min(serial_s),
@@ -104,18 +80,13 @@ def main(argv=None):
         "parent_max_rss_mb":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "workers_max_rss_mb": children,
-        "backend": kernels.backend(),
-        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
     }
-    result["git_sha"], result["src_modified"] = git_state(ROOT / "src")
     print(f"scan {X.shape[0]}x{X.shape[1]}, {result['runs']} runs, "
           f"{result['fcm_iters']} iterations, c={pooled.selected}")
-    print(f"all {len(all_cpus)} CPUs ({pooled.workers} workers): "
-          f"{result['all_cpus_s']:.3f} s; one CPU: {result['one_cpu_s']:.3f} s "
-          f"({result['speedup']:.2f}x)")
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(result, f, indent=2)
-        f.write("\n")
+    print(f"all {len(os.sched_getaffinity(0))} CPUs "
+          f"({pooled.workers} workers): {result['all_cpus_s']:.3f} s; "
+          f"one CPU: {result['one_cpu_s']:.3f} s ({result['speedup']:.2f}x)")
+    write_result(args.out, result)
     return 0
 
 

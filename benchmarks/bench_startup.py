@@ -6,40 +6,28 @@ perfbench's `synth_covid.serving_features`, as `bench_predict.py` writes
 them), --runs times each, the two commands alternating, each in a fresh
 interpreter timed from this process.  One more untimed run of each reports
 the it2fis modules the command loaded.  The fastest and the median wall
-time of each command, those modules, the core count, the Python and numpy
-versions, and the git SHA of the source tree with whether its files differ
-from that commit go to --out under the key --label, next to what other
-labels already hold there, so one file can compare two source trees:
+time of each command, those modules and the environment block of
+`benchlib` (with the git state of --src) go to --out under the key
+--label, next to what other labels already hold there, so one file can
+compare two source trees:
 
-    PYTHONPATH=src python3 benchmarks/bench_startup.py --label change
-    PYTHONPATH=src python3 benchmarks/bench_startup.py \
-        --src ../parent/src --label parent
+    python3 benchmarks/bench_startup.py --label change
+    python3 benchmarks/bench_startup.py --src ../parent/src --label parent
 
 `--src` is the source tree the child processes import (default: this
 checkout's `src/`).
 """
 
 import argparse
-import json
 import os
 import pathlib
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-# one BLAS thread per process, as in perfbench and the other scripts
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
-from bench_predict import ROOT, git_state
-from it2fis.model_io import load_bundled_model
-
-sys.path.insert(0, str(ROOT / "perfbench"))
-import synth_covid  # noqa: E402
+from benchlib import SRC, write_result, write_serving_features
 
 # runs `python -m it2fis argv` as -m does, then prints the it2fis modules
 # loaded by then as the last line of stderr
@@ -78,20 +66,17 @@ def main(argv=None):
     ap.add_argument("--runs", type=int, default=15)
     ap.add_argument("--rows", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--src", default=str(SRC))
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default="BENCH_startup.json")
     args = ap.parse_args(argv)
     src = pathlib.Path(args.src).resolve()
     model = src / "it2fis" / "icu_admission.model"
 
-    rb = load_bundled_model()
-    share = np.clip(rb.means[:, 1:].mean(axis=0) - 1.0, 0.01, 0.99)
     commands = {}
     with tempfile.TemporaryDirectory() as tmp:
         features = os.path.join(tmp, "features.csv")
-        synth_covid.write_csv(features, synth_covid.serving_features(
-            args.rows, args.seed, share))
+        write_serving_features(features, args.rows, args.seed)
         argvs = {
             "inspect-model": ["inspect-model", str(model)],
             "predict": ["predict", str(model), features,
@@ -117,20 +102,8 @@ def main(argv=None):
         "runs": args.runs,
         "predict_rows": args.rows,
         "commands": commands,
-        "cores": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
     }
-    result["git_sha"], result["src_modified"] = git_state(src)
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as f:
-            doc = json.load(f)
-    doc[args.label] = result
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_result(args.out, result, src, args.label)
     return 0
 
 

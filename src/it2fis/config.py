@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .learning import TuneConfig
 from .preprocess import COVID_CATEGORICAL, OutlierRule, PreprocessConfig
 
 DEFAULTS = {
@@ -140,6 +139,8 @@ def preprocess_config(cfg: Config) -> PreprocessConfig:
 
 
 def tune_config(cfg: Config) -> TuneConfig:
+    from .learning import TuneConfig  # preprocess and evaluate never tune
+
     try:
         return TuneConfig(
             learning_rate=cfg.get_float("learning_rate"),

@@ -257,14 +257,13 @@ def _binary_columns(X: np.ndarray) -> np.ndarray:
     return ((X == 0.0) | (X == 1.0)).all(axis=0)
 
 
-def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
-    """Naive Bayes: Bernoulli (Laplace alpha) on binary columns, Gaussian else.
+def baseline_nb(train: Dataset, test: Dataset) -> list:
+    """Naive Bayes: Bernoulli (Laplace, alpha = 1) on binary columns,
+    Gaussian else.
 
     Returns argmax-posterior labels for the test rows; posterior ties go to
     the lexicographically smaller class code.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     Xtr, Xte = train.features, test.features
     if Xte.shape[1] != Xtr.shape[1]:
         raise DataError("train and test feature counts differ")
@@ -283,7 +282,7 @@ def baseline_nb(train: Dataset, test: Dataset, alpha=1.0) -> list:
         nc = int(rows.sum())
         log_post[:, ci] = np.log(nc / Xtr.shape[0])
         if B.shape[1]:
-            p1 = (B[rows].sum(axis=0) + alpha) / (nc + 2.0 * alpha)
+            p1 = (B[rows].sum(axis=0) + 1.0) / (nc + 2.0)
             log_post[:, ci] += Bt @ np.log(p1) + (1.0 - Bt) @ np.log1p(-p1)
         if C.shape[1]:
             mu = C[rows].mean(axis=0)

@@ -81,7 +81,7 @@ def targets_for(rb: RuleBase, labels) -> np.ndarray:
     return np.where(low, 1.0, 2.0)
 
 
-def extract_rules(data, c, seed=0, tol=1e-6) -> RuleBase:
+def extract_rules(data, c, seed=0) -> RuleBase:
     """Build a type-1 rule base with one rule per cluster of the joint space.
 
     FCM partitions the joint (features, encoded label) space; GK then refines
@@ -96,10 +96,10 @@ def extract_rules(data, c, seed=0, tol=1e-6) -> RuleBase:
     y, low, high = encode_labels(data.labels)
     Z = np.column_stack([X, y])
 
-    part = fcm(Z, c, tol=tol, seed=seed)
+    part = fcm(Z, c, seed=seed)
     method = "gk"
     try:
-        part = gk(Z, c, tol=tol, seed=seed, u0=part.U)
+        part = gk(Z, c, seed=seed, u0=part.U)
     except DataError:
         method = "fcm-fallback"
 

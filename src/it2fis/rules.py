@@ -116,7 +116,6 @@ class RuleBase:
 def t1_rule_base(means, sigmas, cons_mean, cons_sigma, variable_names=None, **kw) -> RuleBase:
     """Convenience constructor for a type-1 base from mean/sigma arrays."""
     means = np.atleast_2d(np.asarray(means, dtype=float))
-    sigmas = np.atleast_2d(np.asarray(sigmas, dtype=float))
     if variable_names is None:
         variable_names = tuple(f"x{f + 1}" for f in range(means.shape[1]))
     return RuleBase(
@@ -124,9 +123,9 @@ def t1_rule_base(means, sigmas, cons_mean, cons_sigma, variable_names=None, **kw
         variable_names=tuple(variable_names),
         means=means,
         sigma_lower=sigmas,
-        sigma_upper=sigmas.copy(),
+        sigma_upper=sigmas,
         cons_mean=cons_mean,
         cons_sigma_lower=cons_sigma,
-        cons_sigma_upper=np.array(cons_sigma, dtype=float).copy(),
+        cons_sigma_upper=cons_sigma,
         **kw,
     )

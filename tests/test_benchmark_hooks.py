@@ -5,7 +5,9 @@ smoke runs of the timing scripts in `benchmarks/`.
 attribute name, and the scripts in `benchmarks/` call kernels and engine
 functions by name.  A kernel that is renamed, removed or inlined into its
 caller would only show up as a failing benchmark run; these tests make it
-fail here instead.
+fail here instead.  Each script runs as the README runs it, from this
+checkout with no PYTHONPATH, and each record it writes must hold the
+shared environment block.
 """
 
 import importlib
@@ -87,29 +89,50 @@ def test_fcm_runs_through_the_traced_kernels(layers):
     assert {name: getattr(kernels, name) for name in layers.KERNELS} == originals
 
 
+# the keys benchmarks/benchlib.py adds to every record
+ENVIRONMENT = {"cores", "backend", "python", "numpy", "openblas_num_threads",
+               "git_sha", "src_modified"}
+
+
 def _run_benchmark(script, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    """Run a script as the README does: from this checkout, no PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / script), *args],
         capture_output=True, text=True, env=env, timeout=300)
 
 
-def test_bench_kernels_runs_every_line():
+def _record(path, label=None):
+    """The result a script wrote to path (under label), which must hold the
+    environment block."""
+    result = json.loads(path.read_text(encoding="utf-8"))
+    if label is not None:
+        result = result[label]
+    assert ENVIRONMENT <= set(result), ENVIRONMENT - set(result)
+    return result
+
+
+def test_bench_kernels_runs_every_line(tmp_path):
+    out = tmp_path / "kernels.json"
     run = _run_benchmark("bench_kernels.py", "--rows", "400", "--rules", "3",
-                         "--features", "6", "--repeats", "1", "--calls", "20")
+                         "--features", "6", "--repeats", "1", "--calls", "20",
+                         "--json", str(out))
     assert run.returncode == 0, run.stderr
     printed = {line.split()[0] for line in run.stdout.splitlines() if line}
     assert set(KERNEL_LINES) <= printed
+    assert set(_record(out)["kernels"]) == set(KERNEL_LINES)
 
 
 def test_bench_scan_runs(tmp_path):
     out = tmp_path / "scan.json"
     run = _run_benchmark("bench_scan.py", "--rows", "200", "--c-max", "3",
-                         "--seeds", "2", "--repeats", "1", "--out", str(out))
+                         "--seeds", "2", "--repeats", "1", "--fork-work", "0",
+                         "--out", str(out))
     assert run.returncode == 0, run.stderr
-    assert out.exists()
+    result = _record(out)
+    # the worker count of the scan on all CPUs, not of the pinned one
+    assert result["runs"] > 0
+    assert result["workers"] > 1 or result["cores"] == 1
 
 
 def test_bench_knn_runs(tmp_path):
@@ -118,7 +141,7 @@ def test_bench_knn_runs(tmp_path):
                          "--test-rows", "60", "--repeats", "1",
                          "--out", str(out))
     assert run.returncode == 0, run.stderr
-    result = json.loads(out.read_text(encoding="utf-8"))
+    result = _record(out)
     assert result["test_rows"] == 60 and result["labels_equal"]
 
 
@@ -127,18 +150,20 @@ def test_bench_predict_runs(tmp_path):
     run = _run_benchmark("bench_predict.py", "--rows", "300", "--repeats", "1",
                          "--out", str(out))
     assert run.returncode == 0, run.stderr
-    result = json.loads(out.read_text(encoding="utf-8"))["change"]
+    result = _record(out, "change")
     assert [s["rows"] for s in result["sizes"]] == [300]
     assert result["sizes"][0]["peak_rss_mb"][0] > 0
 
 
 def test_bench_startup_runs(tmp_path):
     out = tmp_path / "startup.json"
+    # a label's record goes in beside the others the file holds
+    out.write_text('{"parent": {"runs": 3}}', encoding="utf-8")
     run = _run_benchmark("bench_startup.py", "--runs", "1", "--rows", "20",
                          "--out", str(out))
     assert run.returncode == 0, run.stderr
-    result = json.loads(out.read_text(encoding="utf-8"))["change"]
-    commands = result["commands"]
+    commands = _record(out, "change")["commands"]
+    assert json.loads(out.read_text(encoding="utf-8"))["parent"] == {"runs": 3}
     assert set(commands) == {"inspect-model", "predict"}
     assert all(c["min_s"] > 0 for c in commands.values())
     assert "it2fis.model_io" in commands["inspect-model"]["modules"]

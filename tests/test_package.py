@@ -7,6 +7,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import it2fis
@@ -112,6 +113,29 @@ def test_reading_a_model_loads_no_training_code(tmp_path):
     assert {"it2fis.inference", "it2fis.preprocess"} <= loaded
     assert loaded.isdisjoint({f"it2fis.{name}" for name in (
         "clustering", "learning", "evaluation", "config", "parallel")})
+
+
+def test_preprocess_and_evaluate_load_no_training_code(tmp_path):
+    """`preprocess` imports the cleaning code alone, and `evaluate
+    --baselines` the engine and the baselines besides: neither the cluster
+    scan nor the tuners."""
+    rng = np.random.default_rng(0)
+    columns = [rng.integers(20, 90, 40)] + [rng.integers(1, 3, 40)
+                                            for _ in range(27)]
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack(columns), fmt="%d", delimiter=",",
+               header=",".join([*load_bundled_model().variable_names, "icu"]),
+               comments="")
+    assert _modules_loaded_by(
+        "preprocess", str(data), "-o", str(tmp_path / "clean.csv")) == {
+        "it2fis", "it2fis.cli", "it2fis.config", "it2fis.errors",
+        "it2fis.preprocess"}
+    assert _modules_loaded_by(
+        "evaluate", str(BUNDLED), str(data), "--baselines") == {
+        "it2fis", "it2fis.cli", "it2fis.config", "it2fis.errors",
+        "it2fis.evaluation", "it2fis.inference", "it2fis.kernels",
+        "it2fis.model_io", "it2fis.parallel", "it2fis.preprocess",
+        "it2fis.rules"}
 
 
 def test_preprocess_is_the_module():
