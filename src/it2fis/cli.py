@@ -21,10 +21,11 @@ from .errors import DataError, It2fisError, ModelError
 def __getattr__(name):
     """The stage function `name`, its module imported on first use (PEP 562).
 
-    A command imports only the stages it runs: `inspect-model` loads no
-    training code.  The function is kept as a global of this module, so the
-    commands call whatever `cli.<name>` is bound to when they run, and a
-    caller may rebind it (the tests and perfbench's tracer do).
+    This is the one table of stage names.  A command imports only the stages
+    it runs: `inspect-model` loads no training code.  The function is kept as
+    a global of this module, and the commands call each stage as
+    `_cli.<name>`, so they call whatever `cli.<name>` is bound to when they
+    run, and a caller may rebind it (the tests and perfbench's tracer do).
     """
     if name in ("csv_blocks", "feature_matrix", "load_csv", "preprocess",
                 "save_dataset"):
@@ -47,11 +48,8 @@ def __getattr__(name):
     return value
 
 
-def _stages(*names):
-    """Bind each stage name a command calls that is not bound yet."""
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
+# this module: a bare stage name in a function never reaches __getattr__
+_cli = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +67,28 @@ def _stage(name):
         yield
     except It2fisError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+
+
+def _output(stage, path):
+    """Check now, before any input is read, that the directory `path` goes
+    into exists, and return the context to write `path` in.  Either failure,
+    no directory now or an OSError in that context (permission denied, a
+    full disk), is a data error that names the stage and the file, as a
+    failed read is."""
+    folder = os.path.dirname(path) or os.curdir
+    with _stage(stage):
+        if not os.path.isdir(folder):
+            raise DataError(f"cannot write {path}: no such directory {folder}")
+
+    @contextmanager
+    def writing():
+        with _stage(stage):
+            try:
+                yield
+            except OSError as exc:
+                raise DataError(f"cannot write {exc.filename or path}: "
+                                f"{exc.strerror or exc}") from exc
+    return writing()
 
 
 def _check_features(model, names):
@@ -99,11 +119,10 @@ def _load_config(args):
 
 def _load_dataset(path, prep):
     """load_csv then preprocess, each under its own stage name."""
-    _stages("load_csv", "preprocess")
     with _stage("load_csv"):
-        table = load_csv(path)
+        table = _cli.load_csv(path)
     with _stage("preprocess"):
-        return preprocess(table, prep)
+        return _cli.preprocess(table, prep)
 
 
 def _file_sha1(path) -> str:
@@ -201,14 +220,15 @@ def build_parser() -> _Parser:
 def cmd_preprocess(args) -> int:
     from . import config as cfgmod
 
-    _stages("save_dataset")
+    writing = _output("save_dataset", args.output)
     with _stage("load_config"):
         cfg = _load_config(args)
         prep = cfgmod.preprocess_config(cfg)
     ds, report = _load_dataset(args.input, prep)
-    save_dataset(ds, args.output)
-    with open(args.output + ".report.txt", "w", encoding="utf-8") as f:
-        f.write(report.text())
+    with writing:
+        _cli.save_dataset(ds, args.output)
+        with open(args.output + ".report.txt", "w", encoding="utf-8") as f:
+            f.write(report.text())
     print(f"kept {ds.n_rows} rows x {len(ds.feature_names)} features "
           f"-> {args.output}")
     return 0
@@ -217,9 +237,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     from . import config as cfgmod
 
-    _stages("split", "take", "encode_labels", "select_cluster_count",
-            "extract_rules", "tune_t1", "widen_to_it2", "tune_it2",
-            "predict_batch", "calibrate_threshold", "save_model")
+    writing = _output("save_model", args.output)
     seed = args.seed
     with _stage("load_config"):
         cfg = _load_config(args)
@@ -230,11 +248,11 @@ def cmd_train(args) -> int:
                             "selection_seeds", "cluster_scan_subsample")
     ds, _ = _load_dataset(args.input, prep)
     with _stage("split"):
-        sp = split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
-        train_ds = take(ds, sp.train_indices)
+        sp = _cli.split(ds, ratio=cfg.get_float("train_ratio"), seed=seed)
+        train_ds = _cli.take(ds, sp.train_indices)
 
     with _stage("select_cluster_count"):
-        y, _, _ = encode_labels(train_ds.labels)
+        y, _, _ = _cli.encode_labels(train_ds.labels)
         joint = np.column_stack([train_ds.features, y])
         cap = cfg.get_int("cluster_scan_subsample")
         scan_data = joint
@@ -242,7 +260,7 @@ def cmd_train(args) -> int:
             pick = np.random.default_rng(seed).choice(joint.shape[0], cap,
                                                       replace=False)
             scan_data = joint[np.sort(pick)]
-        scan = select_cluster_count(
+        scan = _cli.select_cluster_count(
             scan_data, c_max=cfg.get_int("c_max"),
             seeds=tuple(seed + i for i in range(cfg.get_int("selection_seeds"))))
         print(f"cluster scan: {dict(zip(scan.candidates, [round(v, 3) for v in scan.values]))}"
@@ -253,20 +271,20 @@ def cmd_train(args) -> int:
               f"{scan.workers} workers")
 
     with _stage("extract_rules"):
-        rb = extract_rules(train_ds, scan.selected, seed=seed)
+        rb = _cli.extract_rules(train_ds, scan.selected, seed=seed)
     with _stage("tune_t1"):
-        rb, trace_t1 = tune_t1(rb, train_ds, tc)
+        rb, trace_t1 = _cli.tune_t1(rb, train_ds, tc)
     traces = [("t1", trace_t1)]
     if not args.type1_only:
         with _stage("widen_to_it2"):
-            rb = widen_to_it2(rb, cfg.get_float("spread"))
+            rb = _cli.widen_to_it2(rb, cfg.get_float("spread"))
         with _stage("tune_it2"):
-            rb, trace_it2 = tune_it2(rb, train_ds, tc)
+            rb, trace_it2 = _cli.tune_it2(rb, train_ds, tc)
         traces.append(("it2", trace_it2))
 
     with _stage("calibrate_threshold"):
-        bp = predict_batch(rb, train_ds.features)
-        thr = calibrate_threshold(bp.crisp, train_ds.labels, rb.label_low)
+        bp = _cli.predict_batch(rb, train_ds.features)
+        thr = _cli.calibrate_threshold(bp.crisp, train_ds.labels, rb.label_low)
         rb = dataclasses.replace(rb, threshold=thr)
 
     rb = dataclasses.replace(rb, provenance=rb.provenance + (
@@ -282,13 +300,13 @@ def cmd_train(args) -> int:
         ("global_seed", str(seed)),
         ("label_column", cfg.get("label_column")),
     ))
-    with _stage("save_model"):
-        save_model(rb, args.output)
-    with open(args.output + ".trace.txt", "w", encoding="utf-8") as f:
-        for name, tr in traces:
-            for e, err in enumerate(tr.epoch_error):
-                f.write(f"{name} epoch {e}: error={float(err)!r}\n")
-            f.write(f"{name} best epoch: {tr.best_epoch}\n")
+    with writing:
+        _cli.save_model(rb, args.output)
+        with open(args.output + ".trace.txt", "w", encoding="utf-8") as f:
+            for name, tr in traces:
+                for e, err in enumerate(tr.epoch_error):
+                    f.write(f"{name} epoch {e}: error={float(err)!r}\n")
+                f.write(f"{name} best epoch: {tr.best_epoch}\n")
     print(f"trained {rb.kind} model: {rb.n_rules} rules x {rb.n_features} "
           f"antecedents, threshold {thr:.4f} -> {args.output}")
     return 0
@@ -297,14 +315,14 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     import csv
 
-    _stages("load_model", "csv_blocks", "feature_matrix", "predict_batch")
+    writing = _output("save_predictions", args.output)
     with _stage("load_model"):
-        model = load_model(args.model)
+        model = _cli.load_model(args.model)
     # one block of raw cells at a time: only the scores of the blocks read
     # so far are kept, and the output is opened after the last block, so an
     # error leaves no output file
     scored = []
-    with closing(csv_blocks(args.input)) as blocks:
+    with closing(_cli.csv_blocks(args.input)) as blocks:
         with _stage("load_csv"):
             header = next(blocks)
         with _stage("parse_features"):
@@ -315,12 +333,12 @@ def cmd_predict(args) -> int:
             if block is None:
                 break
             with _stage("parse_features"):
-                X = feature_matrix(block)
+                X = _cli.feature_matrix(block)
             with _stage("predict"):
-                bp = predict_batch(model, X)
+                bp = _cli.predict_batch(model, X)
             scored.append(bp)
     n = 0
-    with open(args.output, "w", newline="", encoding="utf-8") as f:
+    with writing, open(args.output, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["row", "crisp", "y_l", "y_r", "label", "flagged"])
         for bp in scored:
@@ -338,14 +356,13 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import config as cfgmod
 
-    _stages("load_model", "split", "take", "predict_batch", "compute_metrics",
-            "baseline_nb", "baseline_knn")
+    writing = args.output and _output("save_report", args.output + ".txt")
     with _stage("load_config"):
         cfg = _load_config(args)
         cfgmod.check_ranges(cfg, "train_ratio")
         prep = cfgmod.preprocess_config(cfg)
     with _stage("load_model"):
-        model = load_model(args.model)
+        model = _cli.load_model(args.model)
     ds, _ = _load_dataset(args.input, prep)
     with _stage("preprocess"):
         _check_features(model, ds.feature_names)
@@ -356,42 +373,44 @@ def cmd_evaluate(args) -> int:
         if args.test_only:
             train_ds, test_ds = None, ds
         else:
-            sp = split(ds, ratio=ratio, seed=args.seed)
-            train_ds, test_ds = take(ds, sp.train_indices), take(ds, sp.test_indices)
+            sp = _cli.split(ds, ratio=ratio, seed=args.seed)
+            train_ds = _cli.take(ds, sp.train_indices)
+            test_ds = _cli.take(ds, sp.test_indices)
 
     with _stage("predict"):
-        bp = predict_batch(model, test_ds.features)
-    reports = [("type2", compute_metrics(bp.labels, test_ds.labels,
-                                         positive_class=model.label_high))]
+        bp = _cli.predict_batch(model, test_ds.features)
+    reports = [("type2", _cli.compute_metrics(
+        bp.labels, test_ds.labels, positive_class=model.label_high))]
     if args.baselines:
         with _stage("baseline_nb"):
-            nb = baseline_nb(train_ds, test_ds)
-            reports.append(("nb", compute_metrics(nb, test_ds.labels,
-                                                  model.label_high)))
+            nb = _cli.baseline_nb(train_ds, test_ds)
+            reports.append(("nb", _cli.compute_metrics(nb, test_ds.labels,
+                                                       model.label_high)))
         with _stage("baseline_knn"):
-            knn = baseline_knn(train_ds, test_ds)
-            reports.append(("knn", compute_metrics(knn, test_ds.labels,
-                                                   model.label_high)))
+            knn = _cli.baseline_knn(train_ds, test_ds)
+            reports.append(("knn", _cli.compute_metrics(
+                knn, test_ds.labels, model.label_high)))
 
     text = "".join(r.text(title=name) for name, r in reports)
     flagged = int(bp.flagged.sum())
     if flagged:
         text += f"flagged (no-coverage fallback) predictions: {flagged}\n"
     print(text, end="")
-    if args.output:
-        with open(args.output + ".txt", "w", encoding="utf-8") as f:
-            f.write(text)
-        with open(args.output + ".kv", "w", encoding="utf-8") as f:
-            for name, r in reports:
-                f.write("\n".join(r.machine_lines(prefix=name + ".")) + "\n")
-            f.write(f"type2.flagged={flagged}\n")
+    if writing:
+        with writing:
+            with open(args.output + ".txt", "w", encoding="utf-8") as f:
+                f.write(text)
+            with open(args.output + ".kv", "w", encoding="utf-8") as f:
+                for name, r in reports:
+                    f.write("\n".join(r.machine_lines(prefix=name + "."))
+                            + "\n")
+                f.write(f"type2.flagged={flagged}\n")
     return 0
 
 
 def cmd_inspect(args) -> int:
-    _stages("load_model")
     with _stage("load_model"):
-        model = load_model(args.model)
+        model = _cli.load_model(args.model)
     print(f"kind: {model.kind}")
     print(f"rules: {model.n_rules}")
     print(f"antecedents per rule: {model.n_features}")
@@ -410,6 +429,8 @@ def cmd_inspect(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's generators take no negative seed
+        parser.error(f"argument --seed: must be >= 0, not {args.seed}")
     if args.command == "evaluate" and args.baselines and args.test_only:
         parser.error("--baselines needs a train share; "
                      "it cannot combine with --test-only")

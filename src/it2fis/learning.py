@@ -103,7 +103,7 @@ def extract_rules(data, c, seed=0) -> RuleBase:
     except DataError:
         method = "fcm-fallback"
 
-    w = part.U ** part.m  # (c, n)
+    w = kernels.fuzzy_weights(part.U, part.m)  # (c, n)
     mass = w.sum(axis=1)
     if (mass < 1e-12).any():
         i = int(np.argmin(mass))
@@ -118,11 +118,9 @@ def extract_rules(data, c, seed=0) -> RuleBase:
     sig = np.maximum(sig, SIGMA_FLOOR)
 
     order = np.argsort(means[:, g], kind="stable")
-    names = tuple(getattr(data, "feature_names", None)
-                  or (f"x{k + 1}" for k in range(g)))
     return t1_rule_base(
         means[order, :g], sig[order, :g], means[order, g], sig[order, g],
-        variable_names=names, label_low=low, label_high=high,
+        variable_names=data.feature_names, label_low=low, label_high=high,
         provenance=(
             ("clustering", method),
             ("cluster_count", str(c)),

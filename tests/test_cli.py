@@ -50,6 +50,10 @@ def write_raw(path, n=170, seed=42):
                         rng.choice([1, 2, 97]), f"{marker:.2f}", icu])
 
 
+def unread(*args, **kwargs):
+    raise AssertionError("an input was read")
+
+
 def read_kv(path):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     return dict(line.split("=", 1) for line in lines if line)
@@ -398,11 +402,21 @@ def test_inspect_model(workdir, capsys):
     assert "np.float64" not in out
 
 
-def test_bad_usage_exits_1(workdir, capsys):
+def test_bad_usage_exits_1(workdir, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(workdir["raw"])])  # missing -o
     assert exc.value.code == 1
     assert "required: -o/--output" in capsys.readouterr().err
+    # a negative seed fails before any input is read, not in the split
+    for stage in ("load_csv", "load_model"):
+        monkeypatch.setattr(cli, stage, unread)
+    for argv in (["train", str(workdir["raw"]), "-o", "x.model"],
+                 ["evaluate", str(workdir["model"]), str(workdir["raw"])]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", *argv])
+        assert exc.value.code == 1
+        assert ("error: argument --seed: must be >= 0, not -1"
+                in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
@@ -418,6 +432,36 @@ def test_missing_input_names_the_stage(workdir, tmp_path, capsys):
                str(tmp_path / "absent.csv"), "-o", str(tmp_path / "x.model")])
     assert rc == 2
     assert "data error: [load_csv] cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess", "{raw}"], ["train", "{raw}"],
+    ["predict", "{model}", "{features}"], ["evaluate", "{model}", "{raw}"]],
+    ids=lambda command: command[0])
+def test_missing_output_directory_fails_before_reading(
+        workdir, tmp_path, capsys, monkeypatch, command):
+    for stage in ("load_csv", "csv_blocks", "load_model"):
+        monkeypatch.setattr(cli, stage, unread)
+    missing = tmp_path / "missing"
+    rc = main(["--config", str(workdir["cfg"]),
+               *[arg.format(**workdir) for arg in command],
+               "-o", str(missing / "out")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert f"no such directory {missing}\n" in err
+    assert "cluster scan" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_names_the_stage_and_the_file(workdir, tmp_path,
+                                                   capsys):
+    # the directory exists, but the output path is itself a directory
+    rc = main(["predict", str(workdir["model"]), str(workdir["features"]),
+               "-o", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"data error: [save_predictions] cannot write {tmp_path}: "
+        "Is a directory\n")
 
 
 def test_broken_model_exits_3(workdir, tmp_path, capsys):

@@ -55,6 +55,24 @@ PACKAGE = Path(it2fis.__file__).parent
 BUNDLED = PACKAGE / "icu_admission.model"
 
 
+def test_every_stage_a_command_calls_resolves():
+    """Each stage a command calls as `_cli.<name>` is in `cli.__getattr__`'s
+    table: the function of that name in the module that defines it.  Reads
+    the calls with `ast`, so a stage missing from the table fails here, not
+    at run time on a path no test takes."""
+    from it2fis import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    assert names
+    for name in sorted(names):
+        stage = getattr(cli, name)
+        assert stage.__name__ == name
+        assert getattr(sys.modules[stage.__module__], name) is stage
+
+
 def _python(*args):
     """`python args` in a fresh interpreter that imports the package from
     this tree."""
