@@ -26,7 +26,11 @@ shape of a scaled-down cluster-count scan (34 binary columns and one
 continuous), c = 6, with tol=0 and max_iter=50, so it always runs 50
 iterations.  The epoch kernels take their data as ``kernels.centre``
 returns it, and ``centre`` is timed on its own line: tuning calls it once
-per run, not once per epoch.  ``km_batch`` takes its firings rule-major,
+per run, not once per epoch.  ``t1_epoch`` and ``it2_epoch`` run on normal
+data, whose columns are all wide; ``t1_epoch_onehot`` and
+``it2_epoch_onehot`` on covid-like data as the ``knn_chunk`` lines draw
+it, whose flags ``centre`` folds into the z products, with each rule's
+means near a data row.  ``km_batch`` takes its firings rule-major,
 (rules, rows); the ``km_batch_col`` line times it on one column at a time,
 ``{rules}x1``, walking through --calls columns, as the inference engine
 calls it for a single-row ``predict``.  The ``km_batch_2col`` and
@@ -120,6 +124,23 @@ def knn_chunk_cases(rng, rows, features, k=5):
             ("knn_chunk_f64", shape, (f64, n_query, k))]
 
 
+def onehot_epoch_cases(rng, rows, rules, features, y, cons, order, repeats):
+    """The epoch lines on covid-like rows: each rule's means a data row
+    moved by N(0, 0.1), its sigmas 0.3-0.6 on the flags and 10-20 on age."""
+    X = covid_like(rng, rows, features)
+    means = X[rng.integers(0, rows, rules)] \
+        + rng.normal(0.0, 0.1, (rules, features))
+    sig_up = rng.uniform(0.3, 0.6, (rules, features))
+    sig_up[:, -1] = rng.uniform(10.0, 20.0, rules)
+    sig_lo = sig_up * rng.uniform(0.6, 0.9, (rules, features))
+    centred = kernels.centre(X)
+    shape = f"{rows}x{rules}x{features} 0/1"
+    return [("t1_epoch_onehot", shape, kernels.t1_epoch,
+             [(centred, y, means, sig_up, cons)] * repeats),
+            ("it2_epoch_onehot", shape, kernels.it2_epoch,
+             [(centred, y, means, sig_lo, sig_up, cons, order)] * repeats)]
+
+
 def build_cases(rows, rules, features, seed, repeats, calls):
     """(name, shape, function, argument tuples: one per timed call)."""
     rng = np.random.default_rng(seed)
@@ -190,6 +211,9 @@ def build_cases(rows, rules, features, seed, repeats, calls):
                  np.ascontiguousarray(up[:, j:j + w]), cents)
                 for j in rng.integers(0, rows - w + 1, calls)])
               for w in (2, 32)]
+    at = [case[0] for case in cases].index("it2_epoch") + 1
+    cases[at:at] = onehot_epoch_cases(rng, rows, rules, features, y, cons,
+                                      order, repeats)
     return cases + [
         ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
         *narrow,

@@ -71,14 +71,16 @@ def _stage(name):
 
 def _output(stage, path):
     """Check now, before any input is read, that the directory `path` goes
-    into exists, and return the context to write `path` in.  Either failure,
-    no directory now or an OSError in that context (permission denied, a
-    full disk), is a data error that names the stage and the file, as a
-    failed read is."""
+    into exists and that `path` is not itself a directory, and return the
+    context to write `path` in.  Every failure, one of these now or an
+    OSError in that context (permission denied, a full disk), is a data
+    error that names the stage and the file, as a failed read is."""
     folder = os.path.dirname(path) or os.curdir
     with _stage(stage):
         if not os.path.isdir(folder):
             raise DataError(f"cannot write {path}: no such directory {folder}")
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: Is a directory")
 
     @contextmanager
     def writing():

@@ -24,15 +24,19 @@ The epoch kernels never form an (n_samples, n_rules, n_features)
 array: firing and gradients are BLAS products in a centred form.  Each
 column is centred on the batch's first row, z = x - x[0] and mc = means -
 x[0], and with P = 1/sigma^2 the log firing is
--0.5 (P (z^2)^T - 2 (mc P) z^T + sum_f mc^2 P).  ``centre`` builds x[0], z^T
-and (z^2)^T, which depend on the data only, so a tuning run builds them once
-and every epoch reuses them.  Centring keeps the form
+-0.5 (P (z^2)^T - 2 (mc P) z^T + sum_f mc^2 P).  Centring keeps the form
 exact enough to tune on: a column that is constant in the data (a one-hot
 level every row has) has its sigma floored at 1e-6, so uncentred its
 x^2/sigma^2 terms are ~1e12 and their cancellation leaves ~1e-4 of error in
-the firing, while centred the column is exactly 0.  ``log_firing`` does not
-centre: a centre taken from the batch would move a row's score (by ~1e-11)
-with the batch it comes in.
+the firing, while centred the column is exactly 0.  Centred, a column that
+takes two values (every one-hot level) takes 0 and one value c, so there
+z^2 = c z: its P z^2 term joins the z product as (P c) z, and only the
+other, wide columns (a continuous age) have a z^2 product at all.  On
+one-hot data that halves the BLAS work of an epoch.  ``centre`` builds
+x[0], z^T, the c of each column and the wide columns' (z^2)^T, which depend
+on the data only, so a tuning run builds them once and every epoch reuses
+them.  ``log_firing`` does not centre: a centre taken from the batch would
+move a row's score (by ~1e-11) with the batch it comes in.
 """
 
 from __future__ import annotations
@@ -147,6 +151,12 @@ def log_firing(x, means, sigmas):
 # _KM_BLOCK_CELLS // (n_rules + 1) columns, so that a block's planes and
 # sums stay in cache.
 #
+# _switch_points finds the split of the least left and the greatest right
+# ratio in reductions over the split axis: numpy's argmin and argmax along
+# it run one column at a time and took a third of the kernel.  Its result
+# is theirs to the index, ties to the first split and NaN first, so no bit
+# of y_l, y_r or the switch points depends on which of the two finds them.
+#
 # One column, a single-row predict's, is reduced in Python floats by
 # _km_column instead: at 5 to 10 cells per plane the stacked path's ~25
 # numpy calls cost their per-call overhead and little else.  It takes the
@@ -169,16 +179,22 @@ def km_batch(lo, up, cents):
     if n == 1:
         return _km_column(lo[:, 0].tolist(), up[:, 0].tolist(),
                           cents.tolist())
-    blocks = -(-n // max(1, _KM_BLOCK_CELLS // (d + 1)))
-    if blocks <= 1:
+    blocks = _column_blocks(n, d)
+    if len(blocks) == 1:
         return _km_columns(lo, up, cents)
-    m = -(-n // blocks)  # equal blocks, the last one shorter by < blocks
     yl, yr = np.empty(n), np.empty(n)
     kl, kr = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for j in range(0, n, m):
-        b = slice(j, j + m)
+    for b in blocks:
         yl[b], yr[b], kl[b], kr[b] = _km_columns(lo[:, b], up[:, b], cents)
     return yl, yr, kl, kr
+
+
+def _column_blocks(n, d):
+    """Slices that cut n columns of d rules into equal blocks of at most
+    _KM_BLOCK_CELLS // (d + 1) columns, the last one shorter by < blocks."""
+    blocks = max(1, -(-n // max(1, _KM_BLOCK_CELLS // (d + 1))))
+    m = max(1, -(-n // blocks))
+    return [slice(j, j + m) for j in range(0, max(n, 1), m)]
 
 
 def _km_columns(lo, up, cents):
@@ -186,7 +202,7 @@ def _km_columns(lo, up, cents):
     planes = np.empty((2, 2, d, n))
     w = planes[1]
     np.concatenate((up, lo), out=w.reshape(2 * d, n))
-    np.copyto(w, 0.0, where=w < TINY)
+    _flush(w)
     np.multiply(w, cents[:, None], out=planes[0])
 
     # suffix sums, sides swapped; then prefix sums in place of the planes,
@@ -206,16 +222,56 @@ def _km_columns(lo, up, cents):
     with np.errstate(divide="ignore", invalid="ignore"):
         rat = np.divide(num, den, out=num)
     np.copyto(rat, _KM_EMPTY, where=~(den > 0.0))
-    kl = rat[0].argmin(axis=0)
-    kr = rat[1].argmax(axis=0)
-    cols = np.arange(n)
-    yl = rat[0, kl, cols]
-    yr = rat[1, kr, cols]
+    k, (yl, yr) = _switch_points(rat)
     flip = yl > yr
     if flip.any():
         flip &= yr > -np.inf  # an uncovered column keeps (inf, -inf)
         yl[flip], yr[flip] = yr[flip], yl[flip]
-    return yl, yr, kl, kr
+    return yl, yr, k[0], k[1]
+
+
+def _flush(w):
+    """Set every entry of w below TINY, -0.0 included, to +0.0, in place.
+
+    A masked store over an irregular mask (the zero firings of sparse data)
+    costs several arithmetic passes, so the mask leaves out the entries
+    that are already +0.0: firings flushed once pass through unchanged at
+    the cost of two comparisons.
+    """
+    low = w < TINY
+    low &= w.view(np.int64) != 0  # not +0.0
+    if low.any():
+        np.copyto(w, 0.0, where=low)
+
+
+def _switch_points(rat):
+    """np.argmin of rat[0] and np.argmax of rat[1] along their splits, and
+    the extremes there, of a (2, splits, n) array: ((2, n), (2, n)).
+
+    numpy's argmin and argmax along an axis that is not the last run one
+    column at a time.  Here the extremes come first, as row reductions,
+    and the first split equal to its column's extreme is found as another:
+    each equal entry weighs splits - i, and the largest weight is the
+    first.  A NaN extreme equals nothing, so its columns take argmin, which
+    like argmax returns the first NaN.  Extremes that are NaN or zero are
+    read at the split found, whose sign and payload bits they may not
+    share; every other one is bit for bit the entry there.
+    """
+    splits = rat.shape[1]
+    y = np.empty((2, rat.shape[2]))
+    rat[0].min(axis=0, out=y[0])
+    rat[1].max(axis=0, out=y[1])
+    weight = np.arange(splits, 0, -1, dtype=np.min_scalar_type(splits))
+    first = np.equal(rat, y[:, None]).view(np.uint8) * weight[:, None]
+    k = splits - first.max(axis=1).astype(np.int64)
+    fix = ~(np.abs(y) > 0.0)  # NaN or zero extremes
+    if fix.any():
+        s, j = np.nonzero(fix)
+        nan = np.isnan(y[s, j])
+        s_nan, j_nan = s[nan], j[nan]
+        k[s_nan, j_nan] = rat[s_nan, :, j_nan].argmin(axis=1)
+        y[s, j] = rat[s, k[s, j], j]
+    return k, y
 
 
 def _km_column(lo, up, cents):
@@ -266,11 +322,6 @@ def _first_extreme(r, better):
     return k
 
 
-# it2_epoch's own reference: a wrapper put on the public name (the
-# benchmark's tracer) then counts only the calls from outside this module
-_km_batch = km_batch
-
-
 # ---------------------------------------------------------------------------
 # the epochs' data-only terms
 # ---------------------------------------------------------------------------
@@ -279,14 +330,29 @@ _km_batch = km_batch
 def centre(x):
     """The data terms the epoch kernels take for the batch x (n, g).
 
-    Returns (x0, zt, z2t): the batch's first row, and z = x - x0 and z * z
-    transposed to (g, n), C-contiguous.  They depend on the data only, so a
-    full-batch tuning run computes them once, not once per epoch.
+    Returns (x0, zt, c, wide, z2w): the batch's first row x0; z = x - x0
+    transposed to (g, n), C-contiguous; per column the one value c that its
+    nonzero z take, 0.0 where it takes none or more than one; the indices
+    of those other, wide columns; and z * z of the wide columns, (wide, n).
+    On a two-valued column z * z = c z exactly, so the epochs fold it into
+    their products with z.  A column whose c * c overflows stays wide, so
+    that a row whose square overflows still has a -inf log firing.
+    The terms depend on the data only, so a full-batch tuning run computes
+    them once, not once per epoch.
     """
     x0 = x[0].copy()
     zt = np.subtract(x.T, x0[:, None], order="C")
+    nonzero = zt != 0.0
+    c = zt[np.arange(zt.shape[0]), nonzero.argmax(axis=1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = ~np.isfinite(c * c)
+    wide |= ~((zt == c[:, None]) | ~nonzero).all(axis=1)
+    c[wide] = 0.0
+    wide = np.flatnonzero(wide)
+    z2w = zt[wide]
     with np.errstate(over="ignore"):  # an overflow marks the sample uncovered
-        return x0, zt, zt * zt
+        z2w *= z2w
+    return x0, zt, c, wide, z2w
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +371,27 @@ def centre(x):
 #   gm = (q z - (sum_j q) mc) P
 #   gs = (q z^2 - 2 mc (q z) + (sum_j q) mc^2) P / sigma,
 # i.e. sum_j q_sj (x_jf - m_sf) / sigma^2 and sum_j q_sj (x_jf - m_sf)^2 /
-# sigma^3 without an (n, d, g) temporary.  For a one-row call z is 0.
+# sigma^3 without an (n, d, g) temporary.  On a two-valued column (see
+# ``centre``) q z^2 is c (q z), so only the wide columns have a q z^2
+# product, as only they have a P z^2 one.  For a one-row call z is 0.
 
 
-def _centred_gauss(zt, z2t, mc, sigmas):
+def _centred_gauss(terms, mc, sigmas):
     """Log firing of each row of (mc, sigmas), and the map to its gradients.
 
-    zt and z2t are the data less a reference row, and its square,
-    transposed to (n_features, n_samples); mc is the rule means less the
+    terms are centre's (zt, c, wide, z2w): the data less a reference row,
+    transposed to (n_features, n_samples), the value c of its two-valued
+    columns and the squares of the others; mc is the rule means less the
     same row.  Returns (e, grad): e[s, j] = -0.5 sum_f ((z - mc) / sigma)^2,
     shape (n_rows, n_samples), and grad(q) gives sum_j q[s, j] times
     de[s, j] / dmeans and de[s, j] / dsigmas, both (n_rows, n_features).
     """
+    zt, c, wide, z2w = terms
     p = 1.0 / (sigmas * sigmas)
     mp = mc * p
-    e = p @ z2t
-    e -= (2.0 * mp) @ zt
+    e = (p * c - 2.0 * mp) @ zt
+    if wide.size:
+        e += p[:, wide] @ z2w
     e += (mc * mp).sum(axis=1)[:, None]
     e *= -0.5
 
@@ -328,34 +399,57 @@ def _centred_gauss(zt, z2t, mc, sigmas):
         qs = q.sum(axis=1)[:, None]
         qz = q @ zt.T
         gm = (qz - qs * mc) * p
-        gs = (q @ z2t.T - 2.0 * mc * qz + qs * mc * mc) * (p / sigmas)
+        qz2 = qz * c
+        if wide.size:
+            qz2[:, wide] = q @ z2w.T
+        gs = (qz2 - 2.0 * mc * qz + qs * mc * mc) * (p / sigmas)
         return gm, gs
 
     return e, grad
 
 
+# numpy's exp takes a slow path on arguments whose result underflows: 5 to
+# 150 times the time of a normal result (numpy 2.4, x86-64), and one-hot
+# data fire many rules far below that.  Below _EXP_ZERO the result is +0.0.
+_EXP_ZERO = -746.0
+
+
+def _exp_shifted(e, shift):
+    """exp(e - shift) in place of e, bit for bit, with every argument below
+    _EXP_ZERO given +0.0 without calling exp on it."""
+    e -= shift
+    if not e.min() < _EXP_ZERO:  # none (or a NaN, which exp keeps)
+        return np.exp(e, out=e)
+    keep = np.greater_equal(e, _EXP_ZERO, out=np.empty(e.shape))
+    np.maximum(e, _EXP_ZERO, out=e)
+    e *= keep  # -0.0 where not kept: exp gives 1.0, then 0.0
+    np.exp(e, out=e)
+    e *= keep
+    return e
+
+
 def t1_epoch(data, y, means, sigmas, cons):
-    x0, zt, z2t = data
-    n = zt.shape[1]
+    x0, *terms = data
+    n = terms[0].shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        e, grad = _centred_gauss(zt, z2t, means - x0, sigmas)
-    shift = e.max(axis=0)
+        e, grad = _centred_gauss(terms, means - x0, sigmas)
     with np.errstate(invalid="ignore"):
-        w = np.exp(e - shift)
+        w = _exp_shifted(e, e.max(axis=0))
     den = w.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = (cons @ w) / den
-    r = (f - y) / n
+    diff = f - y
     with np.errstate(over="ignore"):
-        err = 0.5 * np.mean((f - y) ** 2)
+        err = 0.5 * np.mean(diff * diff)
 
-    # q[S,j] = r_j * (g_S - f_j) / den_j * w_Sj
+    # q[S,j] = (g_S - f_j) r_j / den_j w_Sj with r = (f - y) / n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = r * (cons[:, None] - f) / den * w
-    with np.errstate(over="ignore", invalid="ignore"):
+        rd = diff / n / den
+        q = np.subtract(cons[:, None], f)
+        q *= rd
+        q *= w
         gm, gs = grad(q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gc = (r / den * w).sum(axis=1)
+        gc = w @ rd
     return gm, gs, gc, err
 
 
@@ -365,60 +459,93 @@ def t1_epoch(data, y, means, sigmas, cons):
 #
 # f(x) = (y_l + y_r)/2 from the KM reduction; gradients follow the two
 # type-1 expansions picked out by the converged switch splits.  `order`
-# sorts rules by ascending consequent mean and is fixed for the whole call.
-# The kernel takes the centred firing and gradients of the type-1 kernel for
+# sorts rules by ascending consequent mean and is fixed for the whole call:
+# the kernel sorts the rules' parameters once, so firings and gradients are
+# in sorted order throughout and only the (n_rules, n_features) results go
+# back.  It takes the centred firing and gradients of the type-1 kernel for
 # both sigma matrices at once: stacked, sigma_lower over sigma_upper, they
 # are one (2 n_rules, n_features) matrix, so each BLAS product reads the
 # data once.  Firings are (n_rules, n_samples).
+#
+# With a and b the firings of the y_l and y_r expansions (upper rows above
+# the switch point of y_l, below that of y_r), r = (f - y) / n and
+# ra = r / (2 sum_S a), rb = r / (2 sum_S b) per sample, the consequent
+# gradient is a ra + b rb summed over samples, and the weight on a rule's
+# log firing is a (c_S - y_l) ra + b (c_S - y_r) rb, each term routed to
+# the lower or the upper row that its expansion took.  Every step from the
+# log firings to these weights is local to a sample, so it runs in the
+# column blocks of km_batch and writes the weights over the log firings:
+# whole (rules, samples) temporaries of a full-size batch would neither
+# stay in cache nor be allocated without page faults, once per step.
 
 
 def it2_epoch(data, y, means, sig_lo, sig_up, cons, order):
-    x0, zt, z2t = data
-    n = zt.shape[1]
+    x0, *terms = data
+    n = terms[0].shape[1]
     d = means.shape[0]
-    mc = means - x0
+    mc = means[order] - x0
     with np.errstate(over="ignore", invalid="ignore"):
-        e, grad = _centred_gauss(zt, z2t, np.vstack([mc, mc]),
-                                 np.vstack([sig_lo, sig_up]))
-    shift = e[d:].max(axis=0)
-    with np.errstate(invalid="ignore"):
-        w = np.exp(e - shift)
-    w[w < TINY] = 0.0
-
+        e, grad = _centred_gauss(terms, np.vstack([mc, mc]),
+                                 np.vstack([sig_lo[order], sig_up[order]]))
     cs = cons[order]
-    lo_s = w[order]
-    up_s = w[d + order]
-    yl, yr, kl, kr = _km_batch(lo_s, up_s, cs)
-    with np.errstate(invalid="ignore"):  # uncovered sample: inf + -inf
-        f = 0.5 * (yl + yr)
-    r = (f - y) / n
-    err = 0.5 * np.mean((f - y) ** 2)
-
-    idx = np.arange(d)[:, None]
-    upper_l = idx < kl  # rules taking the upper bound in y_l
-    upper_r = idx >= kr  # rules taking the upper bound in y_r
-    a = np.where(upper_l, up_s, lo_s)
-    b = np.where(upper_r, up_s, lo_s)
-    den_a = a.sum(axis=0)
-    den_b = b.sum(axis=0)
-
-    # d f / d theta for each side, in sorted order
-    with np.errstate(invalid="ignore", divide="ignore"):
-        da = 0.5 * (cs[:, None] - yl) / den_a
-        db = 0.5 * (cs[:, None] - yr) / den_b
-        gc_sorted = (r * 0.5 * (a / den_a + b / den_b)).sum(axis=1)
-    gc = np.empty(d)
-    gc[order] = gc_sorted
-
-    # per-sample weight hitting the lower / upper firing of each rule, put
-    # back from sorted order into the rows of the stacked sigma matrices
-    q = np.empty((2 * d, n))
-    q[order] = r * (da * ~upper_l * lo_s + db * ~upper_r * lo_s)
-    q[d + order] = r * (da * upper_l * up_s + db * upper_r * up_s)
-
+    diff = np.empty(n)
+    gc = np.zeros(d)
+    for b in _column_blocks(n, d):
+        gc += _it2_columns(e[:, b], y[b], cs, 2 * n, diff[b])
+    err = 0.5 * np.mean(diff * diff)
     with np.errstate(over="ignore", invalid="ignore"):
-        gm, gs = grad(q)
-    return gm[:d] + gm[d:], gs[:d], gs[d:], gc, err
+        gm, gs = grad(e)  # e now holds the weights q
+    back = np.argsort(order)
+    return ((gm[:d] + gm[d:])[back], gs[:d][back], gs[d:][back], gc[back],
+            err)
+
+
+def _it2_columns(e, y, cs, two_n, diff):
+    """it2_epoch from the log firings e of a block of columns, (2 d, m),
+    to their weights q, written in place of e.  Writes f - y to diff and
+    returns the block's share of the consequent gradient."""
+    d = len(cs)
+    with np.errstate(invalid="ignore"):
+        w = _exp_shifted(e, e[d:].max(axis=0))
+    _flush(w)
+    lo, up = w[:d], w[d:]
+    yl, yr, kl, kr = _km_columns(lo, up, cs)
+    with np.errstate(invalid="ignore"):  # uncovered sample: inf + -inf
+        np.subtract(0.5 * (yl + yr), y, out=diff)
+
+    # 0/1 masks in floats: the products that route by them are exact, and
+    # unlike np.where on an irregular mask they run without branches
+    idx = np.arange(d)[:, None]
+    upper_l = np.less(idx, kl, out=np.empty(lo.shape))  # upper in y_l
+    upper_r = np.greater_equal(idx, kr, out=np.empty(lo.shape))  # in y_r
+    a = _blend(upper_l, up, lo)
+    b = _blend(upper_r, up, lo)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ra = diff / (two_n * a.sum(axis=0))
+        rb = diff / (two_n * b.sum(axis=0))
+        gc = a @ ra + b @ rb
+        a *= np.subtract(cs[:, None], yl)
+        a *= ra
+        b *= np.subtract(cs[:, None], yr)
+        b *= rb
+        np.add(_split(a, upper_l), _split(b, upper_r), out=w[d:])
+        np.add(a, b, out=w[:d])
+    return gc
+
+
+def _blend(mask, up, lo):
+    """up where the 0/1 mask is 1, lo where it is 0, exactly (finite input)."""
+    out = lo * mask
+    np.subtract(lo, out, out=out)
+    out += up * mask
+    return out
+
+
+def _split(t, mask):
+    """Return t's share on the mask's 1 entries; t keeps the rest (exact)."""
+    upper = t * mask
+    t -= upper
+    return upper
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ PERFBENCH = ROOT / "perfbench"
 
 # the lines bench_kernels.py prints, one per timed kernel or call
 KERNEL_LINES = ("sq_distances", "fcm_memberships", "fcm", "log_firing",
-                "km_batch", "centre", "t1_epoch", "it2_epoch", "topk_select",
+                "km_batch", "centre", "t1_epoch", "it2_epoch",
+                "t1_epoch_onehot", "it2_epoch_onehot", "topk_select",
                 "topk_select_2080", "knn_chunk_exact", "knn_chunk_f64",
                 "km_batch_col", "km_batch_2col", "km_batch_32col",
                 "predict_row")

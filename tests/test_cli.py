@@ -453,6 +453,50 @@ def test_missing_output_directory_fails_before_reading(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, stage, suffix", [
+    (["preprocess", "{raw}"], "save_dataset", ""),
+    (["train", "{raw}"], "save_model", ""),
+    (["predict", "{model}", "{features}"], "save_predictions", ""),
+    (["evaluate", "{model}", "{raw}"], "save_report", ".txt")],
+    ids=["preprocess", "train", "predict", "evaluate"])
+def test_directory_output_fails_before_reading(
+        workdir, tmp_path, capsys, monkeypatch, command, stage, suffix):
+    # the file each command writes first is an existing directory: the
+    # command stops before it reads an input, not at its write
+    for name in ("load_csv", "csv_blocks", "load_model"):
+        monkeypatch.setattr(cli, name, unread)
+    target = tmp_path / ("out" + suffix)
+    target.mkdir()
+    rc = main(["--config", str(workdir["cfg"]),
+               *[arg.format(**workdir) for arg in command],
+               "-o", str(tmp_path / "out")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == (f"data error: [{stage}] cannot write {target}: "
+                   "Is a directory\n")
+    assert "cluster scan" not in out
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+def test_failed_write_after_the_check_names_the_stage(workdir, tmp_path,
+                                                      capsys, monkeypatch):
+    # an OSError while writing (here a full disk) is still a data error of
+    # the writing stage that names the file
+    out = tmp_path / "clean.csv"
+
+    def full_disk(ds, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "save_dataset", full_disk)
+    rc = main(["--config", str(workdir["cfg"]), "preprocess",
+               str(workdir["raw"]), "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"data error: [save_dataset] cannot write {out}: "
+        "No space left on device\n")
+
+
 def test_failed_write_names_the_stage_and_the_file(workdir, tmp_path,
                                                    capsys):
     # the directory exists, but the output path is itself a directory

@@ -121,6 +121,70 @@ def km_battery():
             yield lo, up, np.sort(cents)
 
 
+@pytest.mark.parametrize("splits", range(2, 10))
+def test_switch_points_are_numpy_argmin_argmax_on_ties(splits):
+    # km_batch's switch points must be np.argmin's and np.argmax's index
+    # exactly (the first of tied extremes, ±0.0 equal, the first NaN), and
+    # the extremes the bits of the entries there
+    rng = np.random.default_rng(splits)
+    values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf])
+    rat = rng.choice(values, (2, splits, 600))
+    nan = rng.random((2, splits, 600)) < 0.05
+    rat[nan] = np.where(rng.random(nan.sum()) < 0.5, np.nan, -np.nan)
+    rat[:, :, :7] = values  # columns of one value: every split tied
+    want = np.stack([np.argmin(rat[0], axis=0), np.argmax(rat[1], axis=0)])
+    k, y = kernels._switch_points(rat)
+    assert k.dtype == np.int64
+    np.testing.assert_array_equal(k, want)
+    at = np.take_along_axis(rat, want[:, None], axis=1)[:, 0]
+    assert y.tobytes() == at.tobytes()
+
+
+def km_reference(lo, up, cents):
+    """km_batch's ratios at every split, as np.cumsum sums them, and
+    np.argmin / np.argmax of them: (rl, rr, kl, kr)."""
+    up = np.where(up < kernels.TINY, 0.0, up)
+    lo = np.where(lo < kernels.TINY, 0.0, lo)
+    c = cents[:, None]
+    zero = np.zeros((1, up.shape[1]))
+
+    def pre(a):
+        return np.concatenate([zero, np.cumsum(a, axis=0)])
+
+    def suf(a):
+        return np.concatenate([np.cumsum(a[::-1], axis=0)[::-1], zero])
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        num_l, den_l = suf(lo * c) + pre(up * c), suf(lo) + pre(up)
+        num_r, den_r = suf(up * c) + pre(lo * c), suf(up) + pre(lo)
+        rl = np.where(den_l > 0.0, num_l / den_l, np.inf)
+        rr = np.where(den_r > 0.0, num_r / den_r, -np.inf)
+    return rl, rr, np.argmin(rl, axis=0), np.argmax(rr, axis=0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_km_batch_switch_points_are_numpy_argmin_argmax(d):
+    # tie-heavy firings and centroids: equal ratios at several splits, ±0.0
+    # ratios (zero and negative-zero weighted sums), ±inf ratios (a weight
+    # near the largest double) and NaN ratios (an infinite weight)
+    rng = np.random.default_rng(100 + d)
+    cents = np.sort(rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], d))
+    weights = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 1e308, np.inf])
+    up = rng.choice(weights, (d, 3000), p=[.2, .1, .2, .2, .1, .1, .05, .05])
+    lo = np.minimum(up, rng.choice(weights[:6], (d, 3000)))
+    rl, rr, kl, kr = km_reference(lo, up, cents)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+        got = kernels.km_batch(lo, up, cents)
+    np.testing.assert_array_equal(got[2], kl)
+    np.testing.assert_array_equal(got[3], kr)
+    cols = np.arange(3000)
+    yl, yr = rl[kl, cols], rr[kr, cols]
+    swap = (yl > yr) & (yr > -np.inf)
+    yl[swap], yr[swap] = yr[swap], yl[swap]
+    assert got[0].tobytes() == yl.tobytes()
+    assert got[1].tobytes() == yr.tobytes()
+
+
 def test_km_batch_is_pinned_bit_for_bit():
     # the digest was recorded before km_batch's stacked rewrite, with the
     # 11 of 92,420 columns whose collapsed interval came out with y_l one ulp

@@ -121,13 +121,7 @@ def test_targets_for_roundtrip(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_t1_gradient_matches_finite_differences(rng):
-    X = rng.uniform(-2, 2, (8, 2))
-    y = rng.uniform(1, 2, 8)
-    means = rng.uniform(-1.5, 1.5, (3, 2))
-    sig = rng.uniform(0.8, 1.5, (3, 2))
-    cons = rng.uniform(1, 2, 3)
-
+def check_t1_gradient(X, y, means, sig, cons):
     gm, gs, gc, err = kernels.t1_epoch(kernels.centre(X), y, means, sig, cons)
     assert err == pytest.approx(t1_error(X, y, means, sig, cons), rel=1e-12)
 
@@ -138,15 +132,8 @@ def test_t1_gradient_matches_finite_differences(rng):
     assert rel_err(gc, fc) < 1e-4
 
 
-def test_it2_gradient_matches_finite_differences(rng):
-    X = rng.uniform(-2, 2, (8, 2))
-    y = rng.uniform(1, 2, 8)
-    means = rng.uniform(-1.5, 1.5, (3, 2))
-    su = rng.uniform(1.0, 1.6, (3, 2))
-    sl = su * rng.uniform(0.6, 0.9, (3, 2))
-    cons = rng.uniform(1, 2, 3)
+def check_it2_gradient(X, y, means, sl, su, cons):
     order = np.argsort(cons, kind="stable")
-
     gm, gsl, gsu, gc, err = kernels.it2_epoch(kernels.centre(X), y, means,
                                               sl, su, cons, order)
     assert err == pytest.approx(it2_error(X, y, means, sl, su, cons), rel=1e-12)
@@ -159,6 +146,43 @@ def test_it2_gradient_matches_finite_differences(rng):
     assert rel_err(gsl, fsl) < 1e-3
     assert rel_err(gsu, fsu) < 1e-3
     assert rel_err(gc, fc) < 1e-3
+
+
+def test_t1_gradient_matches_finite_differences(rng):
+    X = rng.uniform(-2, 2, (8, 2))
+    y = rng.uniform(1, 2, 8)
+    means = rng.uniform(-1.5, 1.5, (3, 2))
+    sig = rng.uniform(0.8, 1.5, (3, 2))
+    cons = rng.uniform(1, 2, 3)
+    check_t1_gradient(X, y, means, sig, cons)
+
+
+def test_it2_gradient_matches_finite_differences(rng):
+    X = rng.uniform(-2, 2, (8, 2))
+    y = rng.uniform(1, 2, 8)
+    means = rng.uniform(-1.5, 1.5, (3, 2))
+    su = rng.uniform(1.0, 1.6, (3, 2))
+    sl = su * rng.uniform(0.6, 0.9, (3, 2))
+    cons = rng.uniform(1, 2, 3)
+    check_it2_gradient(X, y, means, sl, su, cons)
+
+
+def check_epochs_match_loops(X, y, means, sl, su, cons, t1=True):
+    """Both epoch kernels against their loop twins in tests/oracles.py, on
+    the full batch and on one sample (t1=False: it2_epoch only)."""
+    order = np.argsort(cons, kind="stable")
+    for rows in (slice(None), slice(4, 5)):
+        x, t = X[rows], y[rows]
+        if t1:
+            got = kernels.t1_epoch(kernels.centre(x), t, means, su, cons)
+            want = oracles._t1_epoch_loops(x, t, means, su, cons)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+        got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons,
+                                order)
+        want = oracles._it2_epoch_loops(x, t, means, sl, su, cons, order)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 def test_epoch_kernels_match_loop_twins():
@@ -177,18 +201,7 @@ def test_epoch_kernels_match_loop_twins():
     sl = su * r.uniform(0.6, 0.95, (3, 4))
     su[:, 0] = sl[:, 0] = SIGMA_FLOOR
     cons = r.uniform(1.0, 2.0, 3)
-    order = np.argsort(cons, kind="stable")
-
-    for rows in (slice(None), slice(4, 5)):  # full batch, then one sample
-        x, t = X[rows], y[rows]
-        got = kernels.t1_epoch(kernels.centre(x), t, means, su, cons)
-        want = oracles._t1_epoch_loops(x, t, means, su, cons)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons, order)
-        want = oracles._it2_epoch_loops(x, t, means, sl, su, cons, order)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+    check_epochs_match_loops(X, y, means, sl, su, cons)
 
     # four rules whose sorting permutation is not its own inverse, so a
     # kernel that scatters sorted rows back with it the wrong way round fails
@@ -198,13 +211,78 @@ def test_epoch_kernels_match_loop_twins():
     means4 = r.uniform(-1.0, 1.0, (4, 4))
     su4 = r.uniform(0.8, 1.5, (4, 4))
     sl4 = su4 * r.uniform(0.6, 0.95, (4, 4))
-    for rows in (slice(None), slice(4, 5)):
-        x, t = X[rows], y[rows]
-        got = kernels.it2_epoch(kernels.centre(x), t, means4, sl4, su4, cons4,
-                                order4)
-        want = oracles._it2_epoch_loops(x, t, means4, sl4, su4, cons4, order4)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+    check_epochs_match_loops(X, y, means4, sl4, su4, cons4, t1=False)
+
+
+def mixed_columns(r, n):
+    """(n, 6) rows of the column kinds that centre tells apart: a constant,
+    a 0/1 flag, a {0, 2.5} column whose first row takes 2.5, a {-1, 3}
+    column, and two continuous ones."""
+    X = np.column_stack([np.full(n, 2.0), r.integers(0, 2, n),
+                         np.where(r.random(n) < 0.4, 2.5, 0.0),
+                         np.where(r.random(n) < 0.5, -1.0, 3.0),
+                         r.uniform(-2.0, 2.0, n), r.normal(0.0, 1.0, n)])
+    X[:2, 1] = [0.0, 1.0]  # both levels present
+    X[:2, 2] = [2.5, 0.0]
+    X[:2, 3] = [3.0, -1.0]
+    return X
+
+
+def test_centre_folds_two_valued_columns():
+    X = mixed_columns(np.random.default_rng(3), 12)
+    x0, zt, c, wide, z2w = kernels.centre(X)
+    np.testing.assert_array_equal(x0, X[0])
+    np.testing.assert_array_equal(zt, (X - X[0]).T)
+    # the one nonzero centred value of each two-valued column, where z^2 =
+    # c z exactly; the continuous columns keep their squares
+    np.testing.assert_array_equal(c, [0.0, 1.0, -2.5, -4.0, 0.0, 0.0])
+    np.testing.assert_array_equal(wide, [4, 5])
+    np.testing.assert_array_equal(zt[:4] * zt[:4], c[:4, None] * zt[:4])
+    assert z2w.tobytes() == (zt[wide] * zt[wide]).tobytes()
+    assert z2w.flags.c_contiguous
+
+    # a two-valued column whose square overflows stays wide, as do columns
+    # with a NaN or three values; -0.0 is zero
+    odd = np.zeros((5, 4))
+    odd[2, 0] = 1e180
+    odd[3, 1] = np.nan
+    odd[1:3, 2] = [1.0, 2.0]
+    odd[4, 3] = -0.0
+    _, _, c, wide, z2w = kernels.centre(odd)
+    np.testing.assert_array_equal(c, np.zeros(4))
+    np.testing.assert_array_equal(wide, [0, 1, 2])
+    assert np.isinf(z2w[0, 2])
+
+    # one row: every column is constant
+    _, zt, c, wide, z2w = kernels.centre(X[3:4])
+    assert not zt.any() and not c.any()
+    assert wide.size == 0 and z2w.shape == (0, 1)
+
+
+def test_epoch_kernels_match_loop_twins_on_mixed_columns(monkeypatch):
+    # the folded products for two-valued and constant columns, the z^2
+    # products for the wide ones, and it2_epoch in blocks of 3 columns
+    monkeypatch.setattr(kernels, "_KM_BLOCK_CELLS", 16)
+    r = np.random.default_rng(11)
+    X = mixed_columns(r, 40)
+    y = r.uniform(1.0, 2.0, 40)
+    means = r.uniform(-1.0, 3.0, (4, 6))
+    su = r.uniform(0.8, 1.5, (4, 6))
+    sl = su * r.uniform(0.6, 0.95, (4, 6))
+    cons = np.array([1.6, 1.2, 1.9, 1.4])
+    check_epochs_match_loops(X, y, means, sl, su, cons)
+
+
+def test_gradients_match_finite_differences_on_mixed_columns():
+    r = np.random.default_rng(12)
+    X = mixed_columns(r, 10)
+    y = r.uniform(1, 2, 10)
+    means = r.uniform(-1.0, 3.0, (3, 6))
+    su = r.uniform(1.0, 1.6, (3, 6))
+    sl = su * r.uniform(0.6, 0.9, (3, 6))
+    cons = r.uniform(1, 2, 3)
+    check_t1_gradient(X, y, means, su * 0.8, cons)
+    check_it2_gradient(X, y, means, sl, su, cons)
 
 
 def test_gradient_vanishes_at_perfect_fit(rng):
@@ -361,6 +439,25 @@ def test_tune_rejects_uncovered_sample(rng):
     for tune in (tune_t1, tune_it2):
         with pytest.raises(DataError, match=r"^non-finite gradient at sample 2$"):
             tune(base_for(tune), bad, TuneConfig(epochs=2))
+
+
+def test_tune_rejects_uncovered_sample_in_two_valued_column(rng):
+    # the same overflow in a column of zeros and one 1e180: its square
+    # overflows, so centre keeps it wide and the row's log firings are -inf
+    # as above, not folded into a finite product
+    data = regression_dataset(rng)
+    flag = np.zeros(data.n_rows)
+    flag[2] = 1e180
+    bad = Dataset(np.column_stack([data.features[:, 0], flag]), data.labels,
+                  ("x1", "x2"))
+    assert kernels.centre(bad.features)[3].tolist() == [0, 1]
+    rb = t1_rule_base([[-0.5, 0.0], [0.5, 0.0]], [[0.8, 0.5], [0.8, 0.5]],
+                      [1.3, 1.7], [0.2, 0.2], label_low="a", label_high="b")
+    for base in (rb, widen_to_it2(rb, 0.2)):
+        tune = tune_it2 if base.kind == KIND_IT2 else tune_t1
+        with pytest.raises(DataError,
+                           match=r"^non-finite gradient at sample 2$"):
+            tune(base, bad, TuneConfig(epochs=2))
 
 
 @pytest.mark.parametrize("lr", [1e200, 1e308])
