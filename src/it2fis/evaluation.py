@@ -185,10 +185,9 @@ def compute_metrics(predictions, truth, positive_class) -> MetricsReport:
     pos = positive_class
     neg = classes[0] if classes[1] == pos else classes[1]
 
-    tp = sum(1 for p, t in zip(predictions, truth) if t == pos and p == pos)
-    fn = sum(1 for p, t in zip(predictions, truth) if t == pos and p == neg)
-    fp = sum(1 for p, t in zip(predictions, truth) if t == neg and p == pos)
-    tn = sum(1 for p, t in zip(predictions, truth) if t == neg and p == neg)
+    cells = Counter(zip(truth, predictions))  # (truth, prediction) pairs
+    tp, fn = cells[pos, pos], cells[pos, neg]
+    fp, tn = cells[neg, pos], cells[neg, neg]
     n = len(truth)
     confusion = np.array([[tp, fn], [fp, tn]], dtype=np.int64)
 

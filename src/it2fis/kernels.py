@@ -41,9 +41,7 @@ move a row's score (by ~1e-11) with the batch it comes in.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import inf
-from operator import add, gt, lt, mul
 
 import numpy as np
 
@@ -159,11 +157,15 @@ def log_firing(x, means, sigmas):
 #
 # One column, a single-row predict's, is reduced in Python floats by
 # _km_column instead: at 5 to 10 cells per plane the stacked path's ~25
-# numpy calls cost their per-call overhead and little else.  It takes the
-# same IEEE additions, products and quotients in the same order (a sum
-# starts from its first term, pre[0] and suf[n_rules] are 0.0 added to the
-# other side's sum), and Python floats round them as numpy does, so every
-# bit equals the stacked path's on the same column.
+# numpy calls cost their per-call overhead and little else.  A backward
+# pass forms the four suffix sums; a forward pass carries the four prefix
+# sums, forms both sides' ratios at each split and keeps the first extremes
+# (or the first NaN), as argmin and argmax do.  The sums start from -0.0,
+# which added to any x is x, and pre[0] and suf[n_rules] are 0.0 added to
+# the other side's sum (a no-op on a sum of weights, never -0.0, so the
+# denominators at split 0 skip it): every other IEEE operation is the
+# stacked path's, in the same order, and Python floats round as numpy
+# does, so the bits are equal.
 #
 # The left and right ratios of a collapsed interval (every firing rule at
 # one centroid) are sums over different splits and may round one ulp
@@ -177,7 +179,7 @@ _KM_EMPTY = np.array([np.inf, -np.inf])[:, None, None]  # ratios at den = 0
 def km_batch(lo, up, cents):
     d, n = lo.shape
     if n == 1:
-        return _km_column(lo[:, 0].tolist(), up[:, 0].tolist(),
+        return _km_column(lo.ravel().tolist(), up.ravel().tolist(),
                           cents.tolist())
     blocks = _column_blocks(n, d)
     if len(blocks) == 1:
@@ -276,50 +278,41 @@ def _switch_points(rat):
 
 def _km_column(lo, up, cents):
     """_km_columns on one column given as lists of floats, bit for bit."""
-    up = [0.0 if w < TINY else w for w in up]
-    lo = [0.0 if w < TINY else w for w in lo]
-    upc, loc = list(map(mul, up, cents)), list(map(mul, lo, cents))
-    rl = _ratios(_suffix(loc), _prefix(upc), _suffix(lo), _prefix(up), inf)
-    rr = _ratios(_suffix(upc), _prefix(loc), _suffix(up), _prefix(lo), -inf)
-    kl, kr = _first_extreme(rl, lt), _first_extreme(rr, gt)
-    yl, yr = rl[kl], rr[kr]
+    nl = dl = nr = dr = -0.0  # suffix sums of lo*c, lo, up*c and up
+    suf, terms = [(0.0, 0.0, 0.0, 0.0)], []  # splits n_rules down to 0
+    for l, u, c in zip(reversed(lo), reversed(up), reversed(cents)):
+        l = 0.0 if l < TINY else l
+        u = 0.0 if u < TINY else u
+        lc, uc = l * c, u * c
+        nl += lc
+        dl += l
+        nr += uc
+        dr += u
+        suf.append((nl, dl, nr, dr))
+        terms.append((uc, u, lc, l))
+    nl, dl, nr, dr = suf.pop()  # split 0; a weight sum is never -0.0
+    yl = (nl + 0.0) / dl if dl > 0.0 else inf
+    yr = (nr + 0.0) / dr if dr > 0.0 else -inf
+    kl = kr = 0
+    puc = pu = plc = pl = -0.0  # prefix sums of up*c, up, lo*c and lo
+    for k, (uc, u, lc, l) in enumerate(reversed(terms), 1):
+        puc += uc
+        pu += u
+        plc += lc
+        pl += l
+        nl, dl, nr, dr = suf.pop()
+        den = dl + pu
+        r = (nl + puc) / den if den > 0.0 else inf
+        if r < yl or r != r and yl == yl:
+            kl, yl = k, r
+        den = dr + pl
+        r = (nr + plc) / den if den > 0.0 else -inf
+        if r > yr or r != r and yr == yr:
+            kr, yr = k, r
     if yl > yr > -inf:  # an uncovered column keeps (inf, -inf)
         yl, yr = yr, yl
-    return (np.array((yl,)), np.array((yr,)), np.array((kl,), dtype=np.int64),
-            np.array((kr,), dtype=np.int64))
-
-
-def _prefix(a):
-    """pre[k] = a[:k].sum(), k = 0..len(a), summed as np.cumsum sums."""
-    return [0.0, *accumulate(a)]
-
-
-def _suffix(a):
-    """suf[k] = a[k:].sum(), k = 0..len(a), summed from the bottom."""
-    suf = [*accumulate(reversed(a))]
-    suf.reverse()
-    suf.append(0.0)
-    return suf
-
-
-def _ratios(suf_num, pre_num, suf_den, pre_den, empty):
-    """(suf_num + pre_num) / (suf_den + pre_den) per split; `empty` where
-    the denominator is not positive (or is NaN)."""
-    return [num / den if den > 0.0 else empty
-            for num, den in zip(map(add, suf_num, pre_num),
-                                map(add, suf_den, pre_den))]
-
-
-def _first_extreme(r, better):
-    """numpy's argmin (better=lt) or argmax (gt) of r: the first extreme
-    value, or the first NaN."""
-    k, best = 0, r[0]
-    for i, x in enumerate(r):
-        if x != x:
-            return i
-        if better(x, best):
-            k, best = i, x
-    return k
+    y, k = np.array((yl, yr)), np.array((kl, kr), np.int64)
+    return y[:1], y[1:], k[:1], k[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ class RuleBase:
                          else "consequent")
                 raise ValueError(f"rule {s + 1}, {where}: " + message.format(
                     float(lo[s, f]), float(up[s, f])))
+        # the engine's firings are at most 1, so under this bound every
+        # Karnik-Mendel sum of firing times mean stays within max / 4, and
+        # y_l + y_r and the default threshold's min + max within about
+        # max / 2: no score of the base overflows
+        limit = np.finfo(float).max / (4 * shape[0])
+        big = np.abs(self.cons_mean) > limit
+        if big.any():
+            s = int(np.argmax(big))
+            raise ValueError(
+                f"rule {s + 1}, consequent: mean {float(self.cons_mean[s])!r} "
+                f"exceeds {limit!r} in magnitude, above which a "
+                f"{shape[0]}-rule base's scores overflow")
         if self.threshold is not None and not np.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 

@@ -156,6 +156,22 @@ def test_bench_predict_runs(tmp_path):
     assert result["sizes"][0]["peak_rss_mb"][0] > 0
 
 
+def test_bench_pipeline_runs(tmp_path):
+    out = tmp_path / "pipeline.json"
+    run = _run_benchmark("bench_pipeline.py", "--raw-rows", "1500",
+                         "--seeds", "2", "--repeats", "2", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    result = _record(out)
+    assert len(result["total_s"]) == 2 and set(result["seeds"]) == {"0", "1"}
+    seed = result["seeds"]["1"]
+    assert len(seed["train_s"]) == len(seed["evaluate_stages"]) == 2
+    # every stage the commands run is timed, and none outlasts its command
+    assert {"select_cluster_count", "tune_it2"} <= set(seed["train_stages"][0])
+    assert {"predict", "baseline_knn"} <= set(seed["evaluate_stages"][0])
+    assert sum(seed["evaluate_stages"][0].values()) <= seed["evaluate_s"][0]
+    assert "type2.accuracy" in seed["quality"]
+
+
 def test_bench_startup_runs(tmp_path):
     out = tmp_path / "startup.json"
     # a label's record goes in beside the others the file holds

@@ -512,9 +512,16 @@ def test_broken_model_exits_3(workdir, tmp_path, capsys):
     huge = json.loads(workdir["model"].read_text(encoding="utf-8"))
     huge["rules"][0]["antecedents"][0]["mean"] = 10 ** 400
     name = huge["variable_names"][0]
+    # finite consequent means whose scores overflow: predict used to exit 0
+    # with crisp=inf
+    overflow = json.loads(workdir["model"].read_text(encoding="utf-8"))
+    for rule, mean in zip(overflow["rules"], (1.0e308, 1.2e308, 1.5e308)):
+        rule["consequent"]["mean"] = mean
     for text, message in [
             ("{ nope", "cannot parse model"),
-            (json.dumps(huge), f"rule 1, {name}: 'mean' is too large")]:
+            (json.dumps(huge), f"rule 1, {name}: 'mean' is too large"),
+            (json.dumps(overflow), "invalid model parameters: rule 1, "
+                                   "consequent: mean 1e+308 exceeds")]:
         bad = tmp_path / "bad.model"
         bad.write_text(text, encoding="utf-8")
         rc = main(["predict", str(bad), str(workdir["features"]),
@@ -522,6 +529,7 @@ def test_broken_model_exits_3(workdir, tmp_path, capsys):
         assert rc == 3
         assert (f"model error: [load_model] {message}"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -203,33 +203,43 @@ def test_km_batch_is_pinned_bit_for_bit():
         "694720898a696fb2ccc19f94e62b2a407307f32053d24db37e410440dde7fbe4")
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 8])
+@pytest.mark.parametrize("d", range(1, 13))
 def test_km_batch_columns_equal_their_one_column_calls(d):
     # one column and several take different paths; every width, those near
-    # 32 columns included, gives each column the bits it gets alone
+    # 32 columns included, gives each column the bits it gets alone, under
+    # spread centroids and repeated ones: equal ratios at adjacent splits,
+    # and sums of -0.0 (zero weights at centroids <= -0.0) that are -0.0
+    # only if each starts from its first term
     rng = np.random.default_rng(d)
-    cents = np.sort(rng.uniform(-5.0, 5.0, d))
-    for n in (1, 2, 3, 31, 32, 33, 40):
-        up = rng.uniform(0.0, 1.0, (d, n))
-        lo = up * rng.uniform(0.0, 1.0, (d, n))
-        kind = np.arange(n) % 7
-        rule = rng.integers(0, d, n)  # the rule a special firing sits on
-        lo[:, kind == 1] = 0.0  # zero lower firings
-        up[rule[kind == 1], np.flatnonzero(kind == 1)] = 0.0
-        lo[:, kind == 2] *= 1e-310  # sub-normal lower firings
-        lo[:, kind == 3] = up[:, kind == 3]  # degenerate intervals
-        up[:, kind == 4] = lo[:, kind == 4] = 0.0  # uncovered
-        up[rule[kind == 5], np.flatnonzero(kind == 5)] = np.nan
-        # an infinite firing makes inf / inf ratios: a NaN reaches the
-        # argmin and argmax, and the first NaN wins
-        up[rule[kind == 6], np.flatnonzero(kind == 6)] = np.inf
-        yl, yr, kl, kr = kernels.km_batch(lo, up, cents)
-        assert np.isnan(yl[kind == 6]).all() and np.isnan(yr[kind == 6]).all()
-        for j in range(n):
-            one = kernels.km_batch(lo[:, j:j + 1], up[:, j:j + 1], cents)
-            assert one[0].tobytes() == yl[j:j + 1].tobytes()
-            assert one[1].tobytes() == yr[j:j + 1].tobytes()
-            assert (one[2][0], one[3][0]) == (kl[j], kr[j])
+    for cents in (np.sort(rng.uniform(-5.0, 5.0, d)),
+                  np.sort(rng.choice([-1.5, -0.0, 0.0, 2.0], d)),
+                  np.sort(rng.choice([-1.5, -0.0], d))):
+        for n in (1, 2, 3, 31, 32, 33, 40):
+            up = rng.uniform(0.0, 1.0, (d, n))
+            lo = up * rng.uniform(0.0, 1.0, (d, n))
+            kind = np.arange(n) % 8
+            rule = rng.integers(0, d, n)  # the rule a special firing sits on
+            lo[:, kind == 1] = 0.0  # zero lower firings
+            up[rule[kind == 1], np.flatnonzero(kind == 1)] = 0.0
+            lo[:, kind == 2] *= 1e-310  # sub-normal lower firings, flushed
+            lo[:, kind == 3] = up[:, kind == 3]  # collapsed intervals
+            up[:, kind == 4] = lo[:, kind == 4] = 0.0  # uncovered
+            up[rule[kind == 5], np.flatnonzero(kind == 5)] = np.nan
+            # an infinite firing makes inf / inf ratios: a NaN reaches the
+            # argmin and argmax, and the first NaN wins
+            up[rule[kind == 6], np.flatnonzero(kind == 6)] = np.inf
+            at = rule[kind == 7], np.flatnonzero(kind == 7)
+            up[at] *= 1e-310  # a sub-normal upper firing, flushed
+            lo[at] *= 1e-310
+            with np.errstate(invalid="ignore"):  # inf * 0.0 centroid
+                yl, yr, kl, kr = kernels.km_batch(lo, up, cents)
+            assert np.isnan(yl[kind == 6]).all()
+            assert np.isnan(yr[kind == 6]).all()
+            for j in range(n):
+                one = kernels.km_batch(lo[:, j:j + 1], up[:, j:j + 1], cents)
+                assert one[0].tobytes() == yl[j:j + 1].tobytes()
+                assert one[1].tobytes() == yr[j:j + 1].tobytes()
+                assert (one[2][0], one[3][0]) == (kl[j], kr[j])
 
 
 def test_km_reduce_interval_properties(rng):

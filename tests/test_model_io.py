@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from it2fis.errors import ModelError
+from it2fis.inference import predict, predict_batch
 from it2fis.model_io import (BUNDLED_MODEL, FORMAT_VERSION, dict_to_rule_base,
                              load_bundled_model, load_model,
                              rule_base_to_dict, save_model)
@@ -159,6 +160,26 @@ def test_load_rejects_nonpositive_sigma(tmp_path, rng):
     doc["rules"][1]["consequent"]["sigma_upper"] = 0.0
     with pytest.raises(ModelError, match="rule 2, consequent.*positive"):
         load_model(dump(doc, tmp_path))
+
+
+def test_load_rejects_consequent_means_whose_scores_overflow(tmp_path, rng):
+    # finite but huge means loaded, then scoring overflowed: predict raised
+    # an uncaught ValueError on an infinite crisp score.  The bound is
+    # max / (4 rules), and a base whose means sit at it scores finitely.
+    doc = rule_base_to_dict(random_it2_base(rng, n_rules=3))
+    for rule, mean in zip(doc["rules"], (1.0e308, 1.2e308, 1.5e308)):
+        rule["consequent"]["mean"] = mean
+    with pytest.raises(ModelError, match=r"^invalid model parameters: rule 1, "
+                                         r"consequent: mean 1e\+308 exceeds"):
+        load_model(dump(doc, tmp_path))
+    limit = np.finfo(float).max / 12
+    for rule, mean in zip(doc["rules"], (-limit, limit, limit)):
+        rule["consequent"]["mean"] = mean
+    rb = load_model(dump(doc, tmp_path))
+    X = rng.uniform(-3.0, 3.0, (200, 2))
+    batch = predict_batch(rb, X)
+    assert np.isfinite(batch.crisp).all() and np.isfinite(batch.threshold)
+    assert predict(rb, X[0]).crisp == batch.crisp[0]
 
 
 def test_load_rejects_non_numeric_fields(tmp_path, rng):
