@@ -1,6 +1,6 @@
 """Wall time of the criterion-7 workload at full size, per command and stage.
 
-Generates perfbench's `synth_covid.generate(--raw-rows, --data-seed)` once
+Generates perfbench's `synth_covid.generate(--raw-rows, 1)` once
 (165,000 raw rows clean to 122,241 rows of 34 features), then runs
 `it2fis train` and `it2fis evaluate --baselines` on it through `cli.main`,
 in this process and with the default config, for seeds 0 to --seeds - 1,
@@ -32,6 +32,8 @@ import time
 from benchlib import write_result
 import synth_covid
 from it2fis import cli
+
+DATA_SEED = 1
 
 
 @contextlib.contextmanager
@@ -78,7 +80,6 @@ def read_kv(path):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--raw-rows", type=int, default=165000)
-    ap.add_argument("--data-seed", type=int, default=1)
     ap.add_argument("--seeds", type=int, default=5,
                     help="run seeds 0 .. N-1")
     ap.add_argument("--repeats", type=int, default=2,
@@ -93,7 +94,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "raw.csv")
         synth_covid.write_csv(data, synth_covid.generate(args.raw_rows,
-                                                         args.data_seed))
+                                                         DATA_SEED))
         for _ in range(args.repeats):
             total = 0.0
             for seed, rec in seeds.items():
@@ -123,7 +124,7 @@ def main(argv=None):
     result = {
         "benchmark": "pipeline",
         "raw_rows": args.raw_rows,
-        "data_seed": args.data_seed,
+        "data_seed": DATA_SEED,
         "repeats": args.repeats,
         "total_s": totals,
         "total_best_s": min(totals),
