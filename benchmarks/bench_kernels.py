@@ -124,7 +124,7 @@ def knn_chunk_cases(rng, rows, features, k=5):
             ("knn_chunk_f64", shape, (f64, n_query, k))]
 
 
-def onehot_epoch_cases(rng, rows, rules, features, y, cons, order, repeats):
+def onehot_epoch_cases(rng, rows, rules, features, y, cons, repeats):
     """The epoch lines on covid-like rows: each rule's means a data row
     moved by N(0, 0.1), its sigmas 0.3-0.6 on the flags and 10-20 on age."""
     X = covid_like(rng, rows, features)
@@ -138,7 +138,7 @@ def onehot_epoch_cases(rng, rows, rules, features, y, cons, order, repeats):
     return [("t1_epoch_onehot", shape, kernels.t1_epoch,
              [(centred, y, means, sig_up, cons)] * repeats),
             ("it2_epoch_onehot", shape, kernels.it2_epoch,
-             [(centred, y, means, sig_lo, sig_up, cons, order)] * repeats)]
+             [(centred, y, means, sig_lo, sig_up, cons)] * repeats)]
 
 
 def build_cases(rows, rules, features, seed, repeats, calls):
@@ -149,7 +149,6 @@ def build_cases(rows, rules, features, seed, repeats, calls):
     sig_up = rng.uniform(0.8, 2.0, (rules, features))
     sig_lo = sig_up * rng.uniform(0.6, 0.9, (rules, features))
     cons = rng.uniform(1.0, 2.0, rules)
-    order = np.argsort(cons, kind="stable")
     y = rng.uniform(1.0, 2.0, rows)
 
     up = rng.uniform(0.0, 1.0, (rules, rows))
@@ -190,7 +189,7 @@ def build_cases(rows, rules, features, seed, repeats, calls):
         ("t1_epoch", f"{rows}x{rules}x{features}",
          (centred, y, means, sig_up, cons)),
         ("it2_epoch", f"{rows}x{rules}x{features}",
-         (centred, y, means, sig_lo, sig_up, cons, order)),
+         (centred, y, means, sig_lo, sig_up, cons)),
         ("topk_select", f"{n_query}x{rows} k=5", (qd2, 5)),
     ]
     cases = [(name, shape, fcm_run if name == "fcm" else getattr(kernels, name),
@@ -213,7 +212,7 @@ def build_cases(rows, rules, features, seed, repeats, calls):
               for w in (2, 32)]
     at = [case[0] for case in cases].index("it2_epoch") + 1
     cases[at:at] = onehot_epoch_cases(rng, rows, rules, features, y, cons,
-                                      order, repeats)
+                                      repeats)
     return cases + [
         ("km_batch_col", f"{rules}x1", kernels.km_batch, columns),
         *narrow,

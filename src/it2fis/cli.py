@@ -127,29 +127,29 @@ def _load_dataset(path, prep):
         return _cli.preprocess(table, prep)
 
 
-def _file_sha1(path) -> str:
+def _rows_sha1(ds) -> str:
+    """SHA-1 of a cleaned dataset's feature names, labels and feature
+    bytes: the same rows give the same digest whatever file they came from."""
     import hashlib
 
-    h = hashlib.sha1()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    h = hashlib.sha1(repr((ds.feature_names, ds.labels)).encode())
+    h.update(ds.features)  # C-contiguous floats, as Dataset keeps them
     return h.hexdigest()
 
 
-def _check_unseen_rows(model, path, seed, ratio, test_only):
+def _check_unseen_rows(model, ds, seed, ratio, test_only):
     """Raise unless evaluate scores only rows the model did not train on.
 
-    Only a model whose provenance names the input file (its data_sha1) and
-    the split it trained on is checked; any other model or file passes.
+    Only a model whose provenance names these cleaned rows (its data_sha1)
+    and the split it trained on is checked; any other model or rows pass.
     """
     prov = dict(model.provenance)
     if (not {"data_sha1", "global_seed", "train_ratio"} <= prov.keys()
-            or _file_sha1(path) != prov["data_sha1"]):
+            or _rows_sha1(ds) != prov["data_sha1"]):
         return
     if test_only:
-        raise DataError("--test-only would score every row of the file this "
-                        "model was trained on")
+        raise DataError("--test-only would score every one of these rows, "
+                        "and this model was trained on a share of them")
     for key, parse, given in (("global_seed", int, seed),
                               ("train_ratio", float, ratio)):
         try:
@@ -159,7 +159,7 @@ def _check_unseen_rows(model, path, seed, ratio, test_only):
                              f"parse as {parse.__name__}") from None
         if trained != given:
             raise DataError(
-                f"the model was trained on this file with {key} {trained!r}; "
+                f"the model was trained on these rows with {key} {trained!r}; "
                 f"a split with {given!r} would score rows it was trained on")
 
 
@@ -290,10 +290,10 @@ def cmd_train(args) -> int:
         rb = dataclasses.replace(rb, threshold=thr)
 
     rb = dataclasses.replace(rb, provenance=rb.provenance + (
-        # the file name only: the content is identified by data_sha1, and the
+        # the file name only: the rows are identified by data_sha1, and the
         # model bytes must not depend on where the input lies
         ("trained_on", os.path.basename(args.input)),
-        ("data_sha1", _file_sha1(args.input)),
+        ("data_sha1", _rows_sha1(ds)),
         ("train_rows", str(train_ds.n_rows)),
         ("train_ratio", cfg.get("train_ratio")),
         ("learning_rate", cfg.get("learning_rate")),
@@ -371,7 +371,7 @@ def cmd_evaluate(args) -> int:
 
     with _stage("split"):
         ratio = cfg.get_float("train_ratio")
-        _check_unseen_rows(model, args.input, args.seed, ratio, args.test_only)
+        _check_unseen_rows(model, ds, args.seed, ratio, args.test_only)
         if args.test_only:
             train_ds, test_ds = None, ds
         else:

@@ -362,7 +362,7 @@ SETTLE_RTOL = AGREE_RTOL / 100
 SCAN_FORK_WORK = 1_500_000
 
 
-def _scan_count(X, m, seeds, c):
+def _scan_count(X, seeds, c):
     """One count of the scan: FCM runs and Fukuyama-Sugeno indices.
 
     Each run stops at `fcm`'s membership tolerance, at an objective settled
@@ -377,7 +377,7 @@ def _scan_count(X, m, seeds, c):
     """
     runs, best = [], None
     for seed in seeds:
-        part = fcm(X, c, m=m, seed=seed, settle_rtol=SETTLE_RTOL)
+        part = fcm(X, c, seed=seed, settle_rtol=SETTLE_RTOL)
         run = (c, seed, part.n_iter, part.converged, part.objective,
                fukuyama_index(X, part))
         runs.append(run)
@@ -388,18 +388,17 @@ def _scan_count(X, m, seeds, c):
     return tuple(runs), best
 
 
-def select_cluster_count(X, c_max=10, m=2.0,
-                         seeds=(0, 1, 2, 3, 4)) -> ValidityScan:
+def select_cluster_count(X, c_max=10, seeds=(0, 1, 2, 3, 4)) -> ValidityScan:
     """Pick the cluster count in [2, c_max] minimizing the Fukuyama index.
 
-    Each candidate count runs FCM from the seeds in order until a run's
-    objective agrees with the lowest so far to AGREE_RTOL, or the seeds run
-    out, and scores its lowest-objective run, the earlier seed among runs
-    that agree.  Each run stops at `fcm`'s membership tolerance, at an
-    objective settled to SETTLE_RTOL, or at `fcm`'s cap on membership
-    evaluations.  So `seeds` bounds the runs per count, and a count makes at
-    least two unless only one seed is given.  Ties on the index go to the
-    smallest count.
+    Each candidate count runs FCM, at `fcm`'s default fuzziness m, from the
+    seeds in order until a run's objective agrees with the lowest so far to
+    AGREE_RTOL, or the seeds run out, and scores its lowest-objective run,
+    the earlier seed among runs that agree.  Each run stops at `fcm`'s
+    membership tolerance, at an objective settled to SETTLE_RTOL, or at
+    `fcm`'s cap on membership evaluations.  So `seeds` bounds the runs per
+    count, and a count makes at least two unless only one seed is given.
+    Ties on the index go to the smallest count.
 
     The counts are independent, so beyond ``SCAN_FORK_WORK`` they are
     spread over one forked worker per CPU the process may use (`taskset`
@@ -422,7 +421,7 @@ def select_cluster_count(X, c_max=10, m=2.0,
     tasks = candidates[::-1]
     work = X.size * sum(candidates) * len(seeds)
     workers = parallel.workers(len(tasks)) if work > SCAN_FORK_WORK else 1
-    results = parallel.fork_map(_scan_count, (X, m, seeds), tasks, workers)
+    results = parallel.fork_map(_scan_count, (X, seeds), tasks, workers)
     done = dict(zip(tasks, results))
 
     runs = tuple(r for c in candidates for r in done[c][0])

@@ -117,10 +117,15 @@ def km_reduce(firings, centroids) -> TypeReducedInterval:
     y_l, y_r, k_l, k_r = kernels.km_batch(
         lo[order][:, None], up[order][:, None], cents[order])
     y_l, y_r = float(y_l[0]), float(y_r[0])
+    crisp = 0.5 * (y_l + y_r)
+    # the inputs are finite, so a non-finite result is an overflow
+    if not np.isfinite([y_l, y_r, crisp]).all():
+        raise ValueError(f"type reduction overflowed: y_l={y_l!r}, "
+                         f"y_r={y_r!r}, crisp={crisp!r}")
     return TypeReducedInterval(
         y_l=y_l,
         y_r=y_r,
-        crisp=0.5 * (y_l + y_r),
+        crisp=crisp,
         switch_points=(int(k_l[0]), int(k_r[0])),
     )
 

@@ -451,10 +451,10 @@ def t1_epoch(data, y, means, sigmas, cons):
 # ---------------------------------------------------------------------------
 #
 # f(x) = (y_l + y_r)/2 from the KM reduction; gradients follow the two
-# type-1 expansions picked out by the converged switch splits.  `order`
-# sorts rules by ascending consequent mean and is fixed for the whole call:
-# the kernel sorts the rules' parameters once, so firings and gradients are
-# in sorted order throughout and only the (n_rules, n_features) results go
+# type-1 expansions picked out by the converged switch splits.  The kernel
+# sorts the rules' parameters once, by a stable sort on ascending consequent
+# mean that is fixed for the whole call, so firings and gradients are in
+# sorted order throughout and only the (n_rules, n_features) results go
 # back.  It takes the centred firing and gradients of the type-1 kernel for
 # both sigma matrices at once: stacked, sigma_lower over sigma_upper, they
 # are one (2 n_rules, n_features) matrix, so each BLAS product reads the
@@ -472,7 +472,8 @@ def t1_epoch(data, y, means, sigmas, cons):
 # stay in cache nor be allocated without page faults, once per step.
 
 
-def it2_epoch(data, y, means, sig_lo, sig_up, cons, order):
+def it2_epoch(data, y, means, sig_lo, sig_up, cons):
+    order = np.argsort(cons, kind="stable")
     x0, *terms = data
     n = terms[0].shape[1]
     d = means.shape[0]

@@ -220,11 +220,6 @@ def _project_interval(means, sl, su, cons):
         su[bad] = avg
 
 
-def _it2_epoch(data, y, means, sl, su, cons):
-    order = np.argsort(cons, kind="stable")
-    return kernels.it2_epoch(data, y, means, sl, su, cons, order)
-
-
 def tune_t1(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     """Steepest descent on the type-1 system; returns (best base, trace).
 
@@ -255,6 +250,6 @@ def tune_it2(rb: RuleBase, train, cfg: TuneConfig = TuneConfig()):
     X, y = _train_arrays(rb, train)
     (means, sl, su, cons), trace = _tune(
         X, y, cfg, (rb.means, rb.sigma_lower, rb.sigma_upper, rb.cons_mean),
-        _it2_epoch, _project_interval)
+        kernels.it2_epoch, _project_interval)
     return replace(rb, means=means, sigma_lower=sl, sigma_upper=su,
                    cons_mean=cons), trace

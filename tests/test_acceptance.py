@@ -118,8 +118,7 @@ def test_criterion_3_gradients_match_finite_differences(rng, capsys):
         su = rng.uniform(1.0, 1.6, (3, 2))
         sl = su * rng.uniform(0.6, 0.9, (3, 2))
         c2 = rng.uniform(1.0, 2.0, 3)
-        order = np.argsort(c2, kind="stable")
-        gm, gl, gu, gc, _ = it2_epoch(centre(X), y, m2, sl, su, c2, order)
+        gm, gl, gu, gc, _ = it2_epoch(centre(X), y, m2, sl, su, c2)
         fm, fl, fu, fc = fd_gradient(lambda: it2_error(X, y, m2, sl, su, c2),
                                      [m2, sl, su, c2])
         worst_it2 = max(worst_it2, rel_err(gm, fm), rel_err(gl, fl),
@@ -158,7 +157,7 @@ def test_criterion_4_fukuyama_and_blob_recovery(rng, capsys):
         blob_rng = np.random.default_rng(seed)
         X = np.vstack([c + blob_rng.normal(scale=0.4, size=(100, 2))
                        for c in centers])
-        scan = select_cluster_count(X, c_max=10, m=2.0,
+        scan = select_cluster_count(X, c_max=10,
                                     seeds=(seed, seed + 100, seed + 200))
         picks.append(scan.selected)
         hits += scan.selected == 5

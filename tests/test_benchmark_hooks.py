@@ -148,12 +148,20 @@ def test_bench_knn_runs(tmp_path):
 
 def test_bench_predict_runs(tmp_path):
     out = tmp_path / "predict.json"
-    run = _run_benchmark("bench_predict.py", "--rows", "300", "--repeats", "1",
-                         "--out", str(out))
+    # a label's record goes in beside the others the file holds
+    out.write_text('{"parent": {"repeats": 3}}', encoding="utf-8")
+    run = _run_benchmark("bench_predict.py", "--rows", "20", "300",
+                         "--repeats", "1", "--out", str(out))
     assert run.returncode == 0, run.stderr
     result = _record(out, "change")
-    assert [s["rows"] for s in result["sizes"]] == [300]
-    assert result["sizes"][0]["peak_rss_mb"][0] > 0
+    assert json.loads(out.read_text(encoding="utf-8"))["parent"] == {
+        "repeats": 3}
+    assert [s["rows"] for s in result["sizes"]] == [20, 300]
+    commands = [result["inspect_model"], *result["sizes"]]
+    assert all(c["min_wall_s"] > 0 and c["peak_rss_mb"][0] > 0
+               for c in commands)
+    assert "it2fis.model_io" in result["inspect_model"]["modules"]
+    assert all("it2fis.inference" in s["modules"] for s in result["sizes"])
 
 
 def test_bench_pipeline_runs(tmp_path):
@@ -170,18 +178,3 @@ def test_bench_pipeline_runs(tmp_path):
     assert {"predict", "baseline_knn"} <= set(seed["evaluate_stages"][0])
     assert sum(seed["evaluate_stages"][0].values()) <= seed["evaluate_s"][0]
     assert "type2.accuracy" in seed["quality"]
-
-
-def test_bench_startup_runs(tmp_path):
-    out = tmp_path / "startup.json"
-    # a label's record goes in beside the others the file holds
-    out.write_text('{"parent": {"runs": 3}}', encoding="utf-8")
-    run = _run_benchmark("bench_startup.py", "--runs", "1", "--rows", "20",
-                         "--out", str(out))
-    assert run.returncode == 0, run.stderr
-    commands = _record(out, "change")["commands"]
-    assert json.loads(out.read_text(encoding="utf-8"))["parent"] == {"runs": 3}
-    assert set(commands) == {"inspect-model", "predict"}
-    assert all(c["min_s"] > 0 for c in commands.values())
-    assert "it2fis.model_io" in commands["inspect-model"]["modules"]
-    assert "it2fis.inference" in commands["predict"]["modules"]

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import argparse
+import builtins
 import csv
 import hashlib
 import json
@@ -138,10 +139,10 @@ def test_model_bytes_do_not_depend_on_the_input_directory(tmp_path, capsys):
 
 # SHA-256 of the model trained by the test below, recorded with numpy 2.4 on
 # x86-64; a change that moves it changes training and must say why.  Last
-# moved when the decision threshold came from an exact sweep of the train
-# scores instead of a grid: the threshold is the only byte change
+# moved when provenance data_sha1 became the digest of the cleaned rows
+# instead of the input file's bytes: that value is the only byte change
 GOLDEN_MODEL_SHA256 = (
-    "fb08396566328b3adca0fc3f6cfe285c74ea4e0b40bd6b32170105894833c360")
+    "d9d57c2d5196fdeeb140792ccb3cae9057c0a10c4c96b69178b3a6e3e39e2aba")
 
 
 def test_train_golden_model_hash(tmp_path, capsys):
@@ -157,7 +158,7 @@ def test_train_golden_model_hash(tmp_path, capsys):
 # the same for a type-1-only train of the same input: it pins the type-1
 # scoring path and the model file's inference block
 GOLDEN_T1_MODEL_SHA256 = (
-    "91e66efb3f37ce0f0c9421f2e875d76d32028568146ee1ba47f47601073d0291")
+    "54080d980a4d14f1def22041a2b385909c4abc68d2c005d8de3452eeb99116bd")
 
 
 def test_train_type1_only_golden_model_hash(tmp_path, capsys):
@@ -337,23 +338,52 @@ def test_evaluate_test_only_scores_every_row(workdir, tmp_path):
     assert int(read_kv(str(prefix) + ".kv")["type2.n_test"]) == 166
 
 
-@pytest.mark.parametrize("seed, flags, message", [
-    ("0", [], "the model was trained on this file with global_seed 3; "
-              "a split with 0 would score rows it was trained on"),
-    ("3", ["--ratio", "0.6"],
-     "the model was trained on this file with train_ratio 0.7; "
-     "a split with 0.6 would score rows it was trained on"),
-    ("3", ["--test-only"], "--test-only would score every row of the file "
-                           "this model was trained on"),
-], ids=["seed", "ratio", "test_only"])
-def test_evaluate_refuses_the_training_rows(workdir, capsys, seed, flags,
+REFUSALS = {
+    "seed": ("0", [], "the model was trained on these rows with global_seed "
+                      "3; a split with 0 would score rows it was trained on"),
+    "ratio": ("3", ["--ratio", "0.6"],
+              "the model was trained on these rows with train_ratio 0.7; "
+              "a split with 0.6 would score rows it was trained on"),
+    "test_only": ("3", ["--test-only"],
+                  "--test-only would score every one of these rows, and this "
+                  "model was trained on a share of them"),
+}
+
+
+@pytest.mark.parametrize("data, seed, flags, message", [
+    (data, *REFUSALS[case]) for data in ("raw", "dataset") for case in REFUSALS
+], ids=[case + suffix for suffix in ("", "_cleaned") for case in REFUSALS])
+def test_evaluate_refuses_the_training_rows(workdir, capsys, data, seed, flags,
                                             message):
-    # the input is the model's training file (its data_sha1): another split
-    # of it would score rows the model was fitted to
+    # the input holds the model's training rows (its data_sha1 digests the
+    # cleaned rows), as the raw file or as preprocess wrote it: another split
+    # of them would score rows the model was fitted to
     rc = main(["--seed", seed, "--config", str(workdir["cfg"]), "evaluate",
-               str(workdir["model"]), str(workdir["raw"]), *flags])
+               str(workdir["model"]), str(workdir[data]), *flags])
     assert rc == 2
     assert capsys.readouterr().err == f"data error: [split] {message}\n"
+
+
+def test_train_and_evaluate_read_their_input_once(workdir, tmp_path,
+                                                  monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    raw, cfg = str(workdir["raw"]), str(workdir["cfg"])
+    model = str(tmp_path / "fit.model")
+    assert main(["--seed", "3", "--config", cfg, "train", raw,
+                 "-o", model]) == 0
+    assert opened.count(raw) == 1
+    opened.clear()
+    # the model's own split of its training rows: the rows are checked, and
+    # not read a second time for that
+    assert main(["--seed", "3", "--config", cfg, "evaluate", model, raw]) == 0
+    assert opened.count(raw) == 1
 
 
 def test_evaluate_names_an_unparsable_provenance_value(workdir, tmp_path,

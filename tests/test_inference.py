@@ -325,6 +325,16 @@ def test_km_reduce_validation():
         km_reduce(np.empty((0, 2)), [])
 
 
+@pytest.mark.parametrize("firings, centroids", [
+    ([[1.0, 1.0], [1.0, 1.0]], [1.5e308, 1.6e308]),  # the weighted sum
+    ([[1.0, 1.0]], [1.7e308]),  # only the midpoint y_l + y_r
+], ids=["sum", "midpoint"])
+def test_km_reduce_names_an_overflow(firings, centroids):
+    # finite inputs whose reduction leaves the float range
+    with pytest.raises(ValueError, match="type reduction overflowed"):
+        km_reduce(firings, centroids)
+
+
 @pytest.mark.parametrize("y_l, y_r, crisp", [
     (1.0, 2.0, 0.5), (1.0, 2.0, 2.5), (2.0, 1.0, 1.5), (1.0, 2.0, np.nan),
 ], ids=["below", "above", "reversed", "nan"])

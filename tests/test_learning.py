@@ -12,7 +12,6 @@ from it2fis.errors import DataError
 from it2fis.learning import (SIGMA_FLOOR, TuneConfig, encode_labels,
                              extract_rules, targets_for, tune_it2, tune_t1,
                              widen_to_it2)
-from it2fis.learning import _it2_epoch
 from it2fis.inference import predict_batch
 from it2fis.preprocess import Dataset
 from it2fis.rules import KIND_IT2, KIND_T1, RuleBase, t1_rule_base
@@ -133,9 +132,8 @@ def check_t1_gradient(X, y, means, sig, cons):
 
 
 def check_it2_gradient(X, y, means, sl, su, cons):
-    order = np.argsort(cons, kind="stable")
     gm, gsl, gsu, gc, err = kernels.it2_epoch(kernels.centre(X), y, means,
-                                              sl, su, cons, order)
+                                              sl, su, cons)
     assert err == pytest.approx(it2_error(X, y, means, sl, su, cons), rel=1e-12)
 
     # at generic parameters the switch points are locally constant, so the
@@ -178,8 +176,7 @@ def check_epochs_match_loops(X, y, means, sl, su, cons, t1=True):
             want = oracles._t1_epoch_loops(x, t, means, su, cons)
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons,
-                                order)
+        got = kernels.it2_epoch(kernels.centre(x), t, means, sl, su, cons)
         want = oracles._it2_epoch_loops(x, t, means, sl, su, cons, order)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
@@ -356,9 +353,10 @@ def test_tune_it2_reduces_error_and_keeps_invariants(rng):
     assert trace.epoch_error[trace.best_epoch] <= trace.epoch_error[0]
     assert (tuned.sigma_lower <= tuned.sigma_upper).all()
     assert (tuned.sigma_lower >= SIGMA_FLOOR).all()
-    *_, err = _it2_epoch(kernels.centre(data.features),
-                         targets_for(rb, data.labels), tuned.means,
-                         tuned.sigma_lower, tuned.sigma_upper, tuned.cons_mean)
+    *_, err = kernels.it2_epoch(kernels.centre(data.features),
+                                targets_for(rb, data.labels), tuned.means,
+                                tuned.sigma_lower, tuned.sigma_upper,
+                                tuned.cons_mean)
     assert float(err) == trace.epoch_error[trace.best_epoch]
 
 
